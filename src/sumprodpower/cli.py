@@ -218,6 +218,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_s3(args: argparse.Namespace) -> int:
+    try:
+        spec = SearchSpec(3, args.brute_max)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     curve = s3_curve()
     print("curve: y^2 = x^3 + 16")
     candidates = nagell_lutz_candidates(curve)
@@ -234,7 +238,7 @@ def cmd_s3(args: argparse.Namespace) -> int:
             print(f"trace back ({point.x}, {point.y}): (b1, b2) = ({pair[0]}, {pair[1]}),"
                   f" positive: {'yes' if is_pos else 'no'}")
     print(f"positive preimages among candidates: {positive}")
-    brute = enumerate_solutions(SearchSpec(3, args.brute_max))
+    brute = enumerate_solutions(spec)
     print(f"brute force a1 + a2 <= {args.brute_max}: {len(brute)} solutions")
     print(
         "erratum: the scaling x = 4v, y = 16u + 8 does not land on y^2 = x^3 + 64"

@@ -1,23 +1,38 @@
-"""Bounded brute-force enumeration of solutions with nondecreasing parts.
+"""Bounded exhaustive enumeration of solutions with nondecreasing parts.
 
-The enumeration walks nondecreasing tuples (a_1 <= ... <= a_{s-1}) whose sum
-stays within n_max, pruning a prefix as soon as the remaining slots cannot fit
-(each remaining part is at least as large as the current one).  The perfect
-s-th power test on prod * sum is a dict lookup into a precomputed power table,
-which is small: by AM-GM the product of the parts is at most
-(n_max / (s-1))**(s-1), so only b up to roughly n_max**(s/(s-1)) / (s-1) can
-occur.  Candidates found by workers are re-verified exactly when they are
-materialized as DioSolution values.
+The enumeration walks nondecreasing prefixes (a_1 <= ... <= a_{s-2}) whose sum
+leaves room for the parts still to come, pruning a prefix as soon as the
+remaining slots cannot fit (each remaining part is at least as large as the
+current one).  The last part is never scanned.  With P and T the product and
+sum of a prefix, a solution needs P * a * (T + a) = b**s, and P divides b**s
+exactly when b is a multiple of
 
-Parallel runs partition the work by the leading part; workers share nothing
-and the merged result is sorted, so output is a function of the spec alone.
+    r(P) = prod p**ceil(e/s)  over the prime powers p**e exactly dividing P.
+
+So for each prefix the search bisects a sorted list of s-th powers for the b
+range that the smallest and largest allowed last part give, visits only the
+multiples of r(P) in it, and recovers the last part exactly as
+a = (isqrt(T**2 + 4 * b**s / P) - T) / 2 when the discriminant is a perfect
+square.  r(P) comes from a smallest-prime-factor sieve over [0, n_max]: the
+prime-exponent map of the prefix is carried down the upper levels, and at the
+level that completes the prefix r is multiplied by
+p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of the new part.
+All of it is integer arithmetic.  Solutions are re-verified exactly when they
+are materialized as DioSolution values.
+
+Parallel runs split the leading part into blocks of consecutive values; each
+worker builds the sieve and the power list once, workers share nothing and
+the merged result is sorted, so output is a function of the spec alone.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import isqrt
 
+from .exactmath import int_nth_root
 from .transforms import DioSolution
 
 __all__ = ["MembershipReport", "SearchSpec", "check_table_membership", "enumerate_solutions"]
@@ -47,50 +62,119 @@ class SearchSpec:
         return self.n_max if self.a_max is None else min(self.a_max, self.n_max)
 
 
-def _power_table(s: int, n_max: int) -> dict[int, int]:
-    # b**s -> b for every value prod * sum can reach under the bounds.
+# The bounds and lookup tables of one run: s, n_max, a_max, spf, powers.
+_Tables = tuple[int, int, int, list[int], list[int]]
+
+
+def _tables(s: int, n_max: int, a_max: int) -> _Tables:
+    """Per-run lookup tables: a smallest-prime-factor sieve over [0, n_max]
+    and powers[b] = b**s for every b that prod * sum can reach."""
+    spf = list(range(n_max + 1))
+    # Descending, so each m keeps the smallest p with p | m and p * p <= m.
+    # That p is prime: whatever a composite p marks, its smallest prime
+    # factor marks again later.
+    for p in range(isqrt(n_max), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, n_max + 1, p))
+    # AM-GM: prod(parts) <= (n / (s - 1))**(s - 1) for parts summing to n.
     k = s - 1
-    limit = n_max * (n_max // k + 1) ** k
-    table: dict[int, int] = {}
-    b = 1
-    while b ** s <= limit:
-        table[b ** s] = b
-        b += 1
-    return table
+    b_max = int_nth_root(n_max * (n_max // k + 1) ** k, s)
+    return s, n_max, a_max, spf, [b ** s for b in range(b_max + 1)]
+
+
+def _factor(spf: list[int], m: int) -> list[tuple[int, int]]:
+    # (p, f) for each prime power p**f exactly dividing m.
+    out = []
+    while m > 1:
+        p = spf[m]
+        m //= p
+        f = 1
+        while spf[m] == p:
+            m //= p
+            f += 1
+        out.append((p, f))
+    return out
 
 
 def _extend(
-    s: int,
-    n_max: int,
-    a_max: int,
+    tables: _Tables,
     parts: tuple[int, ...],
     total: int,
     product: int,
-    powers: dict[int, int],
+    r: int,
+    exps: dict[int, int],
+    lo: int,
+    hi: int,
     out: list[tuple[tuple[int, ...], int, int]],
 ) -> None:
-    last = parts[-1]
-    remaining = s - 1 - len(parts)
-    if remaining == 1:
-        get = powers.get
-        hi = min(a_max, n_max - total)
-        for a in range(last, hi + 1):
-            b = get(product * a * (total + a))
-            if b is not None:
-                out.append((parts + (a,), total + a, b))
+    # Append every solution whose parts start with `parts` and continue with
+    # a next part in [lo, hi].  r = r(product); exps maps each prime to its
+    # exponent in product and is restored before returning.
+    s, n_max, a_max, spf, powers = tables
+    remaining = s - 2 - len(parts)  # parts still to choose after the next one
+    if remaining > 1:
+        for a in range(lo, hi + 1):
+            ra = r
+            factors = _factor(spf, a)
+            for p, f in factors:
+                e = exps.get(p, 0)
+                ra *= p ** ((e + f + s - 1) // s - (e + s - 1) // s)
+                exps[p] = e + f
+            t = total + a
+            _extend(tables, parts + (a,), t, product * a, ra, exps, a,
+                    min(a_max, (n_max - t) // remaining), out)
+            for p, f in factors:
+                exps[p] -= f
         return
-    hi = min(a_max, (n_max - total) // remaining)
-    for a in range(last, hi + 1):
-        _extend(s, n_max, a_max, parts + (a,), total + a, product * a, powers, out)
+    # `parts + (a,)` is the whole prefix, with product pp and sum t.  The last
+    # part x in [a, top] needs pp * x * (t + x) = b**s, and pp divides b**s
+    # exactly when ra = r(pp) divides b.
+    s1 = s - 1
+    for a in range(lo, hi + 1):
+        ra = r
+        m = a
+        while m > 1:  # _factor(spf, a), inlined: this is the hot loop
+            p = spf[m]
+            m //= p
+            f = 1
+            while spf[m] == p:
+                m //= p
+                f += 1
+            e = exps.get(p, 0)
+            ra *= p ** ((e + f + s1) // s - (e + s1) // s)
+        t = total + a
+        pp = product * a
+        top = n_max - t
+        if top > a_max:
+            top = a_max
+        b_lo = -(-bisect_left(powers, pp * a * (t + a)) // ra) * ra
+        b_end = bisect_right(powers, pp * top * (t + top))
+        for b in range(b_lo, b_end, ra):
+            # x * (t + x) = b**s / pp.  root**2 = disc = t**2 (mod 4) forces
+            # root = t (mod 2), so x = (root - t) / 2 is an integer.
+            disc = t * t + 4 * (powers[b] // pp)
+            root = isqrt(disc)
+            if root * root == disc:
+                out.append((parts + (a, (root - t) >> 1), (root + t) >> 1, b))
 
 
-def _leading_block(args: tuple[int, int, int, int]) -> list[tuple[tuple[int, ...], int, int]]:
-    # All solutions whose smallest part is the given a1 (picklable worker).
-    s, n_max, a_max, a1 = args
-    powers = _power_table(s, n_max)
+def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
+    # All solutions whose smallest part lies in [lo, hi].
     out: list[tuple[tuple[int, ...], int, int]] = []
-    _extend(s, n_max, a_max, (a1,), a1, a1, powers, out)
+    _extend(tables, (), 0, 1, 1, {}, lo, hi, out)
     return out
+
+
+_worker_tables: _Tables | None = None  # set in each pool worker by _init_worker
+
+
+def _init_worker(s: int, n_max: int, a_max: int) -> None:
+    global _worker_tables
+    _worker_tables = _tables(s, n_max, a_max)
+
+
+def _leading_block(leads: tuple[int, int]) -> list[tuple[tuple[int, ...], int, int]]:
+    # All solutions whose smallest part lies in leads = (lo, hi), in a pool worker.
+    return _search(_worker_tables, *leads)
 
 
 def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
@@ -98,14 +182,20 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
     sorted by (n, parts); identical output for any jobs value."""
     a_max = spec.part_bound
     lead_hi = min(a_max, spec.n_max // (spec.s - 1))
-    blocks = [(spec.s, spec.n_max, a_max, a1) for a1 in range(1, lead_hi + 1)]
-    raw: list[tuple[tuple[int, ...], int, int]] = []
-    if spec.jobs == 1 or len(blocks) <= 1:
-        powers = _power_table(spec.s, spec.n_max)
-        for _, _, _, a1 in blocks:
-            _extend(spec.s, spec.n_max, a_max, (a1,), a1, a1, powers, raw)
+    if spec.jobs == 1 or lead_hi <= 1:
+        raw = _search(_tables(spec.s, spec.n_max, a_max), 1, lead_hi)
     else:
-        with multiprocessing.Pool(spec.jobs) as pool:
+        # About four blocks of consecutive leading parts per worker.  Small
+        # leading parts cost the most, so blocks come out in falling order of
+        # cost and the pool's first-free-worker dispatch keeps loads even.
+        step = -(-lead_hi // (4 * spec.jobs))
+        blocks = [(lo, min(lo + step - 1, lead_hi)) for lo in range(1, lead_hi + 1, step)]
+        raw = []
+        with multiprocessing.Pool(
+            min(spec.jobs, len(blocks)),
+            initializer=_init_worker,
+            initargs=(spec.s, spec.n_max, a_max),
+        ) as pool:
             for chunk in pool.imap_unordered(_leading_block, blocks):
                 raw.extend(chunk)
     raw.sort(key=lambda item: (item[1], item[0]))

@@ -241,6 +241,15 @@ class TestS3Report:
         assert "erratum" in out
         assert out.count("on y^2 = x^3 + 64: yes") == 5
 
+    @pytest.mark.parametrize(
+        "argv", [("s3", "--brute-max", "1"), ("search", "--s", "3", "--max-n", "1")]
+    )
+    def test_bound_below_two_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_max must be at least s - 1\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -1,10 +1,14 @@
 from itertools import combinations_with_replacement
-from math import prod
+from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import table_rows
+from search_oracle import oracle_solutions
 from sumprodpower import DioSolution, SearchSpec, check_table_membership, enumerate_solutions
+from sumprodpower.search import _tables
 
 
 def brute_force(s: int, n_max: int) -> set[tuple[tuple[int, ...], int]]:
@@ -21,6 +25,38 @@ def brute_force(s: int, n_max: int) -> set[tuple[tuple[int, ...], int]]:
         if b ** s == m:
             found.add((parts, b))
     return found
+
+
+def root_bound(m: int, s: int) -> int:
+    """r(m) = prod p**ceil(e/s) over p**e || m, by trial division."""
+    r, p = 1, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        r *= p ** -(-e // s)
+        p += 1
+    return r * m  # what is left of m is 1 or a prime
+
+
+def rows(spec: SearchSpec) -> list[tuple[tuple[int, ...], int, int]]:
+    return [(r.parts, r.n, r.b) for r in enumerate_solutions(spec)]
+
+
+# (s, n_max) pairs for the oracle grid: the smallest allowed bound, small
+# bounds with few solutions, and the largest the scan oracle runs quickly.
+ORACLE_GRID = [
+    (s, n)
+    for s, bounds in {
+        3: (2, 3, 97, 600),
+        4: (3, 27, 100, 240),
+        5: (4, 27, 64, 120),
+        6: (5, 8, 36, 72),
+        7: (6, 24, 40, 56),
+    }.items()
+    for n in bounds
+]
 
 
 class TestSearchSpec:
@@ -83,6 +119,67 @@ class TestEnumerateSolutions:
         assert enumerate_solutions(SearchSpec(4, 60, jobs=2)) == enumerate_solutions(
             SearchSpec(4, 60, jobs=4)
         )
+
+
+class TestAgainstScanOracle:
+    """The divisibility-stepped kernel against the original last-slot scan."""
+
+    @pytest.mark.parametrize("a_max", [None, 1, 5, 18])
+    @pytest.mark.parametrize("s, n_max", ORACLE_GRID)
+    def test_serial(self, s, n_max, a_max):
+        assert rows(SearchSpec(s, n_max, a_max)) == oracle_solutions(s, n_max, a_max)
+
+    @pytest.mark.parametrize("a_max", [None, 12])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("s, n_max", [(3, 600), (4, 120), (5, 81), (6, 48), (7, 40)])
+    def test_parallel(self, s, n_max, a_max, jobs):
+        spec = SearchSpec(s, n_max, a_max, jobs=jobs)
+        assert rows(spec) == oracle_solutions(s, n_max, a_max)
+
+    def test_jobs_above_block_count(self):
+        # s = 5, n_max = 8 has two possible leading parts.
+        assert rows(SearchSpec(5, 8, jobs=3)) == oracle_solutions(5, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.integers(3, 7),
+        n_max=st.integers(2, 60),
+        a_max=st.none() | st.integers(1, 60),
+    )
+    def test_property(self, s, n_max, a_max):
+        n_max = max(n_max, s - 1)
+        assert rows(SearchSpec(s, n_max, a_max)) == oracle_solutions(s, n_max, a_max)
+
+
+class TestDivisibilityStep:
+    @pytest.mark.parametrize("s, n_max", [(4, 300), (5, 200), (6, 100), (7, 64)])
+    def test_b_is_a_multiple_of_r_of_the_prefix(self, s, n_max):
+        found = enumerate_solutions(SearchSpec(s, n_max))
+        assert found
+        for row in found:
+            assert row.b % root_bound(prod(row.parts[:-1]), s) == 0
+
+    @given(m=st.integers(1, 10**6), b=st.integers(1, 10**4), s=st.integers(3, 8))
+    def test_prefix_divides_power_iff_r_divides_b(self, m, b, s):
+        assert (b ** s % m == 0) == (b % root_bound(m, s) == 0)
+
+    @given(t=st.integers(1, 10**6), x=st.integers(1, 10**6), d=st.integers(0, 100))
+    def test_last_part_recovered_from_the_discriminant(self, t, x, d):
+        # The kernel takes (root - t) / 2 without a parity check: a square
+        # t**2 + 4q always has root = t (mod 2).
+        q = x * (t + x) + d
+        disc = t * t + 4 * q
+        root = isqrt(disc)
+        if root * root == disc:
+            assert (root - t) % 2 == 0
+            y = (root - t) // 2
+            assert y * (t + y) == q
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 49, 50, 1000])
+    def test_smallest_prime_factor_sieve(self, n_max):
+        spf = _tables(3, n_max, n_max)[3]
+        for m in range(2, n_max + 1):
+            assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
 
 
 class TestTableMembership:
