@@ -12,16 +12,13 @@ exhausted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
-from .elliptic import Point, WeierstrassCurve, add, nagell_lutz_candidates, negate, on_curve
-from .exactmath import perfect_sth_power
-from .family import FamilyParams, S5Substitution, general_solution, positivity_value, s5_polynomial_family
+from .elliptic import Point, WeierstrassCurve, nagell_lutz_candidates, on_curve
+from .exactmath import format_decimal, parse_decimal
+from .family import FamilyParams, S5Substitution, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
 from .transforms import (
     BVector,
@@ -33,36 +30,19 @@ from .transforms import (
     s4_curve,
     s4_in_positive_region,
     s4_inverse,
+    s4_solutions,
 )
 
-S4_SEED_POINT = Point(235, 8)
 
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One verified solution plus the subcommand that produced it."""
-
-    s: int
-    parts: tuple[int, ...]
-    n: int
-    b: int
-    source: str
-
-    @classmethod
-    def from_solution(cls, sol: DioSolution, source: str) -> "OutputRecord":
-        return cls(sol.s, sol.sorted_parts, sol.n, sol.b, source)
-
-    def to_jsonl(self) -> str:
-        return json.dumps(
-            {"s": self.s, "parts": list(self.parts), "n": self.n, "b": self.b,
-             "source": self.source}
-        )
-
-    def to_tsv(self) -> str:
-        return "\t".join(str(v) for v in (*self.parts, self.b, self.n))
-
-    def render(self, fmt: str) -> str:
-        return self.to_tsv() if fmt == "tsv" else self.to_jsonl()
+def render(sol: DioSolution, source: str, fmt: str) -> str:
+    """One output line: a JSON object (as json.dumps writes it) or TSV columns
+    a_1 .. a_{s-1}, b, n, with the parts ascending."""
+    parts = [format_decimal(a) for a in sol.sorted_parts]
+    n, b = format_decimal(sol.n), format_decimal(sol.b)
+    if fmt == "tsv":
+        return "\t".join((*parts, b, n))
+    return (f'{{"s": {sol.s}, "parts": [{", ".join(parts)}], "n": {n}, "b": {b}, '
+            f'"source": "{source}"}}')
 
 
 def _usage_error(message: str) -> int:
@@ -82,7 +62,7 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [parse_decimal(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
@@ -116,28 +96,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"expected {s - 1} parts for s={s}, got {len(parts)}")
     if any(a < 1 for a in parts):
         return _usage_error("parts must be positive integers")
-    n = sum(parts)
-    value = prod(parts) * n
-    b = perfect_sth_power(value, s)
-    if b is None:
-        print(f"not a solution: {value} is not a perfect {s}-th power", file=sys.stderr)
+    try:
+        sol = DioSolution.from_parts(s, parts)
+    except ValueError as exc:
+        print(f"not a solution: {exc}", file=sys.stderr)
         return 1
-    record = OutputRecord.from_solution(DioSolution(s, tuple(parts), n, b), "verify")
-    print(record.render(args.format))
+    print(render(sol, "verify", args.format))
     return 0
 
 
-def _solution_from_point(point: Point, primitive: bool) -> DioSolution:
-    bvec = BVector(4, s4_inverse(point))
-    sol = clear_denominators(bvec)
-    return primitive_reduce(sol) if primitive else sol
-
-
 def cmd_gen4(args: argparse.Namespace) -> int:
-    curve = s4_curve()
     if args.from_point is not None:
         point = args.from_point
-        if not on_curve(curve, point):
+        if not on_curve(s4_curve(), point):
             print(f"point ({point.x}, {point.y}) is not on the s=4 curve", file=sys.stderr)
             return 1
         if not s4_in_positive_region(point):
@@ -147,28 +118,19 @@ def cmd_gen4(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        record = OutputRecord.from_solution(_solution_from_point(point, args.primitive), "gen4")
-        print(record.render(args.format))
+        sol = clear_denominators(BVector(4, s4_inverse(point)))
+        print(render(primitive_reduce(sol) if args.primitive else sol, "gen4", args.format))
         return 0
     if args.count is None:
         return _usage_error("--count is required unless --from-point is given")
-    emitted: set[tuple[int, ...]] = set()
-    multiple = S4_SEED_POINT
-    for k in range(1, args.max_multiple + 1):
-        for point in (multiple, negate(multiple)):
-            if not s4_in_positive_region(point):
-                continue
-            sol = _solution_from_point(point, args.primitive)
-            key = sol.sorted_parts
-            if key in emitted:
-                continue
-            emitted.add(key)
-            print(OutputRecord.from_solution(sol, "gen4").render(args.format))
-            if len(emitted) == args.count:
-                return 0
-        multiple = add(curve, multiple, S4_SEED_POINT)
+    found = 0
+    for sol in s4_solutions(args.max_multiple):
+        print(render(primitive_reduce(sol) if args.primitive else sol, "gen4", args.format))
+        found += 1
+        if found == args.count:
+            return 0
     print(
-        f"budget exhausted: found {len(emitted)} of {args.count} solutions "
+        f"budget exhausted: found {found} of {args.count} solutions "
         f"within {args.max_multiple} multiples",
         file=sys.stderr,
     )
@@ -184,26 +146,24 @@ def cmd_family(args: argparse.Namespace) -> int:
             return _usage_error("--t1/--t2 and --tail/--t0 are mutually exclusive")
         if args.s != 5:
             return _usage_error("the closed form --t1/--t2 is only defined for --s 5")
-        d = 4 * args.t1 ** 2 * args.t2 - args.t1 * args.t2 ** 3 + 4
-        if d <= 0:
-            print(f"positivity quadratic is not positive: D = {d}", file=sys.stderr)
-            return 1
-        sol = s5_polynomial_family(S5Substitution(args.t1, args.t2))
     else:
         if args.tail is None or args.t0 is None:
             return _usage_error("either --t1/--t2 or --tail/--t0 must be given")
         try:
-            params = FamilyParams(args.s, tuple(args.tail), args.t0)
+            FamilyParams(args.s, tuple(args.tail), args.t0)
         except ValueError as exc:
             return _usage_error(str(exc))
-        d = positivity_value(params)
-        if d <= 0:
-            print(f"positivity quadratic is not positive: D = {d}", file=sys.stderr)
-            return 1
-        sol = general_solution(args.s, args.tail, args.t0)
+    try:
+        if closed_form:
+            sol = s5_polynomial_family(S5Substitution(args.t1, args.t2))
+        else:
+            sol = general_solution(args.s, args.tail, args.t0)
+    except ValueError as exc:  # the positivity quadratic D is not positive
+        print(exc, file=sys.stderr)
+        return 1
     if args.primitive:
         sol = primitive_reduce(sol)
-    print(OutputRecord.from_solution(sol, "family").render(args.format))
+    print(render(sol, "family", args.format))
     return 0
 
 
@@ -213,7 +173,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     for sol in enumerate_solutions(spec):
-        print(OutputRecord.from_solution(sol, "search").render(args.format))
+        print(render(sol, "search", args.format))
     return 0
 
 

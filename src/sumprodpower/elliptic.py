@@ -3,8 +3,9 @@
 Affine chord-and-tangent group law, integral torsion candidates (points with
 integer coordinates whose y is zero or divides the cubic discriminant), and a
 certificate of infinite order based on coordinate integrality.  All points are
-kept in exact ``Fraction`` coordinates; coordinate heights stay manageable for
-the scalar multiples (k up to ~25) this package ever computes.
+kept in exact ``Fraction`` coordinates, whose size grows like k^2 along the
+multiples kP: on the s=4 curve the x-numerator of k * (235, 8) has 396
+digits at k = 25, 2269 at k = 60 and 4035 at k = 80.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Exact integer and rational primitives shared by every other module.
 
 Everything here is arbitrary precision: integer k-th roots, perfect-power
-detection, divisor enumeration by trial division, and dense univariate
-polynomials with ``Fraction`` coefficients (needed for the non-polynomiality
-remainder certificate).  No floating point is used anywhere.
+detection, divisor enumeration by trial division, decimal conversion of
+integers of any length, and dense univariate polynomials with ``Fraction``
+coefficients (needed for the non-polynomiality remainder certificate).  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Iterable, Sequence
 __all__ = [
     "Poly",
     "divisors",
+    "format_decimal",
     "int_nth_root",
+    "parse_decimal",
     "perfect_sth_power",
     "poly_divrem",
     "poly_eval",
@@ -56,6 +59,45 @@ def perfect_sth_power(m: int, s: int) -> int | None:
         raise ValueError("exponent s must be >= 2")
     b = int_nth_root(m, s)
     return b if b ** s == m else None
+
+
+# int() and str() refuse more than 4300 digits by default (the process-wide
+# sys.set_int_max_str_digits limit); longer decimals go through in chunks
+# that stay well below it.
+_DECIMAL_CHUNK = 4000
+
+
+def parse_decimal(text: str) -> int:
+    """Exact ``int(text)`` for a decimal of any length.
+
+    Short texts go straight to ``int()``.  Longer ones must be ASCII digits
+    with an optional sign and surrounding whitespace; they are converted in
+    chunks.  Raises ``ValueError`` like ``int()``.
+    """
+    if len(text) <= _DECIMAL_CHUNK:
+        return int(text)
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in "+-":
+        body = body[1:]
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid decimal literal of {len(text)} characters")
+    if len(body) <= _DECIMAL_CHUNK:
+        return sign * int(body)
+    low = len(body) // 2
+    return sign * (parse_decimal(body[:-low]) * 10 ** low + parse_decimal(body[-low:]))
+
+
+def format_decimal(value: int) -> str:
+    """Exact ``str(value)`` for an int of any size."""
+    if value < 0:
+        return "-" + format_decimal(-value)
+    digits = value.bit_length() * 30103 // 100000 + 1  # never an underestimate
+    if digits <= _DECIMAL_CHUNK:
+        return str(value)
+    low = digits // 2
+    high, rest = divmod(value, 10 ** low)
+    return format_decimal(high) + format_decimal(rest).zfill(low)
 
 
 def divisors(n: int) -> list[int]:

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import Iterator
 
-from .elliptic import Point, WeierstrassCurve, on_curve
-from .exactmath import perfect_sth_power
+from .elliptic import Point, WeierstrassCurve, _add_unchecked, on_curve
+from .exactmath import format_decimal, perfect_sth_power
 
 __all__ = [
     "BVector",
@@ -27,6 +28,7 @@ __all__ = [
     "S4Chart",
     "S4_FIBER_PRODUCT",
     "S4_FIBER_SUM",
+    "S4_SEED_POINT",
     "clear_denominators",
     "primitive_reduce",
     "s3_curve",
@@ -35,6 +37,7 @@ __all__ = [
     "s4_forward",
     "s4_in_positive_region",
     "s4_inverse",
+    "s4_solutions",
 ]
 
 # The s=4 analysis works on the fiber through the seed solution (1, 2, 24).
@@ -69,9 +72,10 @@ class DioSolution:
         """Build a solution from parts alone, computing n and b; raises if
         prod(parts) * sum(parts) is not a perfect s-th power."""
         n = sum(parts)
-        b = perfect_sth_power(prod(parts) * n, s)
+        value = prod(parts) * n
+        b = perfect_sth_power(value, s)
         if b is None:
-            raise ValueError(f"{prod(parts) * n} is not a perfect {s}-th power")
+            raise ValueError(f"{format_decimal(value)} is not a perfect {s}-th power")
         return cls(s, tuple(parts), n, b)
 
     @property
@@ -192,6 +196,8 @@ def s3_trace_back(point: Point) -> tuple[Fraction, Fraction] | None:
 # ---------------------------------------------------------------------------
 
 _S4_CURVE = WeierstrassCurve(Fraction(0), Fraction(-166779), Fraction(26215254))
+# Image of the seed b-vector (4, 1/3, 1/6) = (1, 2, 24)/6; it has infinite order.
+S4_SEED_POINT = Point(235, 8)
 
 
 @dataclass(frozen=True)
@@ -263,8 +269,10 @@ def s4_in_positive_region(point: Point) -> bool:
     """True iff the chart preimage (b1, b2, b3) of the point is strictly positive.
 
     Equivalent inequality form: x < 243 and |y| < 6369 - 27x.  On the curve
-    y^2 - (6369 - 27x)^2 = (x - 243)^3, so the entire bounded real component
-    satisfies it.
+    y^2 - (6369 - 27x)^2 = (x - 243)^3, so the region is exactly the bounded
+    real component x in [e1, e2] ~ [-471.6, 235.06]: there x < 243 makes
+    y^2 < (6369 - 27x)^2 with 6369 - 27x > 0, while the unbounded component
+    starts at e3 ~ 236.5, where 6369 - 27x is already negative.
     """
     if not on_curve(_S4_CURVE, point):
         raise ValueError("point is not on the s=4 curve")
@@ -272,3 +280,23 @@ def s4_in_positive_region(point: Point) -> bool:
         return False
     x, y = point.x, point.y
     return x < 243 and abs(y) < 6369 - 27 * x
+
+
+def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
+    """Solutions from the odd multiples P, 3P, 5P, ... (up to max_multiple) of
+    P = S4_SEED_POINT, one per multiple, in that order.
+
+    No region test is needed: P lies on the bounded real component, which is
+    the positive region (see s4_in_positive_region) and a coset of the
+    identity component, so exactly the odd multiples land in it.  -kP only
+    swaps b2 and b3, so it would repeat kP's solution.  The walk steps by a
+    precomputed 2P with the unchecked group law; s4_inverse still checks
+    that each multiple is on the curve, and clear_denominators rejects a
+    non-positive vector.
+    """
+    double = _add_unchecked(_S4_CURVE, S4_SEED_POINT, S4_SEED_POINT)
+    point = S4_SEED_POINT
+    for k in range(1, max_multiple + 1, 2):
+        if k > 1:
+            point = _add_unchecked(_S4_CURVE, point, double)
+        yield clear_denominators(BVector(4, s4_inverse(point)))

@@ -1,11 +1,17 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import TABLE_S5, TABLE_S6
+from gen4_oracle import oracle_walk
 from sumprodpower.cli import main
+from sumprodpower.exactmath import format_decimal, parse_decimal
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -62,6 +68,41 @@ class TestVerify:
         assert code == 0
         (record,) = parse_jsonl(out)
         assert (record["b"], record["n"]) == (b, n)
+
+
+class TestBeyondTheDigitLimit:
+    """Decimals longer than Python's default 4300-digit int<->str limit."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_verify_accepts_long_parts(self, capsys, fmt):
+        scale = parse_decimal("9" * 5000)
+        parts = (24 * scale, scale, 2 * scale)
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--format", fmt,
+                                 "--parts", ",".join(map(format_decimal, parts)))
+        assert (code, err) == (0, "")
+        if fmt == "tsv":
+            fields = [parse_decimal(v) for v in out.rstrip("\n").split("\t")]
+        else:
+            record = json.loads(out, parse_int=parse_decimal)
+            fields = [*record["parts"], record["b"], record["n"]]
+        assert fields == [scale, 2 * scale, 24 * scale, 6 * scale, 27 * scale]
+
+    def test_verify_rejection_prints_a_long_value(self, capsys):
+        scale = 10 ** 1100 + 1
+        parts = ",".join(map(format_decimal, (scale, 2 * scale, 25 * scale)))
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", parts)
+        assert (code, out) == (1, "")
+        value = err.removeprefix("not a solution: ").removesuffix(" is not a perfect 4-th power\n")
+        assert parse_decimal(value) == 1400 * scale ** 4
+
+    def test_gen4_prints_long_records(self, capsys):
+        code, out, err = run_cli(capsys, "gen4", "--count", "40", "--max-multiple", "80")
+        assert (code, err) == (0, "")
+        records = [json.loads(line, parse_int=parse_decimal) for line in out.splitlines()]
+        assert [(r["parts"], r["n"], r["b"]) for r in records] == [
+            (list(sol.sorted_parts), sol.n, sol.b) for _, sol in oracle_walk(80, False)
+        ]
+        assert len(out.splitlines()[-1]) > 4300
 
 
 class TestGen4:
@@ -249,6 +290,36 @@ class TestS3Report:
         assert code == 2
         assert out == ""
         assert err == "error: n_max must be at least s - 1\n"
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, output) of every README example whose comment is literal
+    output: JSON records or TSV rows."""
+    examples = []
+    lines = README.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if not line.startswith("sumprodpower "):
+            continue
+        comment = []
+        for follow in lines[i + 1:]:
+            if not follow.startswith("# "):
+                break
+            comment.append(follow[2:] + "\n")
+        if comment and comment[0][0] in "{0123456789":
+            examples.append((line, "".join(comment)))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_examples_are_found(self):
+        assert [cmd.split()[1] for cmd, _ in readme_examples()] == [
+            "verify", "family", "family", "search"
+        ]
+
+    @pytest.mark.parametrize("command, output", readme_examples())
+    def test_output_matches_the_comment(self, capsys, command, output):
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert (code, out, err) == (0, output, "")
 
 
 class TestEntryPoint:

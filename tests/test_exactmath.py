@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from sumprodpower import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem, poly_eval
+from sumprodpower.exactmath import format_decimal, parse_decimal
 
 
 class TestIntNthRoot:
@@ -59,6 +61,39 @@ class TestPerfectSthPower:
             b = rng.randint(1, 10 ** 6)
             s = rng.randint(3, 8)
             assert perfect_sth_power(b ** s, s) == b
+
+
+class TestDecimal:
+    # Lengths on both sides of the 4000-digit chunk and the 4300-digit limit.
+    LENGTHS = [1, 2, 17, 3999, 4000, 4001, 4300, 4301, 8001, 12345]
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_roundtrip_of_digit_strings(self, rng, length):
+        digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(length - 1))
+        value = parse_decimal(digits)
+        assert format_decimal(value) == digits
+        assert format_decimal(-value) == "-" + digits
+        assert parse_decimal(f" -{digits}\n") == -value
+        assert parse_decimal("+" + digits) == value
+
+    def test_matches_int_and_str_below_the_limit(self, rng):
+        for _ in range(200):
+            value = rng.randint(-10 ** 4200, 10 ** 4200)
+            assert format_decimal(value) == str(value)
+            assert parse_decimal(str(value)) == value
+        assert format_decimal(0) == "0" and parse_decimal("0") == 0
+        assert parse_decimal(" 1_000 ") == 1000
+
+    @pytest.mark.parametrize("text", ["", "x", "1,2", "1" * 4000 + "x", "1_" * 3000, "1 " * 2501,
+                                      "--" + "1" * 5000, "\u0661" * 5000])
+    def test_rejects_what_is_not_a_decimal(self, text):
+        with pytest.raises(ValueError):
+            parse_decimal(text)
+
+    def test_leaves_the_interpreter_limit_alone(self):
+        limit = sys.get_int_max_str_digits()
+        format_decimal(parse_decimal("7" * 9000))
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestDivisors:
