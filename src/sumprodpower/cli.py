@@ -17,19 +17,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .elliptic import Point, WeierstrassCurve, nagell_lutz_candidates, on_curve
-from .exactmath import format_decimal, parse_decimal
+from .exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
 from .family import FamilyParams, S5Substitution, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
 from .transforms import (
-    BVector,
     DioSolution,
-    clear_denominators,
     primitive_reduce,
     s3_curve,
     s3_trace_back,
-    s4_curve,
-    s4_in_positive_region,
-    s4_inverse,
+    s4_point_solution,
     s4_solutions,
 )
 
@@ -52,7 +48,7 @@ def _usage_error(message: str) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_decimal(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 1:
@@ -69,14 +65,14 @@ def _int_list(text: str) -> list[int]:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
 
 
 def _fraction_list(text: str) -> list[Fraction]:
     try:
-        return [Fraction(tok) for tok in text.split(",") if tok != ""]
+        return [parse_fraction(tok) for tok in text.split(",") if tok != ""]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}") from exc
 
@@ -108,17 +104,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gen4(args: argparse.Namespace) -> int:
     if args.from_point is not None:
         point = args.from_point
-        if not on_curve(s4_curve(), point):
-            print(f"point ({point.x}, {point.y}) is not on the s=4 curve", file=sys.stderr)
+        shown = f"({format_fraction(point.x)}, {format_fraction(point.y)})"
+        try:
+            sol = s4_point_solution(point)
+        except ValueError:
+            print(f"point {shown} is not on the s=4 curve", file=sys.stderr)
             return 1
-        if not s4_in_positive_region(point):
+        if sol is None:
             print(
-                f"point ({point.x}, {point.y}) is outside the positive region "
+                f"point {shown} is outside the positive region "
                 "(needs x < 243 and |y| < 6369 - 27x)",
                 file=sys.stderr,
             )
             return 1
-        sol = clear_denominators(BVector(4, s4_inverse(point)))
         print(render(primitive_reduce(sol) if args.primitive else sol, "gen4", args.format))
         return 0
     if args.count is None:
@@ -130,8 +128,8 @@ def cmd_gen4(args: argparse.Namespace) -> int:
         if found == args.count:
             return 0
     print(
-        f"budget exhausted: found {found} of {args.count} solutions "
-        f"within {args.max_multiple} multiples",
+        f"budget exhausted: found {found} of {format_decimal(args.count)} solutions "
+        f"within {format_decimal(args.max_multiple)} multiples",
         file=sys.stderr,
     )
     return 3

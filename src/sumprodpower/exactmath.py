@@ -2,13 +2,14 @@
 
 Everything here is arbitrary precision: integer k-th roots, perfect-power
 detection, divisor enumeration by trial division, decimal conversion of
-integers of any length, and dense univariate polynomials with ``Fraction``
-coefficients (needed for the non-polynomiality remainder certificate).  No
-floating point is used anywhere.
+integers and rationals of any length, and dense univariate polynomials with
+``Fraction`` coefficients (needed for the non-polynomiality remainder
+certificate).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -16,8 +17,10 @@ __all__ = [
     "Poly",
     "divisors",
     "format_decimal",
+    "format_fraction",
     "int_nth_root",
     "parse_decimal",
+    "parse_fraction",
     "perfect_sth_power",
     "poly_divrem",
     "poly_eval",
@@ -98,6 +101,35 @@ def format_decimal(value: int) -> str:
     low = digits // 2
     high, rest = divmod(value, 10 ** low)
     return format_decimal(high) + format_decimal(rest).zfill(low)
+
+
+_LONG_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Exact ``Fraction(text)`` for a rational of any length.
+
+    Short texts go straight to ``Fraction()``.  Longer ones must be ``p`` or
+    ``p/q`` in ASCII digits, with an optional sign on ``p`` and surrounding
+    whitespace; both sides go through parse_decimal.  Raises ``ValueError``
+    like ``Fraction()``, and ``ZeroDivisionError`` when ``q`` is zero.
+    """
+    if len(text) <= _DECIMAL_CHUNK:
+        return Fraction(text)
+    match = _LONG_RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid rational literal of {len(text)} characters")
+    num, den = match.groups()
+    q = 1 if den is None else parse_decimal(den)
+    if q == 0:  # Fraction's own message would print the long numerator
+        raise ZeroDivisionError(f"zero denominator in a rational of {len(text)} characters")
+    return Fraction(parse_decimal(num), q)
+
+
+def format_fraction(value: Fraction | int) -> str:
+    """Exact ``str(value)`` for a Fraction (or int) of any size: ``p`` or ``p/q``."""
+    num = format_decimal(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{format_decimal(value.denominator)}"
 
 
 def divisors(n: int) -> list[int]:

@@ -24,7 +24,7 @@ from math import isqrt, prod
 from typing import Sequence
 
 from .elliptic import Point, WeierstrassCurve, on_curve
-from .exactmath import Poly, poly_divrem
+from .exactmath import Poly, format_decimal, format_fraction, poly_divrem
 from .transforms import BVector, DioSolution, clear_denominators
 
 __all__ = [
@@ -391,7 +391,7 @@ def general_solution(
     params = FamilyParams(s, tuple(Fraction(e) for e in tail), Fraction(t0))
     d = positivity_value(params)
     if d <= 0:
-        raise ValueError(f"positivity quadratic is not positive: D = {d}")
+        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
     triple = leading_triple(params)
     bvec = BVector(s, (triple.b1, triple.b2, triple.b3, *params.tail))
     return clear_denominators(bvec)
@@ -407,7 +407,7 @@ def s5_polynomial_family(sub: S5Substitution) -> DioSolution:
     t1, t2 = sub.t1, sub.t2
     d = 4 * t1 * t1 * t2 - t1 * t2 ** 3 + 4
     if d <= 0:
-        raise ValueError(f"positivity quadratic is not positive: D = {d}")
+        raise ValueError(f"positivity quadratic is not positive: D = {format_decimal(d)}")
     kernel = t1 * t1 * t2 + 1
     parts = (
         t1 * t1 * t2 ** 6 * kernel,

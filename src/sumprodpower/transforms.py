@@ -9,16 +9,28 @@ substitution x = 4v, y = 8u + 4 carries onto the Mordell curve y^2 = x^3 + 16
 solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart u = b2/b1,
 v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it onto
 y^2 = x^3 - 166779x + 26215254.
+
+The s=4 pipeline behind gen4 runs on integers.  On an integral Weierstrass
+model a rational point in lowest terms is (X/e^2, Y/e^3) with
+gcd(X, e) = gcd(Y, e) = 1 (Silverman-Tate, Rational Points on Elliptic
+Curves, II.4), and Y^2 = X^3 - 166779 X e^4 + 26215254 e^6.  Over the
+common denominator den = 12e(243e^2 - X) the chart preimage is
+b_i = N_i / den with N1 = 384e^3, N2 = 6369e^3 - 27Xe + Y and
+N3 = 6369e^3 - 27Xe - Y.  Clearing denominators divides (N1, N2, N3, den)
+by g = gcd(N1, N2, N3, den), and g divides 384: a prime dividing e and g
+would divide N2, hence Y, and gcd(Y, e) = 1; so g is prime to e and
+divides N1 = 384e^3.  The walk behind s4_solutions stays in lowest terms
+with one gcd per step; _s4_odd_multiples has the reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterator
 
-from .elliptic import Point, WeierstrassCurve, _add_unchecked, on_curve
+from .elliptic import Point, WeierstrassCurve, on_curve
 from .exactmath import format_decimal, perfect_sth_power
 
 __all__ = [
@@ -37,6 +49,7 @@ __all__ = [
     "s4_forward",
     "s4_in_positive_region",
     "s4_inverse",
+    "s4_point_solution",
     "s4_solutions",
 ]
 
@@ -195,9 +208,12 @@ def s3_trace_back(point: Point) -> tuple[Fraction, Fraction] | None:
 # s = 4
 # ---------------------------------------------------------------------------
 
-_S4_CURVE = WeierstrassCurve(Fraction(0), Fraction(-166779), Fraction(26215254))
+_S4_B, _S4_C = -166779, 26215254
+_S4_CURVE = WeierstrassCurve(Fraction(0), Fraction(_S4_B), Fraction(_S4_C))
 # Image of the seed b-vector (4, 1/3, 1/6) = (1, 2, 24)/6; it has infinite order.
 S4_SEED_POINT = Point(235, 8)
+# 2 * S4_SEED_POINT: the tangent at (235, 8) has slope (3 * 235^2 - 166779)/16 = -69.
+_S4_DOUBLE_SEED = (4291, 279856)
 
 
 @dataclass(frozen=True)
@@ -246,6 +262,16 @@ def s4_forward(bvec: BVector) -> Point:
     return point
 
 
+def _s4_chart(X: int, Y: int, e: int) -> tuple[int, int, int, int]:
+    """Chart numerators (N1, N2, N3) and common denominator of the point
+    (X/e^2, Y/e^3): b_i = N_i / den with den = 12e(243e^2 - X), N1 = 384e^3
+    and N2, N3 = 6369e^3 - 27Xe +- Y (s4_inverse's b_i with x = X/e^2,
+    y = Y/e^3, numerator and denominator times e^3)."""
+    e3 = e * e * e
+    mid = 6369 * e3 - 27 * X * e
+    return 384 * e3, mid + Y, mid - Y, 12 * e * (243 * e * e - X)
+
+
 def s4_inverse(point: Point) -> tuple[Fraction, Fraction, Fraction]:
     """Invert the s=4 chart: curve point -> (b1, b2, b3) on the fiber.
 
@@ -255,14 +281,11 @@ def s4_inverse(point: Point) -> tuple[Fraction, Fraction, Fraction]:
     """
     if not on_curve(_S4_CURVE, point) or point.is_infinity:
         raise ValueError("point is not an affine point of the s=4 curve")
-    x, y = point.x, point.y
-    if x == 243:
+    if point.x == 243:
         raise ValueError("degenerate point: x = 243 has no chart preimage")
-    d = 243 - x
-    b1 = Fraction(32) / d
-    b2 = (y - 27 * x + 6369) / (12 * d)
-    b3 = (-y - 27 * x + 6369) / (12 * d)
-    return (b1, b2, b3)
+    # On the curve the denominators are e^2 and e^3 (module docstring).
+    *nums, den = _s4_chart(point.x.numerator, point.y.numerator, isqrt(point.x.denominator))
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def s4_in_positive_region(point: Point) -> bool:
@@ -282,6 +305,72 @@ def s4_in_positive_region(point: Point) -> bool:
     return x < 243 and abs(y) < 6369 - 27 * x
 
 
+def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
+    """The solution clear_denominators(BVector(4, s4_inverse(P))) of the
+    point P = (X/e^2, Y/e^3) in lowest terms (e >= 1), in integers only;
+    None when P is outside the positive region (x = 243 included).
+
+    Raises ValueError when P is not on the curve.  All three b_i are
+    positive iff N1, N2, N3 and den of _s4_chart are (N1 = 384e^3 > 0
+    already).  Their gcd g divides 384 (module docstring), so the clearing
+    costs no big gcd.
+    """
+    e2 = e * e
+    e4 = e2 * e2
+    if Y * Y != X * X * X + _S4_B * X * e4 + _S4_C * e4 * e2:
+        raise ValueError("point is not on the s=4 curve")
+    n1, n2, n3, den = _s4_chart(X, Y, e)
+    if n2 <= 0 or n3 <= 0 or den <= 0:
+        return None
+    g = gcd(384, n2, n3, den)
+    parts = (n1 // g, n2 // g, n3 // g)
+    return DioSolution(4, parts, sum(parts), den // g)
+
+
+def s4_point_solution(point: Point) -> DioSolution | None:
+    """clear_denominators(BVector(4, s4_inverse(point))) for an affine point
+    in the positive region, None for one outside it; ValueError when the
+    point is not on the curve.  After reading the coordinates' numerators
+    and denominators, only integers are involved, and membership is tested
+    once."""
+    x, y = point.x, point.y
+    e = isqrt(x.denominator)
+    if e * e != x.denominator or y.denominator != e ** 3:
+        raise ValueError("point is not on the s=4 curve")  # see module docstring
+    return _s4_solution(x.numerator, y.numerator, e)
+
+
+def _s4_odd_multiples(max_multiple: int) -> Iterator[tuple[int, int, int]]:
+    """Lowest-terms triples (X, Y, e) of kP = (X/e^2, Y/e^3) for the odd
+    k = 1, 3, 5, ... <= max_multiple, P = S4_SEED_POINT.
+
+    Each step kP -> (k+2)P is a mixed addition with the integral
+    2P = (x2, y2) = (4291, 279856): with N = y2 e^3 - Y and H = x2 e^2 - X,
+    e' = eH, X' = N^2 - (X + x2 e^2) H^2 and Y' = N(X H^2 - X') - Y H^3
+    (H > 0, as x(kP) < 243 < x2).  This is the lowest triple of (k+2)P,
+    (X'', Y'', e''), times (d^2, d^3, d), so f = gcd(X', e') = d gcd(d, e'').
+    A prime p | e'' does not divide e: for p | e, H is prime to p and X' is
+    divisible by p^(2 v_p(e')), so (k+2)P is p-integral.  For p not dividing
+    e or 2 y2 = 2^5 * 17491, expanding x2 - x((k+2)P - 2P) in the p-adic
+    parameter of (k+2)P gives v_p(H) = v_p(e''), so p does not divide d.
+    The primes 2 and 17491 never divide e'': the multiples whose
+    denominator they divide form subgroups, 12Z and 4Z, with no odd k.
+    So f = d, and one gcd per step keeps the walk in lowest terms.
+    """
+    x2, y2 = _S4_DOUBLE_SEED
+    X, Y, e = S4_SEED_POINT.x.numerator, S4_SEED_POINT.y.numerator, 1
+    for k in range(1, max_multiple + 1, 2):
+        if k > 1:
+            e2 = e * e
+            n, h = y2 * e2 * e - Y, x2 * e2 - X
+            hh = h * h
+            X2 = n * n - (X + x2 * e2) * hh
+            Y2 = n * (X * hh - X2) - Y * h * hh
+            f = gcd(X2, e * h)
+            X, Y, e = X2 // (f * f), Y2 // (f * f * f), e * h // f
+        yield X, Y, e
+
+
 def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
     """Solutions from the odd multiples P, 3P, 5P, ... (up to max_multiple) of
     P = S4_SEED_POINT, one per multiple, in that order.
@@ -289,14 +378,16 @@ def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
     No region test is needed: P lies on the bounded real component, which is
     the positive region (see s4_in_positive_region) and a coset of the
     identity component, so exactly the odd multiples land in it.  -kP only
-    swaps b2 and b3, so it would repeat kP's solution.  The walk steps by a
-    precomputed 2P with the unchecked group law; s4_inverse still checks
-    that each multiple is on the curve, and clear_denominators rejects a
-    non-positive vector.
+    swaps b2 and b3, so it would repeat kP's solution.
+
+    Everything runs on integers.  The walk carries kP in lowest terms as
+    (X/e^2, Y/e^3) and, after each addition of 2P, divides out
+    f = gcd(X', e'), which is the whole common factor (_s4_odd_multiples);
+    _s4_solution clears the chart's denominators by a gcd that divides 384
+    (module docstring) and still tests that each multiple is on the curve.
     """
-    double = _add_unchecked(_S4_CURVE, S4_SEED_POINT, S4_SEED_POINT)
-    point = S4_SEED_POINT
-    for k in range(1, max_multiple + 1, 2):
-        if k > 1:
-            point = _add_unchecked(_S4_CURVE, point, double)
-        yield clear_denominators(BVector(4, s4_inverse(point)))
+    for X, Y, e in _s4_odd_multiples(max_multiple):
+        sol = _s4_solution(X, Y, e)
+        if sol is None:
+            raise ArithmeticError("an odd multiple of the seed point left the positive region")
+        yield sol

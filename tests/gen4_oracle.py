@@ -37,15 +37,25 @@ def signed_multiples(max_multiple: int) -> Iterator[tuple[int, Point]]:
         multiple = add(curve, multiple, SEED)
 
 
+# The largest multiple any test asks for; the walk runs once, up to it.
+ORACLE_MAX_MULTIPLE = 81
+
+
 @lru_cache(maxsize=None)
-def signed_solutions(max_multiple: int) -> tuple[tuple[int, Point, DioSolution | None], ...]:
-    """(k, point, solution) along signed_multiples; the solution is None
-    outside the positive region."""
+def _signed_solutions() -> tuple[tuple[int, Point, DioSolution | None], ...]:
     return tuple(
         (k, point, clear_denominators(BVector(4, s4_inverse(point)))
          if s4_in_positive_region(point) else None)
-        for k, point in signed_multiples(max_multiple)
+        for k, point in signed_multiples(ORACLE_MAX_MULTIPLE)
     )
+
+
+def signed_solutions(max_multiple: int) -> tuple[tuple[int, Point, DioSolution | None], ...]:
+    """(k, point, solution) along signed_multiples; the solution is None
+    outside the positive region."""
+    if max_multiple > ORACLE_MAX_MULTIPLE:
+        raise ValueError(f"the oracle walk stops at {ORACLE_MAX_MULTIPLE}")
+    return _signed_solutions()[: 2 * max_multiple]
 
 
 def oracle_walk(max_multiple: int, primitive: bool) -> list[tuple[int, DioSolution]]:

@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 from conftest import TABLE_S5, TABLE_S6
-from gen4_oracle import oracle_walk
+from gen4_oracle import SEED, oracle_walk, signed_solutions
 from sumprodpower.cli import main
-from sumprodpower.exactmath import format_decimal, parse_decimal
+from sumprodpower.elliptic import add
+from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
+from sumprodpower.family import FamilyParams, positivity_value
+from sumprodpower.transforms import s4_curve
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -103,6 +106,39 @@ class TestBeyondTheDigitLimit:
             (list(sol.sorted_parts), sol.n, sol.b) for _, sol in oracle_walk(80, False)
         ]
         assert len(out.splitlines()[-1]) > 4300
+
+    def test_from_point_of_a_long_multiple(self, capsys):
+        # 85 * (235, 8), whose x-numerator has 4554 digits; the walk of
+        # gen4 --max-multiple 85 generates it last.
+        _, point, _ = signed_solutions(81)[-2]
+        double = add(s4_curve(), SEED, SEED)
+        point = add(s4_curve(), add(s4_curve(), point, double), double)
+        assert len(format_decimal(point.x.numerator)) == 4554
+        code, out, err = run_cli(capsys, "gen4", "--count", "43", "--max-multiple", "85")
+        assert (code, err) == (0, "")
+        last = out.splitlines(keepends=True)[-1]
+        text = f"{format_fraction(point.x)},{format_fraction(point.y)}"
+        assert run_cli(capsys, "gen4", "--from-point", text) == (0, last, "")
+
+    @pytest.mark.parametrize("x", ["1" * 5000, "1/" + "3" * 5000])
+    def test_from_point_off_curve_with_a_long_coordinate(self, capsys, x):
+        code, out, err = run_cli(capsys, "gen4", "--from-point", f"{x},1")
+        assert (code, out) == (1, "")
+        assert err == f"point ({x}, 1) is not on the s=4 curve\n"
+
+    def test_family_names_a_long_positivity_value(self, capsys):
+        tail = "1" * 5000
+        code, out, err = run_cli(capsys, "family", "--s", "5", "--tail", tail, "--t0", "1")
+        assert (code, out) == (1, "")
+        d = positivity_value(FamilyParams(5, (parse_fraction(tail),), 1))
+        assert d < 0 and len(format_fraction(d)) > 4300
+        assert err == f"positivity quadratic is not positive: D = {format_fraction(d)}\n"
+
+    def test_gen4_names_a_long_count(self, capsys):
+        count = "9" * 5000
+        code, out, err = run_cli(capsys, "gen4", "--count", count, "--max-multiple", "3")
+        assert (code, len(out.splitlines())) == (3, 2)
+        assert err == f"budget exhausted: found 2 of {count} solutions within 3 multiples\n"
 
 
 class TestGen4:

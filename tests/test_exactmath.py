@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sumprodpower import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem, poly_eval
-from sumprodpower.exactmath import format_decimal, parse_decimal
+from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
 
 
 class TestIntNthRoot:
@@ -94,6 +94,40 @@ class TestDecimal:
         limit = sys.get_int_max_str_digits()
         format_decimal(parse_decimal("7" * 9000))
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestFraction:
+    @pytest.mark.parametrize("length", TestDecimal.LENGTHS)
+    def test_roundtrip_of_long_rationals(self, rng, length):
+        num, den = rng.randint(10 ** (length - 1), 10 ** length), rng.randint(1, 10 ** length)
+        value = Fraction(num, den)
+        text = format_fraction(value)
+        assert parse_fraction(text) == value and parse_fraction(f" -{text}\n") == -value
+        assert format_fraction(-value) == "-" + text
+        assert parse_fraction(f"{format_decimal(num)}/{format_decimal(den)}") == value
+        assert parse_fraction(format_decimal(num)) == num
+        assert format_fraction(num) == format_decimal(num)
+
+    def test_matches_fraction_below_the_limit(self, rng):
+        for _ in range(100):
+            value = Fraction(rng.randint(-10 ** 1900, 10 ** 1900), rng.randint(1, 10 ** 1900))
+            assert format_fraction(value) == str(value)
+            assert parse_fraction(str(value)) == value
+        for text in ["0.5", " 3/4 ", "-2/6", "1e3", "1_000/3"]:
+            assert parse_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "x", "1/", "/2", "1/-2", "1 /2", "1//2", "1" * 4001 + ".5", "1" * 4001 + "/-2",
+        "1/" + "2" * 4000 + "x", "1/2" + "0" * 4000 + "e3", "\u0661" * 5000,
+    ])
+    def test_rejects_what_is_not_a_rational(self, text):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "1" * 5000 + "/0", "1/" + "0" * 5000])
+    def test_zero_denominator(self, text):
+        with pytest.raises(ZeroDivisionError):
+            parse_fraction(text)
 
 
 class TestDivisors:

@@ -4,19 +4,38 @@ transforms.s4_solutions takes two facts as proven instead of testing every
 point at run time: exactly the odd multiples of (235, 8) land in the
 positive region, and -kP repeats the solution of kP.  These tests pin both
 facts for k <= 80 and check that gen4 prints what the oracle walk printed.
+They also check the integer pipeline (lowest-terms triples (X, Y, e) with
+x = X/e^2, y = Y/e^3) against the oracle's Fraction points and charts.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gen4_oracle import oracle_walk, signed_solutions
+from gen4_oracle import ORACLE_MAX_MULTIPLE, oracle_walk, signed_solutions
 from sumprodpower import cli
 from sumprodpower.exactmath import parse_decimal
-from sumprodpower.transforms import primitive_reduce, s4_inverse, s4_solutions
+from sumprodpower.elliptic import Point
+from sumprodpower.transforms import (
+    BVector,
+    _s4_chart,
+    _s4_odd_multiples,
+    clear_denominators,
+    primitive_reduce,
+    s4_forward,
+    s4_in_positive_region,
+    s4_inverse,
+    s4_point_solution,
+    s4_solutions,
+)
 
 MAX_MULTIPLE = 80
 FLAG_SETS = [[], ["--primitive"], ["--format", "tsv"], ["--primitive", "--format", "tsv"]]
@@ -105,3 +124,107 @@ class TestWalkAgainstOracle:
                     assert code == 3, argv
                     assert err == (f"budget exhausted: found {found} of {count} solutions "
                                    f"within {m} multiples\n"), argv
+
+
+# Every integral point (x, y > 0) of the s=4 curve with x < 4300.
+INTEGRAL_POINTS = [(51, 4224), (147, 2208), (235, 8), (243, 192), (4291, 279856)]
+
+
+def weighted(point) -> tuple[int, int, int]:
+    """(X, Y, e) of a curve point in lowest terms: x = X/e^2, y = Y/e^3."""
+    e = isqrt(point.x.denominator)
+    assert e * e == point.x.denominator and point.y.denominator == e ** 3
+    return point.x.numerator, point.y.numerator, e
+
+
+class TestIntegerKernel:
+    def test_kernel_is_the_fraction_chart_and_clearing(self):
+        # Both signs of every k <= 81; the even k check the None branch.
+        for k, point, sol in signed_solutions(ORACLE_MAX_MULTIPLE):
+            assert s4_point_solution(point) == sol, k
+        # The integral points with x < 4300, where 3 divides the clearing gcd
+        # when it divides y.
+        for x, y in INTEGRAL_POINTS:
+            for point in (Point(x, y), Point(x, -y)):
+                sol = (clear_denominators(BVector(4, s4_inverse(point)))
+                       if s4_in_positive_region(point) else None)
+                assert s4_point_solution(point) == sol, point
+
+    def test_clearing_gcd_divides_384(self):
+        gcds = set()
+        points = [point for _, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE)]
+        for point in points + [Point(x, y) for x, y in INTEGRAL_POINTS]:
+            n1, n2, n3, den = _s4_chart(*weighted(point))
+            g = gcd(n1, n2, n3, den)
+            assert 384 % g == 0, point
+            gcds.add(g)
+        assert 384 in gcds and len(gcds) > 2
+
+    def test_walk_triples_are_the_multiples_in_lowest_terms(self):
+        odd = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE)[::2] if k % 2]
+        triples = list(_s4_odd_multiples(ORACLE_MAX_MULTIPLE))
+        assert len(triples) == len(odd) == 41
+        for k, ((X, Y, e), point) in enumerate(zip(triples, odd)):
+            assert gcd(X, e) == gcd(Y, e) == 1, 2 * k + 1
+            assert (X, Y, e) == weighted(point), 2 * k + 1
+
+    def test_two_and_17491_divide_only_denominators_of_even_multiples(self):
+        # The multiples whose denominator a prime divides form a subgroup of
+        # Z; these first 12 multiples pin 12Z for 2 and 4Z for 17491, which
+        # is why the walk's gcd f is the whole common factor at odd k.
+        denominators = [weighted(point)[2] for _, point, _ in signed_solutions(12)[::2]]
+        assert [k for k, e in enumerate(denominators, 1) if e % 2 == 0] == [12]
+        assert [k for k, e in enumerate(denominators, 1) if e % 17491 == 0] == [4, 8, 12]
+
+    def test_region_failure_in_the_walk_is_loud(self, monkeypatch):
+        monkeypatch.setattr("sumprodpower.transforms._s4_odd_multiples",
+                            lambda m: iter([(235, 8, 1), (243, 192, 1)]))
+        walk = s4_solutions(3)
+        assert next(walk).sorted_parts == (1, 2, 24)
+        with pytest.raises(ArithmeticError):
+            next(walk)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("1,1", "is not on the s=4 curve"),
+        ("1/4,1/8", "is not on the s=4 curve"),  # of the form (X/e^2, Y/e^3)
+        ("1/2,1/3", "is not on the s=4 curve"),  # not of that form
+        # 3 * (235, 8) with y's denominator dropped.
+        ("60266587/257049,3852230624", "is not on the s=4 curve"),
+        ("243,192", "is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"),
+    ])
+    def test_from_point_rejections(self, capsys, text, reason):
+        code, out, err = run_gen4(capsys, f"--from-point={text}")
+        assert (code, out) == (1, "")
+        assert err == f"point ({text.replace(',', ', ')}) {reason}\n"
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(max_multiple=st.integers(1, ORACLE_MAX_MULTIPLE), count=st.integers(1, 42),
+           flags=st.sampled_from(FLAG_SETS))
+    def test_gen4_output_verifies(self, max_multiple, count, flags):
+        fmt = "tsv" if "tsv" in flags else "jsonl"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["gen4", "--count", str(count), "--max-multiple", str(max_multiple),
+                             *flags])
+        out, err = out.getvalue(), err.getvalue()
+        available = (max_multiple + 1) // 2
+        records = [parse_line(line, fmt) for line in out.splitlines()]
+        assert len(records) == min(count, available)
+        assert code == (0 if count <= available else 3)
+        assert err.count("\n") == (code == 3)
+        for s, parts, n, b in records:
+            assert s == 4 and min(parts) > 0 and n == sum(parts)
+            assert prod(parts) * n == b ** 4
+        assert len({parts for _, parts, _, _ in records}) == len(records)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(0, ORACLE_MAX_MULTIPLE // 2).map(lambda i: 2 * i + 1),
+           sign=st.sampled_from((1, -1)), primitive=st.booleans())
+    def test_chart_round_trips(self, k, sign, primitive):
+        _, point, _ = signed_solutions(k)[2 * k - 1 if sign < 0 else 2 * k - 2]
+        sol = s4_point_solution(point)
+        if primitive:
+            sol = primitive_reduce(sol)
+        assert s4_forward(BVector.from_solution(sol)) == point
