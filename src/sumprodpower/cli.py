@@ -6,7 +6,7 @@ line, as JSON objects ({"s": ..., "parts": [...], "n": ..., "b": ...,
 go to stderr.  Rationals on the command line are written p/q, integers as
 unbounded decimals.  Exit codes: 0 success, 1 mathematical failure (not a
 solution, or positivity violated), 2 usage error, 3 generation budget
-exhausted.
+exhausted, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -282,7 +282,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = 130
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

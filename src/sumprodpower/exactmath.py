@@ -5,12 +5,23 @@ detection, divisor enumeration by trial division, decimal conversion of
 integers and rationals of any length, and dense univariate polynomials with
 ``Fraction`` coefficients (needed for the non-polynomiality remainder
 certificate).  No floating point is used anywhere.
+
+The k-th root rests on two facts.  For a continuous increasing f that takes
+integer values only at integers, such as x ** (1/j), floor(f(floor(x))) ==
+floor(f(x)) (Graham, Knuth and Patashnik, Concrete Mathematics, 3.2); so
+floor(floor(sqrt(m)) ** (1/j)) == floor(m ** (1/2j)), and the root of
+``m >> k*h`` is the root of ``m`` with its low ``h`` bits dropped.  Integer
+Newton for x**k = m started at or above the root decreases strictly to the
+floor of the root and stops there; seeding it from the root of the top half
+of ``m``'s digits doubles the precision at each level (Brent and
+Zimmermann, Modern Computer Arithmetic, 1.5.2).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -28,30 +39,50 @@ __all__ = [
 
 
 def int_nth_root(m: int, k: int) -> int:
-    """Return ``floor(m ** (1/k))`` computed exactly with integer Newton steps.
+    """Return ``floor(m ** (1/k))`` computed exactly in integers.
 
-    The result ``r`` satisfies ``r**k <= m < (r + 1)**k``.
+    The result ``r`` satisfies ``r**k <= m < (r + 1)**k``.  Each factor 2 of
+    ``k`` is one ``math.isqrt``: ``floor(floor(sqrt(m)) ** (1/j)) ==
+    floor(m ** (1/2j))``.  The odd rest of ``k`` is integer Newton started
+    above the root, seeded from the root of ``m`` with its low bits cut off
+    (see ``_odd_root``).
     """
     if k < 1:
         raise ValueError("root index k must be >= 1")
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m == 0:
-        return 0
-    if k == 1:
-        return m
-    # Start above the true root, then Newton steps decrease monotonically.
-    x = 1 << ((m.bit_length() + k - 1) // k)
+    while k % 2 == 0:
+        m = isqrt(m)
+        k //= 2
+    return m if k == 1 or m == 0 else _odd_root(m, k)
+
+
+# Below this many bits per unit of k, _odd_root starts Newton at a power of
+# two instead of refining the root of a shorter number.
+_SEED_BITS = 64
+
+
+def _odd_root(m: int, k: int) -> int:
+    # floor(m ** (1/k)) for m >= 1 and k >= 2.  The Newton step
+    # floor(((k-1) x + m / x**(k-1)) / k) is x + (m - x**k) // (k x**(k-1)).
+    # From any start x >= r it decreases strictly while x > r (x**k > m) and
+    # never drops below r (AM-GM: (k-1) x + m / x**(k-1) >= k m**(1/k)), so
+    # the first x with x**k <= m is r, and checking that costs no division.
+    # The start is (r' + 1) << h, where r' = floor((m >> k h) ** (1/k)) =
+    # floor(r / 2**h) by the nested-floor identity: above r by at most 2**h.
+    # With h about half of r's bits, each level takes one or two divisions.
+    bits = m.bit_length()
+    if bits <= _SEED_BITS * k:
+        x = 1 << ((bits + k - 1) // k)
+    else:
+        h = bits // (2 * k)
+        x = (_odd_root(m >> (k * h), k) + 1) << h
     while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x ** k > m:
-        x -= 1
-    while (x + 1) ** k <= m:
-        x += 1
-    return x
+        p = x ** (k - 1)
+        d = m - p * x
+        if d >= 0:
+            return x
+        x += d // (k * p)
 
 
 def perfect_sth_power(m: int, s: int) -> int | None:

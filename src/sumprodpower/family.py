@@ -352,11 +352,9 @@ def _sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:
     if rp * rp == p and rq * rq == q:
         exact = Fraction(rp, rq)
         return exact, exact
+    # isqrt(floor(x)) == floor(sqrt(x)) (the nested-floor identity), so
+    # r**2 * q <= p * scale**2 < (r + 1)**2 * q.
     r = isqrt(p * scale * scale // q)
-    while (r + 1) ** 2 * q <= p * scale * scale:
-        r += 1
-    while r * r * q > p * scale * scale:
-        r -= 1
     return Fraction(r, scale), Fraction(r + 1, scale)
 
 

@@ -28,6 +28,7 @@ the merged result is sorted, so output is a function of the spec alone.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
@@ -168,6 +169,9 @@ _worker_tables: _Tables | None = None  # set in each pool worker by _init_worker
 
 
 def _init_worker(s: int, n_max: int, a_max: int) -> None:
+    # Ctrl-C reaches the whole process group.  Only the parent acts on it:
+    # leaving the pool's with-block terminates the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _worker_tables
     _worker_tables = _tables(s, n_max, a_max)
 

@@ -1,0 +1,37 @@
+"""The original k-th root kernel, kept as a test-only oracle.
+
+Integer Newton from the power of two just above the root, then two
+correction loops.  It does about a dozen full-width divisions on a large
+input, against one or two per precision level in
+sumprodpower.exactmath.int_nth_root, but it uses neither the isqrt route
+nor the precision doubling, which makes it an independent reference.
+"""
+
+from __future__ import annotations
+
+
+def oracle_nth_root(m: int, k: int) -> int:
+    """Return ``floor(m ** (1/k))`` computed exactly with integer Newton steps.
+
+    The result ``r`` satisfies ``r**k <= m < (r + 1)**k``.
+    """
+    if k < 1:
+        raise ValueError("root index k must be >= 1")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if m == 0:
+        return 0
+    if k == 1:
+        return m
+    # Start above the true root, then Newton steps decrease monotonically.
+    x = 1 << ((m.bit_length() + k - 1) // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x ** k > m:
+        x -= 1
+    while (x + 1) ** k <= m:
+        x += 1
+    return x

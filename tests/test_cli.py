@@ -1,13 +1,17 @@
 import json
+import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, signed_solutions
+from sumprodpower import cli
 from sumprodpower.cli import main
 from sumprodpower.elliptic import add
 from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
@@ -383,3 +387,45 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+
+class TestInterrupt:
+    def test_run_maps_ctrl_c_to_one_line_and_exit_130(self, capsys, monkeypatch):
+        def interrupted(spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "enumerate_solutions", interrupted)
+        monkeypatch.setattr(sys, "argv", ["sumprodpower", "search", "--s", "5", "--max-n", "50"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+    def test_ctrl_c_during_a_jobs_run(self):
+        # Ctrl-C signals the whole foreground process group, so the workers
+        # get SIGINT too; none of the three processes may print a traceback.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sumprodpower.cli", "search", "--s", "6", "--max-n", "500",
+             "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and proc.poll() is None:
+                try:
+                    if len(children.read_text().split()) >= 2:
+                        break
+                except FileNotFoundError:
+                    pytest.skip("no /proc children list to see the pool start")
+                time.sleep(0.02)
+            assert proc.poll() is None, "the search finished before it was interrupted"
+            time.sleep(0.2)  # the workers' initializer ignores SIGINT
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert "Traceback" not in err
+        assert (proc.returncode, out, err) == (130, "", "interrupted\n")

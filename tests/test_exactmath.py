@@ -2,9 +2,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from root_oracle import oracle_nth_root
 from sumprodpower import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem, poly_eval
-from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
+from sumprodpower.exactmath import (
+    _SEED_BITS,
+    format_decimal,
+    format_fraction,
+    parse_decimal,
+    parse_fraction,
+)
 
 
 class TestIntNthRoot:
@@ -37,6 +46,47 @@ class TestIntNthRoot:
             assert r ** k <= m < (r + 1) ** k
 
 
+# Root indices 1..16: powers of two (isqrt only), odd (Newton only) and
+# mixed such as 6 and 12 (isqrt, then Newton).
+ROOT_INDICES = st.integers(1, 16)
+# Zero, or a number of 1..6000 digits with the length drawn first.
+ROOT_INPUTS = st.just(0) | st.integers(1, 6000).flatmap(
+    lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))
+
+
+class TestIntNthRootOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(m=ROOT_INPUTS, k=ROOT_INDICES)
+    def test_matches_oracle(self, m, k):
+        assert int_nth_root(m, k) == oracle_nth_root(m, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 10 ** 350), k=ROOT_INDICES)
+    def test_power_boundaries(self, r, k):
+        # The root steps from r - 1 to r at r**k and from r to r + 1 at (r+1)**k.
+        assert int_nth_root(r ** k - 1, k) == r - 1
+        assert int_nth_root(r ** k, k) == r
+        assert int_nth_root((r + 1) ** k - 1, k) == r
+
+    @pytest.mark.parametrize("k", [3, 5, 6, 12])
+    def test_around_the_seed_size(self, k):
+        # Inputs where Newton stops starting at a power of two and starts
+        # from the root of the top half, and where one more level begins.
+        # Each isqrt halves both the bits of m and k, so the edges scale by k.
+        for edge in (_SEED_BITS * k, 2 * _SEED_BITS * k):
+            for bits in (edge - 1, edge, edge + 1):
+                for m in (1 << (bits - 1), (1 << bits) - 1, (1 << bits) - (1 << (bits // 2))):
+                    assert int_nth_root(m, k) == oracle_nth_root(m, k)
+
+    @pytest.mark.parametrize(
+        "m, k, message",
+        [(10, -2, "root index"), (-1, 3, "non-negative"), (-16, 4, "non-negative")],
+    )
+    def test_errors_before_any_root(self, m, k, message):
+        with pytest.raises(ValueError, match=message):
+            int_nth_root(m, k)
+
+
 class TestPerfectSthPower:
     @pytest.mark.parametrize(
         "m, s, expected",
@@ -55,6 +105,13 @@ class TestPerfectSthPower:
             perfect_sth_power(0, 3)
         with pytest.raises(ValueError):
             perfect_sth_power(8, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(2, 10 ** 600), s=st.integers(2, 16))
+    def test_neighbours_of_a_power(self, b, s):
+        assert perfect_sth_power(b ** s, s) == b
+        assert perfect_sth_power(b ** s - 1, s) is None
+        assert perfect_sth_power(b ** s + 1, s) is None
 
     def test_roundtrip_random(self, rng):
         for _ in range(200):

@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_positive_fraction
 from sumprodpower import (
+    DioSolution,
     b1_roots,
     base_point,
     doubled_point,
@@ -32,8 +35,11 @@ from sumprodpower import (
     weierstrass_model,
     weierstrass_to_quartic,
 )
+from sumprodpower.family import _sqrt_bounds
 
 UNIT = FamilyParams(5, (Fraction(1),), Fraction(1))
+
+SMALL_POSITIVE = st.builds(Fraction, st.integers(1, 40), st.integers(1, 10))
 
 
 def random_params(rng, s: int | None = None) -> FamilyParams:
@@ -324,6 +330,21 @@ class TestPositivity:
         assert leading_triple(params).b1 < 0
 
 
+class TestSqrtBounds:
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(0, 10 ** 60), q=st.integers(1, 10 ** 60), scale=st.integers(1, 10 ** 12))
+    def test_brackets_the_root(self, p, q, scale):
+        lo, hi = _sqrt_bounds(Fraction(p, q), scale)
+        value = Fraction(p, q)
+        if lo == hi:
+            assert lo * lo == value
+        else:
+            r = lo * scale
+            assert r.denominator == 1 and hi == lo + Fraction(1, scale)
+            assert r * r * value.denominator <= value.numerator * scale * scale
+            assert value.numerator * scale * scale < (r + 1) ** 2 * value.denominator
+
+
 class TestGeneralSolution:
     def test_s5_unit(self):
         sol = general_solution(5, (1,), 1)
@@ -353,6 +374,19 @@ class TestGeneralSolution:
                 continue
             sol = general_solution(s, tail, t0)
             assert prod(sol.parts) * sol.n == sol.b ** sol.s
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(5, 9), data=st.data())
+    def test_output_verifies_whenever_d_positive(self, s, data):
+        # s = 6 and 8 take the isqrt route of the root, s = 5, 7 and 9 Newton.
+        tail = data.draw(st.lists(SMALL_POSITIVE, min_size=s - 4, max_size=s - 4))
+        # D = u t0 (4 t0 - v^2) + 4, so every t0 > v^2 / 4 has D > 0.
+        v = sum(tail)
+        t0 = data.draw(SMALL_POSITIVE | SMALL_POSITIVE.map(lambda e: v * v / 4 + e))
+        assume(positivity_value(FamilyParams(s, tuple(tail), t0)) > 0)
+        sol = general_solution(s, tail, t0)
+        assert DioSolution.from_parts(s, sol.parts).b == sol.b
 
 
 class TestS5PolynomialFamily:
@@ -385,3 +419,12 @@ class TestS5PolynomialFamily:
         general = general_solution(5, (t2,), t1)
         assert primitive_reduce(family).sorted_parts == primitive_reduce(general).sorted_parts
         assert primitive_reduce(family).b == primitive_reduce(general).b
+
+    @settings(max_examples=60, deadline=None)
+    @given(t2=st.integers(1, 100), data=st.data())
+    def test_output_verifies_whenever_d_positive(self, t2, data):
+        # D = t1 t2 (4 t1 - t2^2) + 4 > 0 about where t1 >= t2^2 / 4.
+        t1 = data.draw(st.integers(max(1, t2 * t2 // 4 - 2), t2 * t2 // 4 + 200))
+        assume(4 * t1 * t1 * t2 - t1 * t2 ** 3 + 4 > 0)
+        sol = s5_polynomial_family(S5Substitution(t1, t2))
+        assert DioSolution.from_parts(5, sol.parts).b == sol.b
