@@ -26,8 +26,6 @@ from .family import (
     FamilyParams,
     general_solution,
     leading_triple,
-    LeadingTriple,
-    positivity_check,
     positivity_classify,
     positivity_discriminant,
     positivity_value,
@@ -48,8 +46,6 @@ from .search import MembershipReport, SearchSpec, check_table_membership, enumer
 from .transforms import (
     BVector,
     DioSolution,
-    S3Chart,
-    S4Chart,
     clear_denominators,
     primitive_reduce,
     s3_curve,

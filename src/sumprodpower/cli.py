@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-part", type=_positive_int, default=None,
                           help="largest allowed part (default: max-n)")
     p_search.add_argument("--jobs", type=_positive_int, default=1,
-                          help="worker processes (default 1)")
+                          help="worker processes, capped at the usable cores (default 1)")
     p_search.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p_search.set_defaults(func=cmd_search)
 

@@ -69,12 +69,6 @@ class Point:
 INFINITY = Point(None, None)
 
 
-def _cubic_discriminant(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
-    # Discriminant of the monic cubic x^3 + a x^2 + b x + c, equal to the
-    # squared product of root differences.
-    return -4 * a ** 3 * c + a * a * b * b + 18 * a * b * c - 4 * b ** 3 - 27 * c * c
-
-
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """Non-singular curve ``y^2 = x^3 + a*x^2 + b*x + c`` with rational coefficients."""
@@ -87,7 +81,7 @@ class WeierstrassCurve:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         object.__setattr__(self, "c", Fraction(self.c))
-        if _cubic_discriminant(self.a, self.b, self.c) == 0:
+        if discriminant(self) == 0:
             raise ValueError("singular cubic: discriminant is zero")
 
     @property
@@ -103,8 +97,10 @@ class WeierstrassCurve:
 
 
 def discriminant(curve: WeierstrassCurve) -> Fraction:
-    """Discriminant of the cubic in x (non-zero by construction)."""
-    return _cubic_discriminant(curve.a, curve.b, curve.c)
+    """Discriminant of the cubic x^3 + a x^2 + b x + c, the squared product
+    of its root differences (non-zero on a constructed curve)."""
+    a, b, c = curve.a, curve.b, curve.c
+    return -4 * a ** 3 * c + a * a * b * b + 18 * a * b * c - 4 * b ** 3 - 27 * c * c
 
 
 def on_curve(curve: WeierstrassCurve, point: Point) -> bool:

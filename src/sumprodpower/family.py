@@ -34,8 +34,6 @@ __all__ = [
     "FamilyParams",
     "general_solution",
     "leading_triple",
-    "LeadingTriple",
-    "positivity_check",
     "positivity_classify",
     "positivity_discriminant",
     "positivity_value",
@@ -110,15 +108,6 @@ class QuarticPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "y", Fraction(self.y))
         object.__setattr__(self, "w", Fraction(self.w))
-
-
-@dataclass(frozen=True)
-class LeadingTriple:
-    """The leading entries (b1, b2, b3) of a family solution vector."""
-
-    b1: Fraction
-    b2: Fraction
-    b3: Fraction
 
 
 @dataclass(frozen=True)
@@ -282,39 +271,28 @@ def b1_roots(params: FamilyParams, qpt: QuarticPoint) -> list[Fraction]:
     return roots
 
 
-def leading_triple(params: FamilyParams) -> LeadingTriple:
+def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
     """Closed-form (b1, b2, b3) from the reflected double of the base point.
 
     With D = 4*u*t0^2 - u*v^2*t0 + 4:
         b1 = u v^3 t0 / (2D),  b2 = D / (2 u v t0 (u t0^2 + 1)),
         b3 = D t0 / (2 v (u t0^2 + 1)).
-    All three are positive exactly when D > 0.
+    All three are positive exactly when D > 0, and they satisfy
+    b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this; BVector checks
+    it again for general_solution).
     """
     u, v, t0 = params.u, params.v, params.t0
     d = positivity_value(params)
     if d == 0:
         raise ValueError("degenerate parameters: positivity quadratic vanishes")
     k = u * t0 ** 2 + 1
-    triple = LeadingTriple(
-        b1=u * v ** 3 * t0 / (2 * d),
-        b2=d / (2 * u * v * t0 * k),
-        b3=d * t0 / (2 * v * k),
-    )
-    total = triple.b1 + triple.b2 + triple.b3 + v
-    if triple.b1 * triple.b2 * triple.b3 * u * total != 1:
-        raise ArithmeticError("leading triple fails the product-sum identity")
-    return triple
+    return u * v ** 3 * t0 / (2 * d), d / (2 * u * v * t0 * k), d * t0 / (2 * v * k)
 
 
 def positivity_value(params: FamilyParams) -> Fraction:
     """The quadratic D = 4*u*t0^2 - u*v^2*t0 + 4 gating positive solutions."""
     u, v, t0 = params.u, params.v, params.t0
     return 4 * u * t0 ** 2 - u * v * v * t0 + 4
-
-
-def positivity_check(params: FamilyParams) -> bool:
-    """True iff the leading triple is strictly positive (D > 0)."""
-    return positivity_value(params) > 0
 
 
 def positivity_discriminant(u: Fraction | int, v: Fraction | int) -> Fraction:
@@ -390,9 +368,7 @@ def general_solution(
     d = positivity_value(params)
     if d <= 0:
         raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
-    triple = leading_triple(params)
-    bvec = BVector(s, (triple.b1, triple.b2, triple.b3, *params.tail))
-    return clear_denominators(bvec)
+    return clear_denominators(BVector(s, (*leading_triple(params), *params.tail)))
 
 
 def s5_polynomial_family(sub: S5Substitution) -> DioSolution:

@@ -20,14 +20,16 @@ p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of the new part.
 All of it is integer arithmetic.  Solutions are re-verified exactly when they
 are materialized as DioSolution values.
 
-Parallel runs split the leading part into blocks of consecutive values; each
-worker builds the sieve and the power list once, workers share nothing and
-the merged result is sorted, so output is a function of the spec alone.
+Parallel runs split the leading part into blocks of consecutive values for at
+most one worker per usable core; each worker builds the sieve and the power
+list once, workers share nothing and the merged result is sorted, so output
+is a function of the spec alone.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -181,22 +183,29 @@ def _leading_block(leads: tuple[int, int]) -> list[tuple[tuple[int, ...], int, i
     return _search(_worker_tables, *leads)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
     """All solutions with nondecreasing parts, sum <= n_max and parts <= a_max,
     sorted by (n, parts); identical output for any jobs value."""
     a_max = spec.part_bound
     lead_hi = min(a_max, spec.n_max // (spec.s - 1))
-    if spec.jobs == 1 or lead_hi <= 1:
+    workers = min(spec.jobs, _usable_cores())
+    if workers == 1 or lead_hi <= 1:
         raw = _search(_tables(spec.s, spec.n_max, a_max), 1, lead_hi)
     else:
         # About four blocks of consecutive leading parts per worker.  Small
         # leading parts cost the most, so blocks come out in falling order of
         # cost and the pool's first-free-worker dispatch keeps loads even.
-        step = -(-lead_hi // (4 * spec.jobs))
+        step = -(-lead_hi // (4 * workers))
         blocks = [(lo, min(lo + step - 1, lead_hi)) for lo in range(1, lead_hi + 1, step)]
         raw = []
         with multiprocessing.Pool(
-            min(spec.jobs, len(blocks)),
+            min(workers, len(blocks)),
             initializer=_init_worker,
             initargs=(spec.s, spec.n_max, a_max),
         ) as pool:

@@ -36,8 +36,6 @@ from .exactmath import format_decimal, perfect_sth_power
 __all__ = [
     "BVector",
     "DioSolution",
-    "S3Chart",
-    "S4Chart",
     "S4_FIBER_PRODUCT",
     "S4_FIBER_SUM",
     "S4_SEED_POINT",
@@ -154,38 +152,6 @@ def primitive_reduce(sol: DioSolution) -> DioSolution:
 _S3_CURVE = WeierstrassCurve(Fraction(0), Fraction(0), Fraction(16))
 
 
-@dataclass(frozen=True)
-class S3Chart:
-    """Chart u = b1/b2, v = 1/b2; on a b-vector it satisfies u^2 + u = v^3."""
-
-    u: Fraction
-    v: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
-
-    @classmethod
-    def from_bvector(cls, bvec: BVector) -> "S3Chart":
-        if bvec.s != 3:
-            raise ValueError("s=3 chart needs a BVector with s == 3")
-        b1, b2 = bvec.entries
-        chart = cls(b1 / b2, 1 / b2)
-        if chart.u * chart.u + chart.u != chart.v ** 3:
-            raise ValueError("chart does not satisfy u^2 + u = v^3")
-        return chart
-
-    def to_point(self) -> Point:
-        # (8u+4)^2 = 64(u^2+u) + 16 = (4v)^3 + 16, so this lands on s3_curve().
-        return Point(4 * self.v, 8 * self.u + 4)
-
-    @classmethod
-    def from_point(cls, point: Point) -> "S3Chart":
-        if not on_curve(_S3_CURVE, point) or point.is_infinity:
-            raise ValueError("point is not an affine point of y^2 = x^3 + 16")
-        return cls((point.y - 4) / 8, point.x / 4)
-
-
 def s3_curve() -> WeierstrassCurve:
     """The Mordell curve y^2 = x^3 + 16 carrying the s=3 chart."""
     return _S3_CURVE
@@ -198,10 +164,12 @@ def s3_trace_back(point: Point) -> tuple[Fraction, Fraction] | None:
     point produces a positive pair, which is the negative result this module
     exists to make checkable.
     """
-    chart = S3Chart.from_point(point)
-    if chart.v == 0:
+    if not on_curve(_S3_CURVE, point) or point.is_infinity:
+        raise ValueError("point is not an affine point of y^2 = x^3 + 16")
+    if point.x == 0:
         return None
-    return (chart.u / chart.v, 1 / chart.v)
+    u, v = (point.y - 4) / 8, point.x / 4
+    return (u / v, 1 / v)
 
 
 # ---------------------------------------------------------------------------
@@ -216,47 +184,28 @@ S4_SEED_POINT = Point(235, 8)
 _S4_DOUBLE_SEED = (4291, 279856)
 
 
-@dataclass(frozen=True)
-class S4Chart:
-    """Chart u = b2/b1, v = 1/b1 on the fiber prod = 2/9, sum = 9/2.
-
-    Eliminating b3 from the fiber equations gives 18u + 18u^2 - 81uv + 4v^3 = 0.
-    """
-
-    u: Fraction
-    v: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
-
-    @classmethod
-    def from_bvector(cls, bvec: BVector) -> "S4Chart":
-        if bvec.s != 4:
-            raise ValueError("s=4 chart needs a BVector with s == 4")
-        b1, b2, b3 = bvec.entries
-        if b1 == 0:
-            raise ValueError("chart is undefined for b1 == 0")
-        if prod(bvec.entries) != S4_FIBER_PRODUCT or sum(bvec.entries) != S4_FIBER_SUM:
-            raise ValueError("BVector is not on the fiber prod=2/9, sum=9/2")
-        chart = cls(b2 / b1, 1 / b1)
-        u, v = chart.u, chart.v
-        if 18 * u + 18 * u * u - 81 * u * v + 4 * v ** 3 != 0:
-            raise ValueError("chart does not satisfy the fiber cubic")
-        return chart
-
-    def to_point(self) -> Point:
-        return Point(-32 * self.v + 243, 384 * self.u - 864 * self.v + 192)
-
-
 def s4_curve() -> WeierstrassCurve:
     """The curve y^2 = x^3 - 166779x + 26215254 carrying the s=4 fiber."""
     return _S4_CURVE
 
 
 def s4_forward(bvec: BVector) -> Point:
-    """Map a fiber BVector (s=4, prod=2/9, sum=9/2, b1 != 0) to a curve point."""
-    point = S4Chart.from_bvector(bvec).to_point()
+    """Map a fiber BVector (s=4, prod=2/9, sum=9/2) to a curve point by the
+    chart u = b2/b1, v = 1/b1, x = -32v + 243, y = 384u - 864v + 192.
+
+    b1 != 0 because a BVector has prod * sum = 1.  With b1 = 1/v, b2 = u/v
+    and b3 = 9/2 - (1 + u)/v, the fiber equation prod = 2/9 times 18v^3 is
+    the cubic 18u + 18u^2 - 81uv + 4v^3 = 0, and under the substitution
+    y^2 - (x^3 - 166779x + 26215254) is 8192 times that cubic.  So every
+    fiber point lands on the curve; the on_curve test is a safety check.
+    """
+    if bvec.s != 4:
+        raise ValueError("s=4 chart needs a BVector with s == 4")
+    if prod(bvec.entries) != S4_FIBER_PRODUCT or sum(bvec.entries) != S4_FIBER_SUM:
+        raise ValueError("BVector is not on the fiber prod=2/9, sum=9/2")
+    b1, b2, _ = bvec.entries
+    u, v = b2 / b1, 1 / b1
+    point = Point(-32 * v + 243, 384 * u - 864 * v + 192)
     if not on_curve(_S4_CURVE, point):
         raise ArithmeticError("forward map left the curve; fiber input was invalid")
     return point

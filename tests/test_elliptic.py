@@ -3,6 +3,8 @@ from itertools import combinations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumprodpower import (
     INFINITY,
@@ -22,6 +24,10 @@ MORDELL_16 = WeierstrassCurve(0, 0, 16)
 MORDELL_64 = WeierstrassCurve(0, 0, 64)
 E4 = s4_curve()
 WITNESS = Point(Fraction(30507, 121), Fraction(-584592, 1331))
+# k * (235, 8) for |k| <= 12 (k = 0 is INFINITY), and the multiples of the
+# order-3 point (0, 4) of y^2 = x^3 + 16.
+SEED_MULTIPLES = {k: scalar_mul(E4, k, Point(235, 8)) for k in range(-12, 13)}
+ORDER_3 = (INFINITY, Point(0, 4), Point(0, -4))
 
 
 class TestDiscriminant:
@@ -94,6 +100,24 @@ class TestGroupLaw:
                     left = add(E4, add(E4, a, b), c)
                     right = add(E4, a, add(E4, b, c))
                     assert left == right
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.tuples(*[st.integers(-12, 12)] * 3))
+    def test_add_is_associative_on_seed_multiples(self, ks):
+        a, b, c = (SEED_MULTIPLES[k] for k in ks)
+        left = add(E4, add(E4, a, b), c)
+        assert left == add(E4, a, add(E4, b, c))
+        if abs(sum(ks)) <= 12:
+            assert left == SEED_MULTIPLES[sum(ks)]
+
+    def test_add_is_associative_on_order_3_points(self):
+        # Every triple, so P + (-P), doubling and INFINITY all come up.
+        for a in ORDER_3:
+            for b in ORDER_3:
+                for c in ORDER_3:
+                    left = add(MORDELL_16, add(MORDELL_16, a, b), c)
+                    assert left == add(MORDELL_16, a, add(MORDELL_16, b, c))
+        assert add(MORDELL_16, ORDER_3[1], ORDER_3[1]) == ORDER_3[2]
 
     def test_scalar_mul_is_additive(self, rng):
         p = Point(235, 8)

@@ -18,7 +18,6 @@ from sumprodpower import (
     on_curve,
     Point,
     Poly,
-    positivity_check,
     positivity_classify,
     positivity_discriminant,
     positivity_value,
@@ -226,8 +225,7 @@ class TestB1Roots:
 
 class TestLeadingTriple:
     def test_unit_triple(self):
-        triple = leading_triple(UNIT)
-        assert (triple.b1, triple.b2, triple.b3) == (
+        assert leading_triple(UNIT) == (
             Fraction(1, 14),
             Fraction(7, 4),
             Fraction(7, 4),
@@ -235,8 +233,7 @@ class TestLeadingTriple:
 
     def test_t0_two(self):
         params = FamilyParams(5, (Fraction(1),), Fraction(2))
-        triple = leading_triple(params)
-        assert (triple.b1, triple.b2, triple.b3) == (
+        assert leading_triple(params) == (
             Fraction(1, 18),
             Fraction(9, 10),
             Fraction(18, 5),
@@ -247,11 +244,27 @@ class TestLeadingTriple:
         # and b1 one of the quadratic roots.
         for _ in range(8):
             params = random_params(rng)
-            triple = leading_triple(params)
+            b1, b2, b3 = leading_triple(params)
             qpt = weierstrass_to_quartic(params, negate(doubled_point(params)))
-            assert triple.b2 == qpt.y
-            assert triple.b3 == params.t * qpt.y
-            assert triple.b1 in b1_roots(params, qpt)
+            assert b2 == qpt.y
+            assert b3 == params.t * qpt.y
+            assert b1 in b1_roots(params, qpt)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(5, 9), data=st.data())
+    def test_product_sum_identity(self, sign, s, data):
+        # D = u t0 (4 t0 - v^2) + 4 is smallest, 4 - u v^4 / 16, at t0 = v^2 / 8
+        # and positive for every t0 > v^2 / 4.
+        tail = tuple(data.draw(st.lists(SMALL_POSITIVE, min_size=s - 4, max_size=s - 4)))
+        v = sum(tail)
+        t0 = data.draw(
+            SMALL_POSITIVE | st.just(v * v / 8) | SMALL_POSITIVE.map(lambda e: v * v / 4 + e)
+        )
+        params = FamilyParams(s, tail, t0)
+        assume(positivity_value(params) * sign > 0)
+        b1, b2, b3 = leading_triple(params)
+        assert b1 * b2 * b3 * params.u * (b1 + b2 + b3 + params.v) == 1
 
     def test_degenerate_rejected(self):
         # tail (2, 1) gives u = 2, v = 3, whose delta = 196 is a square, so
@@ -264,7 +277,7 @@ class TestLeadingTriple:
 
 class TestPositivity:
     def test_unit_always_positive(self):
-        assert positivity_check(UNIT)
+        assert positivity_value(UNIT) > 0
         assert positivity_discriminant(1, 1) == -63
         split = positivity_classify(1, 1)
         assert split.kind == "always-positive"
@@ -274,8 +287,8 @@ class TestPositivity:
         # tail (1, 3): u = 3, v = 4, D(t0) = 12 t0^2 - 48 t0 + 4
         assert positivity_value(FamilyParams(6, (1, 3), 2)) == -44
         assert positivity_value(FamilyParams(6, (1, 3), 4)) == 4
-        assert not positivity_check(FamilyParams(6, (1, 3), 2))
-        assert positivity_check(FamilyParams(6, (1, 3), 4))
+        assert not positivity_value(FamilyParams(6, (1, 3), 2)) > 0
+        assert positivity_value(FamilyParams(6, (1, 3), 4)) > 0
 
     def test_interval_branch_u1_v4(self):
         # tail (1, 1, 1, 4): u = 4, v = 7 is awkward; use direct classify calls
@@ -320,14 +333,13 @@ class TestPositivity:
             d = positivity_value(params)
             if d == 0:
                 continue
-            triple = leading_triple(params)
-            all_positive = triple.b1 > 0 and triple.b2 > 0 and triple.b3 > 0
-            assert positivity_check(params) == all_positive
+            all_positive = all(b > 0 for b in leading_triple(params))
+            assert (positivity_value(params) > 0) == all_positive
             checked_negative = checked_negative or not all_positive
         # make sure the negative branch is exercised at least once
         params = FamilyParams(8, (1, 1, 1, 4), 2)  # u = 4, v = 7, D = -324
         assert positivity_value(params) < 0
-        assert leading_triple(params).b1 < 0
+        assert leading_triple(params)[0] < 0
 
 
 class TestSqrtBounds:

@@ -1,5 +1,8 @@
+import os
+import signal
 from itertools import combinations_with_replacement
 from math import isqrt, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import table_rows
 from search_oracle import oracle_solutions
 from sumprodpower import DioSolution, SearchSpec, check_table_membership, enumerate_solutions
+from sumprodpower import search
 from sumprodpower.search import _tables
 
 
@@ -119,6 +123,61 @@ class TestEnumerateSolutions:
         assert enumerate_solutions(SearchSpec(4, 60, jobs=2)) == enumerate_solutions(
             SearchSpec(4, 60, jobs=4)
         )
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Swap search's multiprocessing.Pool for an in-process fake; the list
+    collects the number of processes each pool was asked for."""
+    sizes: list[int] = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            self.sigint = signal.getsignal(signal.SIGINT)
+            initializer(*initargs)  # sets search._worker_tables, ignores SIGINT
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            signal.signal(signal.SIGINT, self.sigint)
+
+        def imap_unordered(self, func, blocks):
+            return map(func, reversed(blocks))  # finishing order must not matter
+
+    monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(search, "_worker_tables", None)
+    return sizes
+
+
+class TestJobsCap:
+    """--jobs asks for at most one process per usable core."""
+
+    @pytest.mark.parametrize(
+        "cores, jobs, sizes",
+        [(1, 5000, []), (2, 5000, [2]), (3, 5000, [3]), (16, 5000, [16]), (16, 2, [2])],
+    )
+    def test_pool_is_capped_at_affinity(self, pool_sizes, monkeypatch, cores, jobs, sizes):
+        serial = enumerate_solutions(SearchSpec(4, 300))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert enumerate_solutions(SearchSpec(4, 300, jobs=jobs)) == serial
+        assert pool_sizes == sizes
+
+    def test_this_machine(self, pool_sizes):
+        serial = enumerate_solutions(SearchSpec(4, 300))
+        assert enumerate_solutions(SearchSpec(4, 300, jobs=5000)) == serial
+        assert all(size <= search._usable_cores() for size in pool_sizes)
+
+    @pytest.mark.parametrize("count, sizes", [(3, [3]), (None, [])])
+    def test_cpu_count_fallback(self, pool_sizes, monkeypatch, count, sizes):
+        # Where os.sched_getaffinity is missing, os.cpu_count() or 1 is used.
+        serial = enumerate_solutions(SearchSpec(4, 300))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert enumerate_solutions(SearchSpec(4, 300, jobs=5000)) == serial
+        assert pool_sizes == sizes
 
 
 class TestAgainstScanOracle:

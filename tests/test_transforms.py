@@ -2,12 +2,13 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumprodpower import (
     BVector,
     DioSolution,
     Point,
-    S4Chart,
     clear_denominators,
     nagell_lutz_candidates,
     negate,
@@ -62,6 +63,16 @@ class TestBVector:
             BVector(4, (Fraction(1), Fraction(1), Fraction(1)))
         with pytest.raises(ValueError):
             BVector(3, (Fraction(1), Fraction(1)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(s=st.integers(3, 9), data=st.data())
+    def test_rejects_a_zero_entry(self, s, data):
+        # prod * sum = 1 leaves no entry 0, so s4_forward needs no b1 != 0 test.
+        entries = data.draw(st.lists(st.fractions(max_denominator=50), min_size=s - 1,
+                                     max_size=s - 1))
+        entries[data.draw(st.integers(0, s - 2))] = Fraction(0)
+        with pytest.raises(ValueError, match="prod \\* sum = 1"):
+            BVector(s, tuple(entries))
 
     def test_from_solution(self):
         sol = DioSolution(4, (1, 2, 24), 27, 6)
@@ -161,6 +172,17 @@ class TestS4Maps:
         with pytest.raises(ValueError):
             s4_forward(bvec)
 
+    def test_forward_rejects_other_s(self):
+        s5 = BVector(5, (Fraction(1, 14), Fraction(7, 4), Fraction(7, 4), Fraction(1)))
+        # No rational s=3 BVector exists (y^2 = x^3 + 16 has no rational
+        # point with x != 0), so this one skips BVector's own check.
+        s3 = object.__new__(BVector)
+        object.__setattr__(s3, "s", 3)
+        object.__setattr__(s3, "entries", (Fraction(1), Fraction(1)))
+        for bvec in (s3, s5):
+            with pytest.raises(ValueError, match="s=4 chart needs a BVector with s == 4"):
+                s4_forward(bvec)
+
     def test_inverse_examples(self):
         assert s4_inverse(Point(51, -4224)) == (Fraction(1, 6), Fraction(1, 3), Fraction(4))
         assert s4_inverse(Point(235, 8)) == (Fraction(4), Fraction(1, 3), Fraction(1, 6))
@@ -204,9 +226,16 @@ class TestS4Maps:
 
     def test_chart_roundtrip(self):
         bvec = BVector(4, (Fraction(1, 6), Fraction(1, 3), Fraction(4)))
-        chart = S4Chart.from_bvector(bvec)
-        assert (chart.u, chart.v) == (Fraction(2), Fraction(6))
-        assert chart.to_point() == Point(51, -4224)
+        assert s4_forward(bvec) == Point(51, -4224)
+
+    def test_curve_is_8192_times_fiber_cubic(self):
+        # Under x = -32v + 243, y = 384u - 864v + 192.  Both sides have
+        # degree <= 3 in u and in v, so a 4 x 4 grid proves the identity.
+        for u in range(4):
+            for v in range(4):
+                x, y = -32 * v + 243, 384 * u - 864 * v + 192
+                cubic = 18 * u + 18 * u * u - 81 * u * v + 4 * v ** 3
+                assert y * y - s4_curve().rhs(x) == 8192 * cubic
 
 
 class TestPositiveRegion:
