@@ -18,7 +18,7 @@ from .elliptic import (
     on_curve,
     scalar_mul,
 )
-from .exactmath import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem, poly_eval
+from .exactmath import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem
 from .family import (
     b1_roots,
     base_point,

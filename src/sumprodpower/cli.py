@@ -148,14 +148,14 @@ def cmd_family(args: argparse.Namespace) -> int:
         if args.tail is None or args.t0 is None:
             return _usage_error("either --t1/--t2 or --tail/--t0 must be given")
         try:
-            FamilyParams(args.s, tuple(args.tail), args.t0)
+            params = FamilyParams(args.s, tuple(args.tail), args.t0)
         except ValueError as exc:
             return _usage_error(str(exc))
     try:
         if closed_form:
             sol = s5_polynomial_family(S5Substitution(args.t1, args.t2))
         else:
-            sol = general_solution(args.s, args.tail, args.t0)
+            sol = general_solution(params)
     except ValueError as exc:  # the positivity quadratic D is not positive
         print(exc, file=sys.stderr)
         return 1
@@ -170,7 +170,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         spec = SearchSpec(s=args.s, n_max=args.max_n, a_max=args.max_part, jobs=args.jobs)
     except ValueError as exc:
         return _usage_error(str(exc))
-    for sol in enumerate_solutions(spec):
+    try:  # the prefix walk recurses once per part
+        solutions = enumerate_solutions(spec)
+    except RecursionError:
+        return _usage_error(f"--s {spec.s} is too large for the search")
+    for sol in solutions:
         print(render(sol, "search", args.format))
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .exactmath import divisors
 
@@ -158,31 +157,17 @@ def scalar_mul(curve: WeierstrassCurve, k: int, point: Point) -> Point:
     return result
 
 
-def _integer_quadratic_roots(a: int, b: int) -> set[int]:
-    # integer roots of x^2 + a x + b
-    disc = a * a - 4 * b
-    if disc < 0:
-        return set()
-    r = isqrt(disc)
-    if r * r != disc:
-        return set()
-    roots = set()
-    for sign in (r, -r):
-        if (-a + sign) % 2 == 0:
-            roots.add((-a + sign) // 2)
-    return roots
-
-
-def _integer_cubic_roots(a: int, b: int, c: int) -> set[int]:
-    # integer roots of x^3 + a x^2 + b x + c; any such root divides c,
-    # so it suffices to test the divisors of |c| with both signs.
-    if c == 0:
-        return {0} | _integer_quadratic_roots(a, b)
-    roots = set()
-    for d in divisors(abs(c)):
-        for x in (d, -d):
-            if ((x + a) * x + b) * x + c == 0:
-                roots.add(x)
+def _integer_roots(a: int, b: int, c: int) -> set[int]:
+    # Integer roots of x^3 + a x^2 + b x + c.  A zero constant term gives the
+    # root 0; dividing out x until the constant term is non-zero leaves the
+    # other roots, and each divides that term (rational root theorem).
+    low = c or b or a
+    roots = set() if c else {0}
+    if low:
+        for d in divisors(abs(low)):
+            for x in (d, -d):
+                if ((x + a) * x + b) * x + c == 0:
+                    roots.add(x)
     return roots
 
 
@@ -199,7 +184,7 @@ def nagell_lutz_candidates(curve: WeierstrassCurve) -> list[Point]:
     disc = abs(int(discriminant(curve)))
     points: set[Point] = set()
     for y in (0, *divisors(disc)):
-        for x in _integer_cubic_roots(a, b, c - y * y):
+        for x in _integer_roots(a, b, c - y * y):
             points.add(Point(x, y))
             if y:
                 points.add(Point(x, -y))

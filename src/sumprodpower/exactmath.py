@@ -20,9 +20,10 @@ Zimmermann, Modern Computer Arithmetic, 1.5.2).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Poly",
@@ -34,7 +35,6 @@ __all__ = [
     "parse_fraction",
     "perfect_sth_power",
     "poly_divrem",
-    "poly_eval",
 ]
 
 
@@ -179,6 +179,7 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+@dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -186,16 +187,13 @@ class Poly:
     the zero polynomial is the empty coefficient tuple.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...] = ()
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+    def __post_init__(self) -> None:
+        cs = [Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self) -> int:
@@ -206,17 +204,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -225,9 +212,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] += c
         return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -239,25 +223,6 @@ class Poly:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return Poly(out)
-
-    def scaled(self, factor: Fraction | int) -> "Poly":
-        f = Fraction(factor)
-        return Poly(f * c for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{i}")
-        return "Poly(" + " + ".join(terms) + ")"
 
 
 def poly_divrem(numer: Poly, denom: Poly) -> tuple[Poly, Poly]:
@@ -278,11 +243,3 @@ def poly_divrem(numer: Poly, denom: Poly) -> tuple[Poly, Poly]:
         while rem and rem[-1] == 0:
             rem.pop()
     return Poly(q), Poly(rem)
-
-
-def poly_eval(p: Poly, x: Fraction | int) -> Fraction:
-    """Evaluate ``p`` at ``x`` by Horner's rule, exactly."""
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Sequence
 
 from .elliptic import Point, WeierstrassCurve, on_curve
 from .exactmath import Poly, format_decimal, format_fraction, poly_divrem
@@ -57,7 +56,8 @@ class FamilyParams:
     """Parameters (s, tail, t0) of one member of the s >= 5 family.
 
     tail holds the freely chosen positive values b4 .. b_{s-1}; u and v are
-    their product and sum, and t = u * t0**2 is the specialized slope.
+    their product and sum, t = u * t0**2 is the specialized slope and d is
+    the positivity quadratic D (see positivity_value).
     """
 
     s: int
@@ -66,6 +66,7 @@ class FamilyParams:
     u: Fraction = field(init=False)
     v: Fraction = field(init=False)
     t: Fraction = field(init=False)
+    d: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tail", tuple(Fraction(e) for e in self.tail))
@@ -81,6 +82,7 @@ class FamilyParams:
         object.__setattr__(self, "u", prod(self.tail, start=Fraction(1)))
         object.__setattr__(self, "v", sum(self.tail, start=Fraction(0)))
         object.__setattr__(self, "t", self.u * self.t0 ** 2)
+        object.__setattr__(self, "d", positivity_value(self))
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,6 @@ def quartic_discriminant_t(params: FamilyParams) -> Fraction:
 def quartic_curve(params: FamilyParams) -> QuarticCurve:
     """The quartic whose square values of the discriminant drive the family."""
     u, v, t = params.u, params.v, params.t
-    if quartic_discriminant_t(params) == 0:
-        raise ValueError("singular quartic; requires u, v, t0 > 0")
     return QuarticCurve(
         a4=u * u * t * t * (t + 1) ** 2,
         a3=2 * u * u * v * (t + 1) * t * t,
@@ -195,8 +195,8 @@ def remainder_certificate(u: Fraction | int, v: Fraction | int) -> Poly:
         denominator 64 v^2 (u t0^2 + 1)^2
     The remainder comes out as u^3 v^8 (3 u t0^2 + 2), non-zero for u, v > 0,
     so the X-coordinate is not a polynomial in t0 and the quadrupled point has
-    infinite order in the function field.  The expected value is re-derived
-    here by actual long division and cross-checked against the closed form.
+    infinite order in the function field.  The remainder is computed by actual
+    long division and cross-checked against that closed form.
     """
     u, v = Fraction(u), Fraction(v)
     if u <= 0 or v <= 0:
@@ -206,7 +206,7 @@ def remainder_certificate(u: Fraction | int, v: Fraction | int) -> Poly:
     denom = Poly([64 * v * v, 0, 128 * u * v * v, 0, 64 * u * u * v * v])
     _, rem = poly_divrem(numer, denom)
     expected = Poly([2 * u ** 3 * v ** 8, 0, 3 * u ** 4 * v ** 8])
-    if rem != expected or rem.is_zero:
+    if rem != expected:
         raise ArithmeticError("remainder certificate failed its closed-form cross-check")
     return rem
 
@@ -223,10 +223,7 @@ def weierstrass_to_quartic(params: FamilyParams, point: Point) -> QuarticPoint:
     w = (big_y ** 2 - u * u * v * v * t * t * big_x ** 2 - 2 * big_x ** 3) / (
         4 * u * t * (t + 1) * big_x ** 2
     )
-    qpt = QuarticPoint(y, w)
-    if not quartic_curve(params).contains(qpt):
-        raise ArithmeticError("pullback left the quartic; input point was invalid")
-    return qpt
+    return QuarticPoint(y, w)
 
 
 def quartic_to_weierstrass(params: FamilyParams, qpt: QuarticPoint) -> Point:
@@ -235,17 +232,13 @@ def quartic_to_weierstrass(params: FamilyParams, qpt: QuarticPoint) -> Point:
     X = 2ut(t+1)(ut(t+1)y^2 + uvty - w); on the model Y/X = ut(2(t+1)y + v),
     so Y = X * ut * (2(t+1)y + v).
     """
-    curve_q = quartic_curve(params)
-    if not curve_q.contains(qpt):
+    if not quartic_curve(params).contains(qpt):
         raise ValueError("point is not on the quartic")
     u, v, t = params.u, params.v, params.t
     y, w = qpt.y, qpt.w
     big_x = 2 * u * t * (t + 1) * (u * t * (t + 1) * y * y + u * v * t * y - w)
     big_y = big_x * u * t * (2 * (t + 1) * y + v)
-    point = Point(big_x, big_y)
-    if not on_curve(weierstrass_model(params), point):
-        raise ArithmeticError("pushforward left the curve; input point was invalid")
-    return point
+    return Point(big_x, big_y)
 
 
 def b1_roots(params: FamilyParams, qpt: QuarticPoint) -> list[Fraction]:
@@ -253,7 +246,7 @@ def b1_roots(params: FamilyParams, qpt: QuarticPoint) -> list[Fraction]:
 
     The quartic value w^2 is exactly y^-2 times the quadratic's discriminant,
     so the roots are rational; each root, with b2 = y and b3 = t*y, satisfies
-    b1*b2*b3*u*(b1+b2+b3+v) = 1 (checked before returning).
+    b1*b2*b3*u*(b1+b2+b3+v) = 1 (a test pins this).
     """
     if qpt.y == 0:
         raise ValueError("degenerate quartic point: y = 0 yields no solutions")
@@ -263,12 +256,7 @@ def b1_roots(params: FamilyParams, qpt: QuarticPoint) -> list[Fraction]:
     y, w = qpt.y, qpt.w
     lead = t * u * y * y
     mid = u * t * ((t + 1) * y + v) * y * y
-    roots = [(-mid + y * w) / (2 * lead), (-mid - y * w) / (2 * lead)]
-    z = t * y
-    for root in roots:
-        if root * y * z * u * (root + y + z + v) != 1:
-            raise ArithmeticError("quadratic root fails the product-sum identity")
-    return roots
+    return [(-mid + y * w) / (2 * lead), (-mid - y * w) / (2 * lead)]
 
 
 def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
@@ -281,8 +269,7 @@ def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
     b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this; BVector checks
     it again for general_solution).
     """
-    u, v, t0 = params.u, params.v, params.t0
-    d = positivity_value(params)
+    u, v, t0, d = params.u, params.v, params.t0, params.d
     if d == 0:
         raise ValueError("degenerate parameters: positivity quadratic vanishes")
     k = u * t0 ** 2 + 1
@@ -360,15 +347,11 @@ def positivity_classify(u: Fraction | int, v: Fraction | int) -> PositivitySplit
     )
 
 
-def general_solution(
-    s: int, tail: Sequence[Fraction | int], t0: Fraction | int
-) -> DioSolution:
+def general_solution(params: FamilyParams) -> DioSolution:
     """Assemble and clear a full solution vector (b1, b2, b3, tail) for s >= 5."""
-    params = FamilyParams(s, tuple(Fraction(e) for e in tail), Fraction(t0))
-    d = positivity_value(params)
-    if d <= 0:
-        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
-    return clear_denominators(BVector(s, (*leading_triple(params), *params.tail)))
+    if params.d <= 0:
+        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(params.d)}")
+    return clear_denominators(BVector(params.s, (*leading_triple(params), *params.tail)))
 
 
 def s5_polynomial_family(sub: S5Substitution) -> DioSolution:

@@ -238,7 +238,7 @@ def test_criterion_10_structural_identities():
         params = FamilyParams(s, tail, t0)
         if 4 * params.u * t0 ** 2 - params.u * params.v ** 2 * t0 + 4 <= 0:
             continue
-        sol = general_solution(s, tail, t0)
+        sol = general_solution(params)
         assert prod(sol.parts) * sol.n == sol.b ** sol.s
         produced += 1
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, signed_solutions
-from sumprodpower import cli, search
+from sumprodpower import cli, family, search
 from sumprodpower.cli import main
 from sumprodpower.elliptic import add
 from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
@@ -239,6 +239,24 @@ class TestFamily:
         assert out == ""
         assert "D = -11" in err
 
+    def test_one_op_builds_the_params_and_d_once(self, capsys, monkeypatch):
+        calls = {"FamilyParams": 0, "positivity_value": 0}
+        build, value = family.FamilyParams.__post_init__, family.positivity_value
+
+        def counted_build(params):
+            calls["FamilyParams"] += 1
+            build(params)
+
+        def counted_value(params):
+            calls["positivity_value"] += 1
+            return value(params)
+
+        monkeypatch.setattr(family.FamilyParams, "__post_init__", counted_build)
+        monkeypatch.setattr(family, "positivity_value", counted_value)
+        code, out, _ = run_cli(capsys, "family", "--s", "6", "--tail", "1,1", "--t0", "1")
+        assert code == 0 and out
+        assert calls == {"FamilyParams": 1, "positivity_value": 1}
+
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "family", "--s", "5", "--t1", "1")[0] == 2
         assert run_cli(capsys, "family", "--s", "6", "--t1", "1", "--t2", "1")[0] == 2
@@ -272,6 +290,15 @@ class TestSearch:
         }
         assert table_rows_36 <= set(lines)
         assert "2\t2\t6\t8\t9\t6\t27" in lines
+
+    @pytest.mark.parametrize("jobs, max_n", [("1", "1000"), ("2", "2000")])
+    def test_too_large_s_is_a_one_line_usage_error(self, capsys, jobs, max_n):
+        # The prefix walk recurses once per part, so s = 1000 exceeds the
+        # interpreter's stack.  --max-n 2000 leaves two leading parts, so
+        # --jobs 2 takes the pool on two or more usable cores.
+        code, out, err = run_cli(capsys, "search", "--s", "1000", "--max-n", max_n,
+                                 "--jobs", jobs)
+        assert (code, out, err) == (2, "", "error: --s 1000 is too large for the search\n")
 
     def test_s3_empty(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--s", "3", "--max-n", "500")

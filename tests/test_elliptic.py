@@ -18,6 +18,7 @@ from sumprodpower import (
     on_curve,
     scalar_mul,
 )
+from sumprodpower.elliptic import _integer_roots
 from sumprodpower.transforms import s4_curve
 
 MORDELL_16 = WeierstrassCurve(0, 0, 16)
@@ -171,6 +172,15 @@ class TestNagellLutzCandidates:
     def test_rejects_non_integral_model(self):
         with pytest.raises(ValueError):
             nagell_lutz_candidates(WeierstrassCurve(0, 0, Fraction(1, 4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(-12, 12), b=st.integers(-12, 12), c=st.integers(-12, 12))
+    def test_integer_roots_match_a_scan(self, a, b, c):
+        # Cauchy's bound: every root of x^3 + a x^2 + b x + c has
+        # |x| <= 1 + max(|a|, |b|, |c|).
+        bound = 1 + max(abs(a), abs(b), abs(c))
+        scan = {x for x in range(-bound, bound + 1) if ((x + a) * x + b) * x + c == 0}
+        assert _integer_roots(a, b, c) == scan
 
 
 class TestCertifyInfiniteOrder:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from root_oracle import oracle_nth_root
-from sumprodpower import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem, poly_eval
+from sumprodpower import Poly, divisors, int_nth_root, perfect_sth_power, poly_divrem
 from sumprodpower.exactmath import (
     _SEED_BITS,
     format_decimal,
@@ -216,9 +216,6 @@ class TestPoly:
         q = Poly([-1, 1])  # -1 + t
         assert p * q == Poly([-1, 0, 1])
         assert p + q == Poly([0, 2])
-        assert p - p == Poly()
-        assert (-p) == Poly([-1, -1])
-        assert p.scaled(Fraction(1, 2)) == Poly([Fraction(1, 2), Fraction(1, 2)])
 
     def test_divrem_textbook(self):
         # (t^2 + 1) / (t + 1) = (t - 1) remainder 2
@@ -257,8 +254,3 @@ class TestPoly:
         denom = Poly([64, 0, 128, 0, 64])
         _, r = poly_divrem(numer, denom)
         assert r == Poly([2, 0, 3])
-
-    def test_eval(self):
-        assert poly_eval(Poly([1, 0, 1]), 2) == 5
-        assert poly_eval(Poly(), 123) == 0
-        assert poly_eval(Poly([2, 0, 3]), Fraction(1, 2)) == Fraction(11, 4)

@@ -53,6 +53,7 @@ class TestFamilyParams:
         assert params.u == 3
         assert params.v == Fraction(7, 2)
         assert params.t == 3 * Fraction(1, 4)
+        assert params.d == 4 * 3 * Fraction(1, 4) - 3 * Fraction(7, 2) ** 2 * Fraction(1, 2) + 4
 
     @pytest.mark.parametrize(
         "args",
@@ -359,22 +360,22 @@ class TestSqrtBounds:
 
 class TestGeneralSolution:
     def test_s5_unit(self):
-        sol = general_solution(5, (1,), 1)
+        sol = general_solution(FamilyParams(5, (1,), 1))
         assert (sol.parts, sol.b, sol.n) == ((2, 49, 49, 28), 28, 128)
 
     def test_s5_t0_two_clears_directly_to_reduced_form(self):
-        sol = general_solution(5, (1,), 2)
+        sol = general_solution(FamilyParams(5, (1,), 2))
         assert (sol.parts, sol.b, sol.n) == ((5, 81, 324, 90), 90, 500)
         assert primitive_reduce(sol) == sol
 
     def test_s6_unit_tail(self):
-        sol = general_solution(6, (1, 1), 1)
+        sol = general_solution(FamilyParams(6, (1, 1), 1))
         assert sol.sorted_parts == (1, 1, 2, 2, 2)
         assert (sol.b, sol.n) == (2, 8)
 
     def test_positivity_error(self):
         with pytest.raises(ValueError, match="positivity"):
-            general_solution(5, (4,), 2)  # u = v = 4: D = 64 - 128 + 4 < 0
+            general_solution(FamilyParams(5, (4,), 2))  # u = v = 4: D = 64 - 128 + 4 < 0
 
     def test_identity_random(self, rng):
         for _ in range(40):
@@ -384,7 +385,7 @@ class TestGeneralSolution:
             params = FamilyParams(s, tail, t0)
             if positivity_value(params) <= 0:
                 continue
-            sol = general_solution(s, tail, t0)
+            sol = general_solution(params)
             assert prod(sol.parts) * sol.n == sol.b ** sol.s
 
 
@@ -396,8 +397,9 @@ class TestGeneralSolution:
         # D = u t0 (4 t0 - v^2) + 4, so every t0 > v^2 / 4 has D > 0.
         v = sum(tail)
         t0 = data.draw(SMALL_POSITIVE | SMALL_POSITIVE.map(lambda e: v * v / 4 + e))
-        assume(positivity_value(FamilyParams(s, tuple(tail), t0)) > 0)
-        sol = general_solution(s, tail, t0)
+        params = FamilyParams(s, tuple(tail), t0)
+        assume(positivity_value(params) > 0)
+        sol = general_solution(params)
         assert DioSolution.from_parts(s, sol.parts).b == sol.b
 
 
@@ -428,7 +430,7 @@ class TestS5PolynomialFamily:
         # The closed form clears by a specific common denominator, the general
         # pipeline by the least one; they agree up to primitive reduction.
         family = s5_polynomial_family(S5Substitution(t1, t2))
-        general = general_solution(5, (t2,), t1)
+        general = general_solution(FamilyParams(5, (t2,), t1))
         assert primitive_reduce(family).sorted_parts == primitive_reduce(general).sorted_parts
         assert primitive_reduce(family).b == primitive_reduce(general).b
 
