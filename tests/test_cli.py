@@ -300,6 +300,27 @@ class TestSearch:
                                  "--jobs", jobs)
         assert (code, out, err) == (2, "", "error: --s 1000 is too large for the search\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("search", "--s", "4", "--max-n"), ("search", "--s", "4", "--jobs", "2", "--max-n"),
+         ("s3", "--brute-max")],
+    )
+    def test_n_max_above_the_limit_is_a_one_line_usage_error(self, capsys, argv):
+        # Fails before any table is built: no MemoryError, and s3 prints no
+        # curve analysis first.
+        limit = search.N_MAX_LIMIT
+        code, out, err = run_cli(capsys, *argv, str(limit + 1))
+        assert (code, out, err) == (2, "", f"error: n_max must be at most {limit}\n")
+
+    def test_s3_at_a_lowered_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "N_MAX_LIMIT", 50)
+        assert run_cli(capsys, "s3", "--brute-max", "51") == (
+            2, "", "error: n_max must be at most 50\n"
+        )
+        code, out, _ = run_cli(capsys, "s3", "--brute-max", "50")
+        assert code == 0
+        assert "brute force a1 + a2 <= 50: 0 solutions" in out
+
     def test_s3_empty(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--s", "3", "--max-n", "500")
         assert code == 0

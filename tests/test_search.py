@@ -1,5 +1,6 @@
 import os
 import signal
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import isqrt, prod
 from types import SimpleNamespace
@@ -81,6 +82,25 @@ class TestSearchSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SearchSpec(**kwargs)
+
+    def test_n_max_limit(self):
+        # Building a spec builds no tables, so the limit itself is cheap to try.
+        assert SearchSpec(3, search.N_MAX_LIMIT).n_max == search.N_MAX_LIMIT
+        with pytest.raises(ValueError, match=f"n_max must be at most {search.N_MAX_LIMIT}"):
+            SearchSpec(3, search.N_MAX_LIMIT + 1)
+
+    @pytest.mark.parametrize("s", [3, 4, 5, 6, 7])
+    def test_table_bytes_per_unit_of_n_max(self, s):
+        # The sizing of N_MAX_LIMIT in the module docstring: at most 48 bytes
+        # of tables per unit of n_max, at their peak.
+        n_max = 20000
+        tracemalloc.start()
+        try:
+            _tables(s, n_max, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n_max
 
 
 class TestEnumerateSolutions:
@@ -208,6 +228,49 @@ class TestAgainstScanOracle:
     def test_property(self, s, n_max, a_max):
         n_max = max(n_max, s - 1)
         assert rows(SearchSpec(s, n_max, a_max)) == oracle_solutions(s, n_max, a_max)
+
+
+def pruned_prefixes(monkeypatch, spec: SearchSpec) -> set[tuple[int, ...]]:
+    """Run the search with a recording wrapper around search._extend and
+    return the prefixes the upper-level cut skipped: the children an
+    upper-level call loops over but never descends into."""
+    calls = []
+    extend = search._extend
+
+    def recording(tables, parts, total, product, r, exps, lo, hi, out):
+        calls.append((parts, lo, hi))
+        extend(tables, parts, total, product, r, exps, lo, hi, out)
+
+    monkeypatch.setattr(search, "_extend", recording)
+    enumerate_solutions(spec)
+    visited = {parts for parts, _, _ in calls}
+    return {
+        parts + (a,)
+        for parts, lo, hi in calls
+        if spec.s - 2 - len(parts) > 1  # an upper level
+        for a in range(lo, hi + 1)
+    } - visited
+
+
+class TestPrefixCut:
+    """The upper-level cut r(P*a)**s * m**m > P*a * (n_max - t)**m * n_max
+    skips only prefixes that no solution starts with."""
+
+    @pytest.mark.parametrize("a_max", [None, 5, 18])
+    # (6, 8) has one solution, (1, 1, 2, 2, 2), at equality in the cut.
+    @pytest.mark.parametrize(
+        "s, n_max",
+        [(4, 60), (4, 240), (5, 64), (5, 120), (6, 8), (6, 36), (6, 72), (6, 100), (7, 40),
+         (7, 64)],
+    )
+    def test_no_pruned_prefix_has_a_completion(self, monkeypatch, s, n_max, a_max):
+        pruned = pruned_prefixes(monkeypatch, SearchSpec(s, n_max, a_max))
+        for parts, _, _ in oracle_solutions(s, n_max, a_max):
+            for k in range(1, s - 2):
+                assert parts[:k] not in pruned
+
+    def test_the_cut_fires(self, monkeypatch):
+        assert pruned_prefixes(monkeypatch, SearchSpec(6, 100))
 
 
 class TestDivisibilityStep:
