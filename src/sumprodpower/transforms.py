@@ -19,8 +19,10 @@ b_i = N_i / den with N1 = 384e^3, N2 = 6369e^3 - 27Xe + Y and
 N3 = 6369e^3 - 27Xe - Y.  Clearing denominators divides (N1, N2, N3, den)
 by g = gcd(N1, N2, N3, den), and g divides 384: a prime dividing e and g
 would divide N2, hence Y, and gcd(Y, e) = 1; so g is prime to e and
-divides N1 = 384e^3.  The walk behind s4_solutions stays in lowest terms
-with one gcd per step; _s4_odd_multiples has the reason.
+divides N1 = 384e^3.  The walk behind s4_solutions reads kP off the
+division polynomials of P, with no gcd: only 2 can divide both the
+numerator and the denominator of x(kP), and one shift strips it
+(_s4_odd_multiples has the reason).
 """
 
 from __future__ import annotations
@@ -180,8 +182,6 @@ _S4_B, _S4_C = -166779, 26215254
 _S4_CURVE = WeierstrassCurve(Fraction(0), Fraction(_S4_B), Fraction(_S4_C))
 # Image of the seed b-vector (4, 1/3, 1/6) = (1, 2, 24)/6; it has infinite order.
 S4_SEED_POINT = Point(235, 8)
-# 2 * S4_SEED_POINT: the tangent at (235, 8) has slope (3 * 235^2 - 166779)/16 = -69.
-_S4_DOUBLE_SEED = (4291, 279856)
 
 
 def s4_curve() -> WeierstrassCurve:
@@ -289,35 +289,71 @@ def s4_point_solution(point: Point) -> DioSolution | None:
     return _s4_solution(x.numerator, y.numerator, e)
 
 
+def _s4_psi_seed() -> list[int]:
+    """psi_0 .. psi_4 of the division polynomials of y^2 = x^3 + Ax + B
+    (Silverman, The Arithmetic of Elliptic Curves, Ex. 3.7) at
+    P = S4_SEED_POINT = (x, y)."""
+    x, y = S4_SEED_POINT.x.numerator, S4_SEED_POINT.y.numerator
+    a, b = _S4_B, _S4_C
+    return [
+        0,
+        1,
+        2 * y,
+        3 * x**4 + 6 * a * x**2 + 12 * b * x - a**2,
+        4 * y * (x**6 + 5 * a * x**4 + 20 * b * x**3 - 5 * a**2 * x**2
+                 - 4 * a * b * x - 8 * b**2 - a**3),
+    ]
+
+
+def _s4_extend_psi(psi: list[int], n: int) -> None:
+    """Append psi_j to psi = [psi_0, psi_1, ...] for every j up to n, by
+    psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3 and
+    psi_{2m} = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / 2y.
+    Each psi_j is an integer at the integral point P (psi_j is a polynomial
+    in x, y, A, B with integer coefficients), so the division by
+    2y = 16 is exact.  Needs psi_0 .. psi_4 already."""
+    for j in range(len(psi), n + 1):
+        m = j >> 1
+        if j & 1:
+            psi.append(psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3)
+        else:
+            bracket = psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2
+            psi.append(psi[m] * bracket // 16)
+
+
 def _s4_odd_multiples(max_multiple: int) -> Iterator[tuple[int, int, int]]:
     """Lowest-terms triples (X, Y, e) of kP = (X/e^2, Y/e^3) for the odd
-    k = 1, 3, 5, ... <= max_multiple, P = S4_SEED_POINT.
+    k = 1, 3, 5, ... <= max_multiple, P = S4_SEED_POINT = (x, y).
 
-    Each step kP -> (k+2)P is a mixed addition with the integral
-    2P = (x2, y2) = (4291, 279856): with N = y2 e^3 - Y and H = x2 e^2 - X,
-    e' = eH, X' = N^2 - (X + x2 e^2) H^2 and Y' = N(X H^2 - X') - Y H^3
-    (H > 0, as x(kP) < 243 < x2).  This is the lowest triple of (k+2)P,
-    (X'', Y'', e''), times (d^2, d^3, d), so f = gcd(X', e') = d gcd(d, e'').
-    A prime p | e'' does not divide e: for p | e, H is prime to p and X' is
-    divisible by p^(2 v_p(e')), so (k+2)P is p-integral.  For p not dividing
-    e or 2 y2 = 2^5 * 17491, expanding x2 - x((k+2)P - 2P) in the p-adic
-    parameter of (k+2)P gives v_p(H) = v_p(e''), so p does not divide d.
-    The primes 2 and 17491 never divide e'': the multiples whose
-    denominator they divide form subgroups, 12Z and 4Z, with no odd k.
-    So f = d, and one gcd per step keeps the walk in lowest terms.
+    kP = (phi_k / psi_k^2, omega_k / psi_k^3) with the division
+    polynomials psi_k of _s4_extend_psi, phi_k = x psi_k^2 -
+    psi_{k-1} psi_{k+1} and omega_k = (psi_{k+2} psi_{k-1}^2 -
+    psi_{k-2} psi_{k+1}^2) / 4y (Silverman, Ex. 3.7).  The list of psi
+    grows lazily, to psi_{k+2} at k, so a caller that stops early pays
+    for no more.
+
+    Lowest terms: a prime dividing both phi_k and psi_k makes P singular
+    mod p (Ayad, Points S-entiers des courbes elliptiques, Manuscripta
+    Math. 76, 1992), which needs p | 2y = 16.  So with psi_k = +-2^v e,
+    e odd, x(kP) = phi_k / (2^(2v) e^2) and gcd(phi_k, e) = 1.  2 divides
+    no odd multiple's denominator (the multiples whose denominator it
+    divides are 12Z), so 2^(2v) | phi_k, X = phi_k / 2^(2v) and e is the
+    lowest denominator.  Then y(kP) = Y/e^3 (module docstring) gives
+    omega_k = +-2^(3v) Y, with the sign of psi_k: omega_k is an integer,
+    the division by 4y = 32 is exact, and 2^(3v) comes off Y by a shift.
+    So the walk needs no gcd, and its only divisions are by 16 and 32.
     """
-    x2, y2 = _S4_DOUBLE_SEED
-    X, Y, e = S4_SEED_POINT.x.numerator, S4_SEED_POINT.y.numerator, 1
+    x = S4_SEED_POINT.x.numerator
+    psi = _s4_psi_seed()
     for k in range(1, max_multiple + 1, 2):
-        if k > 1:
-            e2 = e * e
-            n, h = y2 * e2 * e - Y, x2 * e2 - X
-            hh = h * h
-            X2 = n * n - (X + x2 * e2) * hh
-            Y2 = n * (X * hh - X2) - Y * h * hh
-            f = gcd(X2, e * h)
-            X, Y, e = X2 // (f * f), Y2 // (f * f * f), e * h // f
-        yield X, Y, e
+        _s4_extend_psi(psi, k + 2)
+        before2 = psi[k - 2] if k > 1 else -1  # psi_{-1} = -psi_1
+        before, p, after, after2 = psi[k - 1], psi[k], psi[k + 1], psi[k + 2]
+        phi = x * p * p - before * after
+        omega = (after2 * before * before - before2 * after * after) // 32
+        v = (p & -p).bit_length() - 1
+        Y = omega >> 3 * v
+        yield phi >> 2 * v, Y if p > 0 else -Y, abs(p) >> v
 
 
 def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
@@ -329,9 +365,9 @@ def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
     identity component, so exactly the odd multiples land in it.  -kP only
     swaps b2 and b3, so it would repeat kP's solution.
 
-    Everything runs on integers.  The walk carries kP in lowest terms as
-    (X/e^2, Y/e^3) and, after each addition of 2P, divides out
-    f = gcd(X', e'), which is the whole common factor (_s4_odd_multiples);
+    Everything runs on integers.  The walk yields kP in lowest terms as
+    (X/e^2, Y/e^3), read off the division polynomials psi_k of P with a
+    shift by a power of 2 in place of a gcd (_s4_odd_multiples);
     _s4_solution clears the chart's denominators by a gcd that divides 384
     (module docstring) and still tests that each multiple is on the curve.
     """

@@ -5,13 +5,17 @@ point at run time: exactly the odd multiples of (235, 8) land in the
 positive region, and -kP repeats the solution of kP.  These tests pin both
 facts for k <= 80 and check that gen4 prints what the oracle walk printed.
 They also check the integer pipeline (lowest-terms triples (X, Y, e) with
-x = X/e^2, y = Y/e^3) against the oracle's Fraction points and charts.
+x = X/e^2, y = Y/e^3) against the oracle's Fraction points and charts, the
+division-polynomial facts the walk takes as proven, and the walk against the
+older mixed-addition walk well past the Fraction oracle's reach.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from math import gcd, isqrt, prod
@@ -20,14 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen4_oracle import ORACLE_MAX_MULTIPLE, oracle_walk, signed_solutions
+from gen4_oracle import ORACLE_MAX_MULTIPLE, mixed_addition_walk, oracle_walk, signed_solutions
 from sumprodpower import cli
 from sumprodpower.exactmath import parse_decimal
 from sumprodpower.elliptic import Point
 from sumprodpower.transforms import (
     BVector,
     _s4_chart,
+    _s4_extend_psi,
     _s4_odd_multiples,
+    _s4_psi_seed,
     clear_denominators,
     primitive_reduce,
     s4_forward,
@@ -38,12 +44,23 @@ from sumprodpower.transforms import (
 )
 
 MAX_MULTIPLE = 80
+# Where the walk is checked against mixed_addition_walk; the coordinates
+# there pass 4300 digits.
+LONG_WALK = 121
 FLAG_SETS = [[], ["--primitive"], ["--format", "tsv"], ["--primitive", "--format", "tsv"]]
 
 
 @pytest.fixture(scope="module")
 def walk():
     return list(s4_solutions(MAX_MULTIPLE))
+
+
+@pytest.fixture(scope="module")
+def psi():
+    """psi_0 .. psi_{LONG_WALK + 2}, every value the walk to LONG_WALK reads."""
+    values = _s4_psi_seed()
+    _s4_extend_psi(values, LONG_WALK + 2)
+    return values
 
 
 def run_gen4(capsys, *argv) -> tuple[int, str, str]:
@@ -170,11 +187,47 @@ class TestIntegerKernel:
 
     def test_two_and_17491_divide_only_denominators_of_even_multiples(self):
         # The multiples whose denominator a prime divides form a subgroup of
-        # Z; these first 12 multiples pin 12Z for 2 and 4Z for 17491, which
-        # is why the walk's gcd f is the whole common factor at odd k.
+        # Z; these first 12 multiples pin 12Z for 2 and 4Z for 17491.  The
+        # first is why the walk's shift by v_2(psi_k) leaves an odd multiple
+        # in lowest terms; the second kept mixed_addition_walk's gcd whole.
         denominators = [weighted(point)[2] for _, point, _ in signed_solutions(12)[::2]]
         assert [k for k, e in enumerate(denominators, 1) if e % 2 == 0] == [12]
         assert [k for k, e in enumerate(denominators, 1) if e % 17491 == 0] == [4, 8, 12]
+
+    def test_phi_and_psi_share_only_powers_of_two(self, psi):
+        for k in range(1, ORACLE_MAX_MULTIPLE + 1, 2):
+            g = gcd(235 * psi[k] ** 2 - psi[k - 1] * psi[k + 1], psi[k])
+            assert g & (g - 1) == 0, k
+
+    def test_psi_divisions_by_16_and_32_are_exact(self, psi):
+        for j in range(6, LONG_WALK + 3, 2):
+            m = j // 2
+            bracket = psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2
+            assert psi[m] * bracket % 16 == 0, j
+        for k in range(1, LONG_WALK + 1, 2):
+            before2 = psi[k - 2] if k > 1 else -1
+            assert (psi[k + 2] * psi[k - 1] ** 2 - before2 * psi[k + 1] ** 2) % 32 == 0, k
+
+    def test_psi_takes_both_signs_at_odd_k(self, psi):
+        # The sign of Y follows the sign of psi_k, so both branches run.
+        signs = {psi[k] > 0 for k in range(1, ORACLE_MAX_MULTIPLE + 1, 2)}
+        assert signs == {True, False}
+
+    def test_walk_is_the_mixed_addition_walk(self):
+        assert list(_s4_odd_multiples(LONG_WALK)) == list(mixed_addition_walk(LONG_WALK))
+
+    @pytest.mark.parametrize("code, lines", [
+        ("from sumprodpower.cli import main; raise SystemExit(main("
+         "['gen4', '--count', '3', '--max-multiple', '1000000000000']))", 3),
+        ("from sumprodpower.transforms import _s4_odd_multiples; "
+         "print(next(_s4_odd_multiples(10**12)))", 1),
+    ], ids=["gen4", "next"])
+    def test_walk_is_lazy(self, code, lines):
+        # A walk that built psi up to max_multiple first would not return.
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.splitlines()) == lines
 
     def test_region_failure_in_the_walk_is_loud(self, monkeypatch):
         monkeypatch.setattr("sumprodpower.transforms._s4_odd_multiples",
