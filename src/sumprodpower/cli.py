@@ -58,7 +58,7 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [parse_decimal(tok) for tok in text.split(",") if tok != ""]
+        return [parse_decimal(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
@@ -72,7 +72,7 @@ def _fraction(text: str) -> Fraction:
 
 def _fraction_list(text: str) -> list[Fraction]:
     try:
-        return [parse_fraction(tok) for tok in text.split(",") if tok != ""]
+        return [parse_fraction(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}") from exc
 

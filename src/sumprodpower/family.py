@@ -24,7 +24,7 @@ from math import isqrt, prod
 
 from .elliptic import Point, WeierstrassCurve, on_curve
 from .exactmath import Poly, format_decimal, format_fraction, poly_divrem
-from .transforms import BVector, DioSolution, clear_denominators
+from .transforms import DioSolution, clear_denominators
 
 __all__ = [
     "b1_roots",
@@ -266,8 +266,8 @@ def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
         b1 = u v^3 t0 / (2D),  b2 = D / (2 u v t0 (u t0^2 + 1)),
         b3 = D t0 / (2 v (u t0^2 + 1)).
     All three are positive exactly when D > 0, and they satisfy
-    b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this; BVector checks
-    it again for general_solution).
+    b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this; general_solution
+    leaves the final check on the cleared integers to DioSolution).
     """
     u, v, t0, d = params.u, params.v, params.t0, params.d
     if d == 0:
@@ -348,10 +348,14 @@ def positivity_classify(u: Fraction | int, v: Fraction | int) -> PositivitySplit
 
 
 def general_solution(params: FamilyParams) -> DioSolution:
-    """Assemble and clear a full solution vector (b1, b2, b3, tail) for s >= 5."""
+    """Assemble and clear a full solution vector (b1, b2, b3, tail) for s >= 5.
+
+    The vector has prod * sum = 1 (leading_triple) and, with D > 0, positive
+    entries, so DioSolution's test of the cleared integers is the only one.
+    """
     if params.d <= 0:
         raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(params.d)}")
-    return clear_denominators(BVector(params.s, (*leading_triple(params), *params.tail)))
+    return clear_denominators((*leading_triple(params), *params.tail))
 
 
 def s5_polynomial_family(sub: S5Substitution) -> DioSolution:

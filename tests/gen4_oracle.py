@@ -21,7 +21,6 @@ from typing import Iterator
 
 from sumprodpower.elliptic import Point, add, negate
 from sumprodpower.transforms import (
-    BVector,
     DioSolution,
     clear_denominators,
     primitive_reduce,
@@ -50,7 +49,7 @@ ORACLE_MAX_MULTIPLE = 81
 @lru_cache(maxsize=None)
 def _signed_solutions() -> tuple[tuple[int, Point, DioSolution | None], ...]:
     return tuple(
-        (k, point, clear_denominators(BVector(4, s4_inverse(point)))
+        (k, point, clear_denominators(s4_inverse(point))
          if s4_in_positive_region(point) else None)
         for k, point in signed_multiples(ORACLE_MAX_MULTIPLE)
     )

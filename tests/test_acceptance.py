@@ -130,14 +130,14 @@ def test_criterion_04_s3_negative_result(capsys):
 def test_criterion_05_s4_generator(capsys):
     curve = s4_curve()
     # k = 1 gives the seed solution
-    seed_sol = primitive_reduce(clear_denominators(BVector(4, s4_inverse(Point(235, 8)))))
+    seed_sol = primitive_reduce(clear_denominators(s4_inverse(Point(235, 8))))
     assert seed_sol.sorted_parts == (1, 2, 24)
 
     # the published example point: on the curve, inside the region, and it
     # clears (after primitive reduction, as a multiset) to the printed parts
     assert on_curve(curve, EXAMPLE_POINT)
     assert s4_in_positive_region(EXAMPLE_POINT)
-    example_sol = primitive_reduce(clear_denominators(BVector(4, s4_inverse(EXAMPLE_POINT))))
+    example_sol = primitive_reduce(clear_denominators(s4_inverse(EXAMPLE_POINT)))
     assert example_sol.sorted_parts == EXAMPLE_PARTS
 
     # the non-integral witness is on the curve (its role is the infinite-order

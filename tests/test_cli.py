@@ -63,6 +63,17 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--s", "4", "--parts", "1,-2,24")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--s", "4", "--parts", "1,,2,24"), "--parts"),
+        (("verify", "--s", "4", "--parts", "1,2,24,"), "--parts"),
+        (("gen4", "--from-point", "235,,8"), "--from-point"),
+        (("family", "--s", "6", "--tail", ",1,1", "--t0", "1"), "--tail"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_empty_list_entry_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and f"error: argument {flag}: " in err
+
     def test_tsv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--s", "4", "--parts", "24,2,1", "--format", "tsv")
         assert code == 0

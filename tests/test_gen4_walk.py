@@ -17,6 +17,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
 
@@ -27,15 +28,17 @@ from hypothesis import strategies as st
 from gen4_oracle import ORACLE_MAX_MULTIPLE, mixed_addition_walk, oracle_walk, signed_solutions
 from sumprodpower import cli
 from sumprodpower.exactmath import parse_decimal
-from sumprodpower.elliptic import Point
+from sumprodpower.elliptic import Point, on_curve
 from sumprodpower.transforms import (
     BVector,
     _s4_chart,
     _s4_extend_psi,
     _s4_odd_multiples,
     _s4_psi_seed,
+    _s4_solution,
     clear_denominators,
     primitive_reduce,
+    s4_curve,
     s4_forward,
     s4_in_positive_region,
     s4_inverse,
@@ -163,7 +166,7 @@ class TestIntegerKernel:
         # when it divides y.
         for x, y in INTEGRAL_POINTS:
             for point in (Point(x, y), Point(x, -y)):
-                sol = (clear_denominators(BVector(4, s4_inverse(point)))
+                sol = (clear_denominators(s4_inverse(point))
                        if s4_in_positive_region(point) else None)
                 assert s4_point_solution(point) == sol, point
 
@@ -213,6 +216,26 @@ class TestIntegerKernel:
         signs = {psi[k] > 0 for k in range(1, ORACLE_MAX_MULTIPLE + 1, 2)}
         assert signs == {True, False}
 
+    def test_in_region_triple_gives_a_record_iff_on_the_curve(self):
+        # _s4_solution tests no membership: in the region DioSolution's
+        # equation holds exactly on the curve.  The odd multiples and their
+        # perturbations in Y that the chart still maps into the region.
+        on, off = 0, 0
+        for X, Y, e in _s4_odd_multiples(41):
+            for dy in (0, -1, 1, 2):
+                _, n2, n3, den = _s4_chart(X, Y + dy, e)
+                if min(n2, n3, den) <= 0:
+                    continue
+                point = Point(Fraction(X, e * e), Fraction(Y + dy, e ** 3))
+                if on_curve(s4_curve(), point):
+                    assert _s4_solution(X, Y + dy, e) is not None, (X, Y + dy, e)
+                    on += 1
+                else:
+                    with pytest.raises(ValueError, match="is not b\\*\\*s"):
+                        _s4_solution(X, Y + dy, e)
+                    off += 1
+        assert (on, off) == (21, 3 * 21)
+
     def test_walk_is_the_mixed_addition_walk(self):
         assert list(_s4_odd_multiples(LONG_WALK)) == list(mixed_addition_walk(LONG_WALK))
 
@@ -239,6 +262,7 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("text, reason", [
         ("1,1", "is not on the s=4 curve"),
+        ("300,1", "is not on the s=4 curve"),  # and outside the region: membership first
         ("1/4,1/8", "is not on the s=4 curve"),  # of the form (X/e^2, Y/e^3)
         ("1/2,1/3", "is not on the s=4 curve"),  # not of that form
         # 3 * (235, 8) with y's denominator dropped.

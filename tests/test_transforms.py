@@ -84,12 +84,12 @@ class TestBVector:
 class TestClearDenominators:
     def test_seed_fiber(self):
         bvec = BVector(4, (Fraction(1, 6), Fraction(1, 3), Fraction(4)))
-        sol = clear_denominators(bvec)
+        sol = clear_denominators(bvec.entries)
         assert (sol.parts, sol.b, sol.n) == ((1, 2, 24), 6, 27)
 
     def test_s5_vector(self):
         bvec = BVector(5, (Fraction(1, 14), Fraction(7, 4), Fraction(7, 4), Fraction(1)))
-        sol = clear_denominators(bvec)
+        sol = clear_denominators(bvec.entries)
         assert (sol.parts, sol.b, sol.n) == ((2, 49, 49, 28), 28, 128)
 
     def test_power_identity_always_holds(self, rng):
@@ -97,7 +97,7 @@ class TestClearDenominators:
         for parts, b in [((1, 2, 24), 6), ((1, 2, 12, 12), 6), ((1, 1, 2, 2, 2), 2)]:
             s = len(parts) + 1
             bvec = BVector(s, tuple(Fraction(a, b) for a in parts))
-            sol = clear_denominators(bvec)
+            sol = clear_denominators(bvec.entries)
             assert prod(sol.parts) * sol.n == sol.b ** sol.s
 
     def test_rejects_non_positive(self):
@@ -105,7 +105,12 @@ class TestClearDenominators:
         bvec = BVector(4, entries)  # mixed signs still satisfy prod*sum = 1
         assert not bvec.is_positive
         with pytest.raises(ValueError):
-            clear_denominators(bvec)
+            clear_denominators(bvec.entries)
+
+    def test_rejects_positive_entries_off_the_identity(self):
+        # DioSolution is the only check: prod * sum = 3 here.
+        with pytest.raises(ValueError, match="is not b\\*\\*s"):
+            clear_denominators((Fraction(1), Fraction(1), Fraction(1)))
 
 
 class TestPrimitiveReduce:
@@ -205,7 +210,7 @@ class TestS4Maps:
         for point in (EXAMPLE_POINT, negate(EXAMPLE_POINT)):
             triple = s4_inverse(point)
             assert all(b > 0 for b in triple)
-            sol = primitive_reduce(clear_denominators(BVector(4, triple)))
+            sol = primitive_reduce(clear_denominators(triple))
             assert sol.sorted_parts == tuple(sorted(EXAMPLE_PARTS))
 
     def test_witness_point_is_outside_region(self):
