@@ -6,7 +6,8 @@ line, as JSON objects ({"s": ..., "parts": [...], "n": ..., "b": ...,
 go to stderr.  Rationals on the command line are written p/q, integers as
 unbounded decimals.  Exit codes: 0 success, 1 mathematical failure (not a
 solution, or positivity violated), 2 usage error, 3 generation budget
-exhausted, 130 interrupted (Ctrl-C).
+exhausted, 130 interrupted (Ctrl-C).  A usage error prints the usage line of
+the subcommand it came from (the top-level one when there is no subcommand).
 """
 
 from __future__ import annotations
@@ -104,18 +105,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gen4(args: argparse.Namespace) -> int:
     if args.from_point is not None:
         point = args.from_point
-        shown = f"({format_fraction(point.x)}, {format_fraction(point.y)})"
         try:
             sol = s4_point_solution(point)
         except ValueError:
-            print(f"point {shown} is not on the s=4 curve", file=sys.stderr)
-            return 1
+            sol, reason = None, "is not on the s=4 curve"
+        else:
+            reason = "is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
         if sol is None:
-            print(
-                f"point {shown} is outside the positive region "
-                "(needs x < 243 and |y| < 6369 - 27x)",
-                file=sys.stderr,
-            )
+            print(f"point ({format_fraction(point.x)}, {format_fraction(point.y)}) {reason}",
+                  file=sys.stderr)
             return 1
         print(render(primitive_reduce(sol) if args.primitive else sol, "gen4", args.format))
         return 0
@@ -214,7 +212,8 @@ def cmd_s3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="sumprodpower",
         description="Construct, generate, search and verify solutions of "
@@ -268,18 +267,30 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="brute-force bound on a1 + a2 (default 10000)")
     p_s3.set_defaults(func=cmd_s3)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER: argparse.ArgumentParser | None = None
+_PARSERS: tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]] | None = None
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv with the parser of the subcommand that argv[0] names, in
+    one pass; the top-level parser takes every other argv (none, -h, an
+    unknown command).  The Namespace is the top-level one without its
+    `command` key."""
+    global _PARSERS
+    if _PARSERS is None:
+        _PARSERS = _build_parser()
+    parser, commands = _PARSERS
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     return args.func(args)

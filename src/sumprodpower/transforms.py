@@ -278,16 +278,23 @@ def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
 def s4_point_solution(point: Point) -> DioSolution | None:
     """clear_denominators(s4_inverse(point)) for an affine point in the
     positive region, None for one outside it; ValueError when the point is
-    not on the curve.  Membership is tested first, on the integers
-    (X, Y, e) read off the coordinates, since the point comes from outside
-    the program; the region test and the clearing follow (_s4_solution)."""
+    not on the curve.  The point comes from outside the program, so its
+    form (X/e^2, Y/e^3) is tested first.  Then _s4_solution runs the region
+    test and the clearing, and its DioSolution rejects an off-curve point
+    in the region (the 8192 identity).  Only a point outside the region
+    gets the membership test, on the integers (X, Y, e)."""
     x, y = point.x, point.y
     X, Y, e = x.numerator, y.numerator, isqrt(x.denominator)
     e2 = e * e
-    if (e2 != x.denominator or y.denominator != e2 * e  # see module docstring
-            or Y * Y != X * X * X + _S4_B * X * e2 * e2 + _S4_C * e2 * e2 * e2):
+    if e2 != x.denominator or y.denominator != e2 * e:  # see module docstring
         raise ValueError("point is not on the s=4 curve")
-    return _s4_solution(X, Y, e)
+    try:
+        sol = _s4_solution(X, Y, e)
+    except ValueError as exc:
+        raise ValueError("point is not on the s=4 curve") from exc
+    if sol is None and Y * Y != X * X * X + _S4_B * X * e2 * e2 + _S4_C * e2 * e2 * e2:
+        raise ValueError("point is not on the s=4 curve")
+    return sol
 
 
 def _s4_psi_seed() -> list[int]:

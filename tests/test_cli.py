@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shlex
@@ -5,9 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, signed_solutions
@@ -438,6 +443,12 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+        # No subcommand: main reads sys.argv and falls back to the top-level parser.
+        for argv, code in (([], 2), (["bogus"], 2), (["--help"], 0)):
+            proc = subprocess.run([sys.executable, "-m", "sumprodpower.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == code, argv
+            assert proc.stdout.startswith("usage: sumprodpower ") == (code == 0), argv
 
     def test_math_failure_exit_code(self):
         proc = subprocess.run(
@@ -446,6 +457,111 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+
+COMMANDS = ("verify", "gen4", "family", "search", "s3")
+FLAGS = ("--s", "--parts", "--format", "--count", "--max-multiple", "--primitive",
+         "--from-point", "--tail", "--t0", "--t1", "--t2", "--max-n", "--max-part", "--jobs",
+         "--brute-max", "-h", "--help", "--")
+VALUES = ("4", "5", "1,2,24", "235,8", "1/2", "jsonl", "tsv", "2,3")
+MALFORMED = ("0", "-3", "1,,2", "1/0", "x", "", "xml", "1.5", "--bogus", "-", "--s=4",
+             "--par", "--parts=1,2,24", "-s", "bogus", "verify")
+TOKENS = st.one_of(st.sampled_from(COMMANDS + FLAGS + VALUES + MALFORMED),
+                   st.integers(-10, 10 ** 6).map(str), st.text(max_size=4))
+WELL_FORMED = (
+    ("verify", "--s", "4", "--parts", "1,2,24"),
+    ("verify", "--format", "tsv", "--s", "5", "--parts", "1,2,3,4"),
+    ("gen4", "--count", "3", "--max-multiple", "9", "--primitive"),
+    ("gen4", "--from-point", "235,8", "--format", "tsv"),
+    ("family", "--s", "5", "--t1", "2", "--t2", "3"),
+    ("family", "--s", "6", "--tail", "1/2,2", "--t0", "1/3", "--primitive"),
+    ("search", "--s", "4", "--max-n", "100", "--max-part", "50", "--jobs", "2"),
+    ("s3", "--brute-max", "100"),
+)
+
+
+@st.composite
+def edited_well_formed(draw) -> list[str]:
+    """A well-formed argv with up to two tokens after the subcommand
+    replaced, inserted or deleted."""
+    argv = list(draw(st.sampled_from(WELL_FORMED)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(TOKENS))
+        elif edit == "replace":
+            argv[i] = draw(TOKENS)
+        else:
+            del argv[i]
+    return argv
+
+
+ARGVS = st.one_of(
+    edited_well_formed(),
+    st.builds(lambda command, rest: [command, *rest], st.sampled_from(COMMANDS),
+              st.lists(TOKENS, max_size=8)),
+    st.lists(TOKENS, max_size=6),
+)
+
+
+@cache
+def top_level_parser():
+    return cli._build_parser()[0]
+
+
+def parse_outcome(parse, argv) -> tuple[dict | None, int | None, str, str]:
+    """(vars of the Namespace or None, SystemExit code or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=ARGVS)
+    @example(argv=["verify", "--parts", "1,2,24", "--", "--s", "4"])
+    @example(argv=["--", "verify", "--s", "4", "--parts", "1,2,24"])
+    @example(argv=["verify", "--s=4", "--par", "1,2,24", "--bogus"])
+    @example(argv=["family", "--s", "5", "--t1", "2", "--t2", "3", "-h", "--bogus"])
+    def test_matches_the_top_level_parse(self, argv):
+        fast = parse_outcome(cli._parse, argv)
+        namespace, code, out, err = parse_outcome(top_level_parser().parse_args, argv)
+        if namespace is not None:
+            assert namespace.pop("command") == argv[0]
+        assert fast[:3] == (namespace, code, out)
+        if fast[3] != err:
+            # Only an unrecognized argument after a subcommand differs: it
+            # reports the subcommand's usage and prog.
+            message = err.rpartition("\nsumprodpower: error: ")[2]
+            assert message.startswith("unrecognized arguments: ")
+            assert fast[3].startswith(f"usage: sumprodpower {argv[0]} [-h]")
+            assert fast[3].endswith(f"\nsumprodpower {argv[0]}: error: {message}")
+
+    def test_unrecognized_argument_reports_the_subcommand_usage(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2,24", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sumprodpower verify [-h] --s S --parts PARTS")
+        assert err.endswith("\nsumprodpower verify: error: unrecognized arguments: --bogus\n")
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        def run_argv(*argv):
+            monkeypatch.setattr(sys, "argv", ["sumprodpower", *argv])
+            code = main()
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        code, out, err = run_argv("verify", "--s", "4", "--parts", "1,2,24")
+        assert (code, json.loads(out)["b"], err) == (0, 6, "")
+        code, out, err = run_argv()
+        assert (code, out) == (2, "")
+        assert err.endswith("\nsumprodpower: error: the following arguments are required: command\n")
+        code, out, err = run_argv("--help")
+        assert (code, err) == (0, "") and out.startswith("usage: sumprodpower [-h]")
 
 
 class TestInterrupt:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from gen4_oracle import ORACLE_MAX_MULTIPLE, mixed_addition_walk, oracle_walk, signed_solutions
 from sumprodpower import cli
-from sumprodpower.exactmath import parse_decimal
+from sumprodpower.exactmath import format_fraction, parse_decimal
 from sumprodpower.elliptic import Point, on_curve
 from sumprodpower.transforms import (
     BVector,
@@ -273,6 +273,26 @@ class TestIntegerKernel:
         code, out, err = run_gen4(capsys, f"--from-point={text}")
         assert (code, out) == (1, "")
         assert err == f"point ({text.replace(',', ', ')}) {reason}\n"
+
+    def test_from_point_off_the_curve_in_the_region_next_to_on_it_outside(self, capsys):
+        # In the region DioSolution rejects an off-curve point, before any
+        # membership test; outside it the membership test decides, so the
+        # on-curve (243, 192) still reads "outside the positive region".
+        off = [Point(235, 7), Point(235, -9), Point(0, 0), Point(-400, 1),
+               Point(Fraction(1, 4), Fraction(1, 8))]
+        for point in off:
+            assert point.x < 243 and abs(point.y) < 6369 - 27 * point.x
+            assert not on_curve(s4_curve(), point)
+            with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
+                s4_point_solution(point)
+        outside = Point(243, 192)
+        assert on_curve(s4_curve(), outside) and s4_point_solution(outside) is None
+        for point in [*off, outside]:
+            text = f"{format_fraction(point.x)},{format_fraction(point.y)}"
+            reason = ("is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
+                      if point is outside else "is not on the s=4 curve")
+            code, out, err = run_gen4(capsys, f"--from-point={text}")
+            assert (code, out, err) == (1, "", f"point ({text.replace(',', ', ')}) {reason}\n")
 
 
 class TestProperties:
