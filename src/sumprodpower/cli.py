@@ -167,7 +167,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     try:
         spec = SearchSpec(s=args.s, n_max=args.max_n, a_max=args.max_part, jobs=args.jobs)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        return _usage_error(str(exc).replace("n_max", "--max-n"))
     try:  # the prefix walk recurses once per part
         solutions = enumerate_solutions(spec)
     except RecursionError:
@@ -181,7 +181,7 @@ def cmd_s3(args: argparse.Namespace) -> int:
     try:
         spec = SearchSpec(3, args.brute_max)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        return _usage_error(str(exc).replace("n_max", "--brute-max"))
     curve = s3_curve()
     print("curve: y^2 = x^3 + 16")
     candidates = nagell_lutz_candidates(curve)

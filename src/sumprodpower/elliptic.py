@@ -1,11 +1,11 @@
 """Elliptic curves ``y^2 = x^3 + a*x^2 + b*x + c`` over the exact rationals.
 
-Affine chord-and-tangent group law, integral torsion candidates (points with
-integer coordinates whose y is zero or divides the cubic discriminant), and a
-certificate of infinite order based on coordinate integrality.  All points are
-kept in exact ``Fraction`` coordinates, whose size grows like k^2 along the
-multiples kP: on the s=4 curve the x-numerator of k * (235, 8) has 396
-digits at k = 25, 2269 at k = 60 and 4035 at k = 80.
+Curves and points in exact ``Fraction`` coordinates, the exact membership
+test, the cubic's discriminant, and the integral torsion candidates (points
+with integer coordinates whose y is zero or divides the discriminant) that
+the s=3 report traces back.  The group law and the certificate of infinite
+order are test references (tests/certificates.py): the s=4 walk reads its
+multiples off division polynomials in integers instead.
 """
 
 from __future__ import annotations
@@ -15,23 +15,7 @@ from fractions import Fraction
 
 from .exactmath import divisors
 
-__all__ = [
-    "INFINITY",
-    "MAZUR_TORSION_BOUND",
-    "Point",
-    "WeierstrassCurve",
-    "add",
-    "certify_infinite_order",
-    "discriminant",
-    "nagell_lutz_candidates",
-    "negate",
-    "on_curve",
-    "scalar_mul",
-]
-
-# Largest possible order of a rational torsion point (Mazur's theorem);
-# makes the torsion test below terminate.
-MAZUR_TORSION_BOUND = 12
+__all__ = ["Point", "WeierstrassCurve", "discriminant", "nagell_lutz_candidates", "on_curve"]
 
 
 @dataclass(frozen=True)
@@ -52,20 +36,10 @@ class Point:
     def is_infinity(self) -> bool:
         return self.x is None
 
-    @property
-    def is_integral(self) -> bool:
-        """True for affine points with both coordinates in Z."""
-        if self.is_infinity:
-            return False
-        return self.x.denominator == 1 and self.y.denominator == 1
-
     def __repr__(self) -> str:
         if self.is_infinity:
             return "Point(infinity)"
         return f"Point({self.x}, {self.y})"
-
-
-INFINITY = Point(None, None)
 
 
 @dataclass(frozen=True)
@@ -109,54 +83,6 @@ def on_curve(curve: WeierstrassCurve, point: Point) -> bool:
     return point.y * point.y == curve.rhs(point.x)
 
 
-def negate(point: Point) -> Point:
-    """Reflection across the x-axis (the group inverse)."""
-    if point.is_infinity:
-        return point
-    return Point(point.x, -point.y)
-
-
-def _add_unchecked(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    if p.x == q.x:
-        if p.y == -q.y:
-            return INFINITY
-        # doubling; p.y != 0 here since otherwise p == -p was caught above
-        lam = (3 * p.x * p.x + 2 * curve.a * p.x + curve.b) / (2 * p.y)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - curve.a - p.x - q.x
-    y3 = lam * (p.x - x3) - p.y
-    return Point(x3, y3)
-
-
-def add(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
-    """Group law sum of two points on ``curve``."""
-    if not on_curve(curve, p) or not on_curve(curve, q):
-        raise ValueError("point is not on the curve")
-    return _add_unchecked(curve, p, q)
-
-
-def scalar_mul(curve: WeierstrassCurve, k: int, point: Point) -> Point:
-    """``k``-th multiple of ``point`` by double-and-add; ``k`` may be negative."""
-    if not on_curve(curve, point):
-        raise ValueError("point is not on the curve")
-    if k < 0:
-        k, point = -k, negate(point)
-    result = INFINITY
-    base = point
-    while k:
-        if k & 1:
-            result = _add_unchecked(curve, result, base)
-        k >>= 1
-        if k:
-            base = _add_unchecked(curve, base, base)
-    return result
-
-
 def _integer_roots(a: int, b: int, c: int) -> set[int]:
     # Integer roots of x^3 + a x^2 + b x + c.  A zero constant term gives the
     # root 0; dividing out x until the constant term is non-zero leaves the
@@ -190,28 +116,3 @@ def nagell_lutz_candidates(curve: WeierstrassCurve) -> list[Point]:
                 points.add(Point(x, -y))
     return sorted(points, key=lambda p: (p.x, p.y))
 
-
-def certify_infinite_order(curve: WeierstrassCurve, point: Point) -> bool:
-    """Certify that ``point`` has infinite order on an integral-model curve.
-
-    Torsion points of an integral model have integer coordinates, and the
-    order of a rational torsion point is at most MAZUR_TORSION_BOUND.  So it
-    is enough to walk the multiples [k]P for k up to that bound: reaching a
-    non-integral coordinate proves infinite order immediately, reaching the
-    point at infinity proves torsion, and surviving all multiples with no
-    infinity also proves infinite order.
-    """
-    if not curve.has_integer_coefficients:
-        raise ValueError("integral model required: coefficients must be integers")
-    if point.is_infinity:
-        raise ValueError("the point at infinity is trivially torsion")
-    if not on_curve(curve, point):
-        raise ValueError("point is not on the curve")
-    multiple = point
-    for _ in range(MAZUR_TORSION_BOUND):
-        if multiple.is_infinity:
-            return False
-        if not multiple.is_integral:
-            return True
-        multiple = _add_unchecked(curve, multiple, point)
-    return True

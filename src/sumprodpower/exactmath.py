@@ -1,10 +1,8 @@
 """Exact integer and rational primitives shared by every other module.
 
 Everything here is arbitrary precision: integer k-th roots, perfect-power
-detection, divisor enumeration by trial division, decimal conversion of
-integers and rationals of any length, and dense univariate polynomials with
-``Fraction`` coefficients (needed for the non-polynomiality remainder
-certificate).  No floating point is used anywhere.
+detection, divisor enumeration by trial division, and decimal conversion of
+integers and rationals of any length.  No floating point is used anywhere.
 
 The k-th root rests on two facts.  For a continuous increasing f that takes
 integer values only at integers, such as x ** (1/j), floor(f(floor(x))) ==
@@ -20,13 +18,10 @@ Zimmermann, Modern Computer Arithmetic, 1.5.2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 __all__ = [
-    "Poly",
     "divisors",
     "format_decimal",
     "format_fraction",
@@ -34,7 +29,6 @@ __all__ = [
     "parse_decimal",
     "parse_fraction",
     "perfect_sth_power",
-    "poly_divrem",
 ]
 
 
@@ -178,68 +172,3 @@ def divisors(n: int) -> list[int]:
         d += 1
     return small + large[::-1]
 
-
-@dataclass(frozen=True)
-class Poly:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    Coefficients are stored ascending by degree with trailing zeros trimmed;
-    the zero polynomial is the empty coefficient tuple.
-    """
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out)
-
-
-def poly_divrem(numer: Poly, denom: Poly) -> tuple[Poly, Poly]:
-    """Exact long division: ``numer == q * denom + r`` with ``deg r < deg denom``."""
-    if denom.is_zero:
-        raise ValueError("division by the zero polynomial")
-    rem = list(numer.coeffs)
-    dcs: Sequence[Fraction] = denom.coeffs
-    lead = dcs[-1]
-    qlen = max(len(rem) - len(dcs) + 1, 0)
-    q = [Fraction(0)] * qlen
-    while len(rem) >= len(dcs) and rem:
-        shift = len(rem) - len(dcs)
-        c = rem[-1] / lead
-        q[shift] = c
-        for i, d in enumerate(dcs):
-            rem[i + shift] -= c * d
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return Poly(q), Poly(rem)

@@ -45,7 +45,6 @@ is a function of the spec alone.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 from bisect import bisect_left, bisect_right
@@ -55,7 +54,7 @@ from math import isqrt
 from .exactmath import int_nth_root
 from .transforms import DioSolution
 
-__all__ = ["MembershipReport", "SearchSpec", "check_table_membership", "enumerate_solutions"]
+__all__ = ["SearchSpec", "enumerate_solutions"]
 
 # The largest n_max a search accepts; sized in the module docstring.
 N_MAX_LIMIT = 10**7
@@ -74,7 +73,7 @@ class SearchSpec:
         if self.s < 3:
             raise ValueError("s must be >= 3")
         if self.n_max < self.s - 1:
-            raise ValueError("n_max must be at least s - 1")
+            raise ValueError(f"n_max must be at least {self.s - 1}")
         if self.n_max > N_MAX_LIMIT:
             raise ValueError(f"n_max must be at most {N_MAX_LIMIT}")
         if self.a_max is not None and self.a_max < 1:
@@ -229,6 +228,8 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
         # cost and the pool's first-free-worker dispatch keeps loads even.
         step = -(-lead_hi // (4 * workers))
         blocks = [(lo, min(lo + step - 1, lead_hi)) for lo in range(1, lead_hi + 1, step)]
+        import multiprocessing  # here, so that serial runs skip its import
+
         raw = []
         with multiprocessing.Pool(
             min(workers, len(blocks)),
@@ -240,27 +241,3 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
     raw.sort(key=lambda item: (item[1], item[0]))
     return [DioSolution(spec.s, parts, n, b) for parts, n, b in raw]
 
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Per-row membership of reference solutions in an enumeration run."""
-
-    spec: SearchSpec
-    rows: tuple[tuple[DioSolution, bool], ...]
-
-    @property
-    def all_present(self) -> bool:
-        return all(found for _, found in self.rows)
-
-    @property
-    def missing(self) -> tuple[DioSolution, ...]:
-        return tuple(row for row, found in self.rows if not found)
-
-
-def check_table_membership(rows: list[DioSolution], spec: SearchSpec) -> MembershipReport:
-    """Report which of the given verified rows the enumeration reproduces."""
-    found = {(sol.sorted_parts, sol.b) for sol in enumerate_solutions(spec)}
-    checked = tuple(
-        (row, (row.sorted_parts, row.b) in found and row.s == spec.s) for row in rows
-    )
-    return MembershipReport(spec=spec, rows=checked)

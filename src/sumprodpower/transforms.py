@@ -1,14 +1,24 @@
-"""Charts between normalized solution vectors and curve points for s=3 and s=4.
+"""Verified solutions, and the s=3 and s=4 charts between solutions and
+curve points.
 
-The central objects of the whole package live here: ``DioSolution`` (a verified
-integer solution of the sum/product system) and ``BVector`` (its normalization
-b_i = a_i / b, which always satisfies prod(b) * sum(b) = 1).  For s = 3 the
-chart u = b1/b2, v = 1/b2 turns that constraint into u^2 + u = v^3, which the
-substitution x = 4v, y = 8u + 4 carries onto the Mordell curve y^2 = x^3 + 16
-(note (8u+4)^2 = 64(u^2+u) + 16).  For s = 4 the fiber through the seed
-solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart u = b2/b1,
-v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it onto
-y^2 = x^3 - 166779x + 26215254.
+``DioSolution`` is a verified integer solution of the sum/product system.
+Divided by b, a solution is a normalized vector b_i = a_i / b with
+prod(b) * sum(b) = 1, and clear_denominators scales such a vector back.  For
+s = 3 the chart u = b1/b2, v = 1/b2 turns that constraint into u^2 + u = v^3,
+which the substitution x = 4v, y = 8u + 4 carries onto the Mordell curve
+y^2 = x^3 + 16 (note (8u+4)^2 = 64(u^2+u) + 16).  For s = 4 the fiber
+through the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart
+u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
+onto y^2 = x^3 - 166779x + 26215254.  Its inverse is v = (243 - x)/32,
+u = (y - 27x + 6369)/384, b1 = 1/v, b2 = u/v and b3 = 9/2 - b1 - b2, so the
+entries sum to 9/2 at every point.  Under the substitution, y^2 minus the
+curve's cubic is 8192 (18u + 18u^2 - 81uv + 4v^3) = -8192 * 18v^3 (prod - 2/9),
+so their product is 2/9 exactly on the curve (the 8192 identity).  The
+preimage is positive iff x < 243 and |y| < 6369 - 27x.  On the curve
+y^2 - (6369 - 27x)^2 = (x - 243)^3, so that is exactly the bounded real
+component x in [e1, e2] ~ [-471.6, 235.06]: the unbounded component starts
+at e3 ~ 236.5, where 6369 - 27x is already negative.  The same charts on
+Fraction points are test oracles (tests/gen4_oracle.py).
 
 The s=4 pipeline behind gen4 runs on integers.  On an integral Weierstrass
 model a rational point in lowest terms is (X/e^2, Y/e^3) with
@@ -36,26 +46,15 @@ from .elliptic import Point, WeierstrassCurve, on_curve
 from .exactmath import format_decimal, perfect_sth_power
 
 __all__ = [
-    "BVector",
     "DioSolution",
-    "S4_FIBER_PRODUCT",
-    "S4_FIBER_SUM",
     "S4_SEED_POINT",
     "clear_denominators",
     "primitive_reduce",
     "s3_curve",
     "s3_trace_back",
-    "s4_curve",
-    "s4_forward",
-    "s4_in_positive_region",
-    "s4_inverse",
     "s4_point_solution",
     "s4_solutions",
 ]
-
-# The s=4 analysis works on the fiber through the seed solution (1, 2, 24).
-S4_FIBER_PRODUCT = Fraction(2, 9)
-S4_FIBER_SUM = Fraction(9, 2)
 
 
 @dataclass(frozen=True)
@@ -94,31 +93,6 @@ class DioSolution:
     @property
     def sorted_parts(self) -> tuple[int, ...]:
         return tuple(sorted(self.parts))
-
-
-@dataclass(frozen=True)
-class BVector:
-    """Normalized rational vector (b_1 .. b_{s-1}) with prod * sum = 1 exactly."""
-
-    s: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-        if self.s < 3:
-            raise ValueError("s must be >= 3")
-        if len(self.entries) != self.s - 1:
-            raise ValueError(f"expected {self.s - 1} entries, got {len(self.entries)}")
-        if prod(self.entries) * sum(self.entries) != 1:
-            raise ValueError("entries must satisfy prod * sum = 1")
-
-    @classmethod
-    def from_solution(cls, sol: DioSolution) -> "BVector":
-        return cls(sol.s, tuple(Fraction(a, sol.b) for a in sol.parts))
-
-    @property
-    def is_positive(self) -> bool:
-        return all(e > 0 for e in self.entries)
 
 
 def clear_denominators(entries: tuple[Fraction, ...]) -> DioSolution:
@@ -181,89 +155,30 @@ def s3_trace_back(point: Point) -> tuple[Fraction, Fraction] | None:
 # ---------------------------------------------------------------------------
 
 _S4_B, _S4_C = -166779, 26215254
-_S4_CURVE = WeierstrassCurve(Fraction(0), Fraction(_S4_B), Fraction(_S4_C))
 # Image of the seed b-vector (4, 1/3, 1/6) = (1, 2, 24)/6; it has infinite order.
 S4_SEED_POINT = Point(235, 8)
-
-
-def s4_curve() -> WeierstrassCurve:
-    """The curve y^2 = x^3 - 166779x + 26215254 carrying the s=4 fiber."""
-    return _S4_CURVE
-
-
-def s4_forward(bvec: BVector) -> Point:
-    """Map a fiber BVector (s=4, prod=2/9, sum=9/2) to a curve point by the
-    chart u = b2/b1, v = 1/b1, x = -32v + 243, y = 384u - 864v + 192.
-
-    b1 != 0 because a BVector has prod * sum = 1.  With b1 = 1/v, b2 = u/v
-    and b3 = 9/2 - (1 + u)/v, the fiber equation prod = 2/9 times 18v^3 is
-    the cubic 18u + 18u^2 - 81uv + 4v^3 = 0, and under the substitution
-    y^2 - (x^3 - 166779x + 26215254) is 8192 times that cubic.  So every
-    fiber point lands on the curve, and the point is returned untested
-    (test_curve_is_8192_times_fiber_cubic proves the identity).
-    """
-    if bvec.s != 4:
-        raise ValueError("s=4 chart needs a BVector with s == 4")
-    if prod(bvec.entries) != S4_FIBER_PRODUCT or sum(bvec.entries) != S4_FIBER_SUM:
-        raise ValueError("BVector is not on the fiber prod=2/9, sum=9/2")
-    b1, b2, _ = bvec.entries
-    u, v = b2 / b1, 1 / b1
-    return Point(-32 * v + 243, 384 * u - 864 * v + 192)
 
 
 def _s4_chart(X: int, Y: int, e: int) -> tuple[int, int, int, int]:
     """Chart numerators (N1, N2, N3) and common denominator of the point
     (X/e^2, Y/e^3): b_i = N_i / den with den = 12e(243e^2 - X), N1 = 384e^3
-    and N2, N3 = 6369e^3 - 27Xe +- Y (s4_inverse's b_i with x = X/e^2,
-    y = Y/e^3, numerator and denominator times e^3)."""
+    and N2, N3 = 6369e^3 - 27Xe +- Y (the chart's inverse b_i with
+    x = X/e^2, y = Y/e^3, numerator and denominator times e^3)."""
     e3 = e * e * e
     mid = 6369 * e3 - 27 * X * e
     return 384 * e3, mid + Y, mid - Y, 12 * e * (243 * e * e - X)
 
 
-def s4_inverse(point: Point) -> tuple[Fraction, Fraction, Fraction]:
-    """Invert the s=4 chart: curve point -> (b1, b2, b3) on the fiber.
-
-    From the forward map, v = (243 - x)/32 and u = (y - 27x + 6369)/384;
-    b3 closes the sum to 9/2.  The result always has prod = 2/9 and
-    sum = 9/2 (hence prod * sum = 1), with signs depending on the point.
-    """
-    if not on_curve(_S4_CURVE, point) or point.is_infinity:
-        raise ValueError("point is not an affine point of the s=4 curve")
-    if point.x == 243:
-        raise ValueError("degenerate point: x = 243 has no chart preimage")
-    # On the curve the denominators are e^2 and e^3 (module docstring).
-    *nums, den = _s4_chart(point.x.numerator, point.y.numerator, isqrt(point.x.denominator))
-    return tuple(Fraction(n, den) for n in nums)
-
-
-def s4_in_positive_region(point: Point) -> bool:
-    """True iff the chart preimage (b1, b2, b3) of the point is strictly positive.
-
-    Equivalent inequality form: x < 243 and |y| < 6369 - 27x.  On the curve
-    y^2 - (6369 - 27x)^2 = (x - 243)^3, so the region is exactly the bounded
-    real component x in [e1, e2] ~ [-471.6, 235.06]: there x < 243 makes
-    y^2 < (6369 - 27x)^2 with 6369 - 27x > 0, while the unbounded component
-    starts at e3 ~ 236.5, where 6369 - 27x is already negative.
-    """
-    if not on_curve(_S4_CURVE, point):
-        raise ValueError("point is not on the s=4 curve")
-    if point.is_infinity:
-        return False
-    x, y = point.x, point.y
-    return x < 243 and abs(y) < 6369 - 27 * x
-
-
 def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
-    """The solution clear_denominators(s4_inverse(P)) of the point
-    P = (X/e^2, Y/e^3) in lowest terms (e >= 1), in integers only; None
-    when P is outside the positive region (x = 243 included).
+    """The solution of the chart preimage of the point P = (X/e^2, Y/e^3)
+    in lowest terms (e >= 1), with its denominators cleared, in integers
+    only; None when P is outside the positive region (x = 243 included).
 
     All three b_i are positive iff N1, N2, N3 and den of _s4_chart are
     (N1 = 384e^3 > 0 already).  Their gcd g divides 384 (module docstring),
     so the clearing costs no big gcd.  Curve membership is not tested here:
     the chart's entries sum to 9/2 at every (X, Y, e), and their product is
-    2/9 exactly on the curve (the 8192 identity of s4_forward), so for a
+    2/9 exactly on the curve (the 8192 identity, module docstring), so for a
     triple in the region DioSolution's prod(parts) * n == b^4 holds iff P is
     on the curve, and it raises ValueError otherwise.
     """
@@ -276,8 +191,8 @@ def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
 
 
 def s4_point_solution(point: Point) -> DioSolution | None:
-    """clear_denominators(s4_inverse(point)) for an affine point in the
-    positive region, None for one outside it; ValueError when the point is
+    """The cleared chart preimage of an affine point in the positive
+    region, None for one outside it; ValueError when the point is
     not on the curve.  The point comes from outside the program, so its
     form (X/e^2, Y/e^3) is tested first.  Then _s4_solution runs the region
     test and the clearing, and its DioSolution rejects an off-curve point
@@ -369,7 +284,7 @@ def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
     P = S4_SEED_POINT, one per multiple, in that order.
 
     No region test is needed: P lies on the bounded real component, which is
-    the positive region (see s4_in_positive_region) and a coset of the
+    the positive region (module docstring) and a coset of the
     identity component, so exactly the odd multiples land in it.  -kP only
     swaps b2 and b3, so it would repeat kP's solution.
 

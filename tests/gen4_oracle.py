@@ -1,4 +1,12 @@
-"""Two earlier gen4 walks, kept as test-only oracles.
+"""The Fraction s=4 charts and two earlier gen4 walks, kept as test-only
+oracles.
+
+s4_curve, s4_forward, s4_inverse and s4_in_positive_region are the s=4
+chart on Fraction points, derived from its own formulas: the fiber through
+the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2, and the chart
+u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
+onto y^2 = x^3 - 166779x + 26215254.  The package's integer chart
+(transforms._s4_chart over (X/e^2, Y/e^3)) is tested against them.
 
 signed_multiples and oracle_walk are the walk as the CLI ran it before
 transforms.s4_solutions.  It walks every multiple kP of the seed point with
@@ -15,19 +23,113 @@ and two exact divisions.  It reaches far past the Fraction walk.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterator
 
-from sumprodpower.elliptic import Point, add, negate
-from sumprodpower.transforms import (
+from certificates import add, negate
+from sumprodpower import (
     DioSolution,
+    Point,
+    WeierstrassCurve,
     clear_denominators,
+    on_curve,
     primitive_reduce,
-    s4_curve,
-    s4_in_positive_region,
-    s4_inverse,
 )
+
+# The s=4 analysis works on the fiber through the seed solution (1, 2, 24).
+S4_FIBER_PRODUCT = Fraction(2, 9)
+S4_FIBER_SUM = Fraction(9, 2)
+
+_S4_CURVE = WeierstrassCurve(0, -166779, 26215254)
+
+
+@dataclass(frozen=True)
+class BVector:
+    """Normalized rational vector (b_1 .. b_{s-1}) with prod * sum = 1 exactly."""
+
+    s: int
+    entries: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        if self.s < 3:
+            raise ValueError("s must be >= 3")
+        if len(self.entries) != self.s - 1:
+            raise ValueError(f"expected {self.s - 1} entries, got {len(self.entries)}")
+        if prod(self.entries) * sum(self.entries) != 1:
+            raise ValueError("entries must satisfy prod * sum = 1")
+
+    @classmethod
+    def from_solution(cls, sol: DioSolution) -> "BVector":
+        return cls(sol.s, tuple(Fraction(a, sol.b) for a in sol.parts))
+
+    @property
+    def is_positive(self) -> bool:
+        return all(e > 0 for e in self.entries)
+
+
+def s4_curve() -> WeierstrassCurve:
+    """The curve y^2 = x^3 - 166779x + 26215254 carrying the s=4 fiber."""
+    return _S4_CURVE
+
+
+def s4_forward(bvec: BVector) -> Point:
+    """Map a fiber BVector (s=4, prod=2/9, sum=9/2) to a curve point by the
+    chart u = b2/b1, v = 1/b1, x = -32v + 243, y = 384u - 864v + 192.
+
+    b1 != 0 because a BVector has prod * sum = 1.  With b1 = 1/v, b2 = u/v
+    and b3 = 9/2 - (1 + u)/v, the fiber equation prod = 2/9 times 18v^3 is
+    the cubic 18u + 18u^2 - 81uv + 4v^3 = 0, and under the substitution
+    y^2 - (x^3 - 166779x + 26215254) is 8192 times that cubic.  So every
+    fiber point lands on the curve, and the point is returned untested
+    (test_curve_is_8192_times_fiber_cubic proves the identity).
+    """
+    if bvec.s != 4:
+        raise ValueError("s=4 chart needs a BVector with s == 4")
+    if prod(bvec.entries) != S4_FIBER_PRODUCT or sum(bvec.entries) != S4_FIBER_SUM:
+        raise ValueError("BVector is not on the fiber prod=2/9, sum=9/2")
+    b1, b2, _ = bvec.entries
+    u, v = b2 / b1, 1 / b1
+    return Point(-32 * v + 243, 384 * u - 864 * v + 192)
+
+
+def s4_inverse(point: Point) -> tuple[Fraction, Fraction, Fraction]:
+    """Invert the s=4 chart: curve point -> (b1, b2, b3) on the fiber.
+
+    From the forward map, v = (243 - x)/32 and u = (y - 27x + 6369)/384;
+    then b1 = 1/v, b2 = u/v and b3 closes the sum to 9/2.  The result always
+    has prod = 2/9 and sum = 9/2 (hence prod * sum = 1), with signs
+    depending on the point.
+    """
+    if not on_curve(_S4_CURVE, point) or point.is_infinity:
+        raise ValueError("point is not an affine point of the s=4 curve")
+    if point.x == 243:
+        raise ValueError("degenerate point: x = 243 has no chart preimage")
+    v = (243 - point.x) / 32
+    u = (point.y - 27 * point.x + 6369) / 384
+    b1, b2 = 1 / v, u / v
+    return b1, b2, S4_FIBER_SUM - b1 - b2
+
+
+def s4_in_positive_region(point: Point) -> bool:
+    """True iff the chart preimage (b1, b2, b3) of the point is strictly positive.
+
+    Equivalent inequality form: x < 243 and |y| < 6369 - 27x.  On the curve
+    y^2 - (6369 - 27x)^2 = (x - 243)^3, so the region is exactly the bounded
+    real component x in [e1, e2] ~ [-471.6, 235.06]: there x < 243 makes
+    y^2 < (6369 - 27x)^2 with 6369 - 27x > 0, while the unbounded component
+    starts at e3 ~ 236.5, where 6369 - 27x is already negative.
+    """
+    if not on_curve(_S4_CURVE, point):
+        raise ValueError("point is not on the s=4 curve")
+    if point.is_infinity:
+        return False
+    x, y = point.x, point.y
+    return x < 243 and abs(y) < 6369 - 27 * x
+
 
 SEED = Point(235, 8)
 

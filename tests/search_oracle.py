@@ -21,7 +21,7 @@ def _power_table(s: int, n_max: int) -> dict[int, int]:
     return table
 
 
-def _extend(
+def _scan(
     s: int,
     n_max: int,
     a_max: int,
@@ -43,7 +43,7 @@ def _extend(
         return
     hi = min(a_max, (n_max - total) // remaining)
     for a in range(last, hi + 1):
-        _extend(s, n_max, a_max, parts + (a,), total + a, product * a, powers, out)
+        _scan(s, n_max, a_max, parts + (a,), total + a, product * a, powers, out)
 
 
 def oracle_solutions(
@@ -55,6 +55,6 @@ def oracle_solutions(
     powers = _power_table(s, n_max)
     out: list[tuple[tuple[int, ...], int, int]] = []
     for a1 in range(1, min(a_max, n_max // (s - 1)) + 1):
-        _extend(s, n_max, a_max, (a1,), a1, a1, powers, out)
+        _scan(s, n_max, a_max, (a1,), a1, a1, powers, out)
     out.sort(key=lambda item: (item[1], item[0]))
     return out

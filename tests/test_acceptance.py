@@ -10,35 +10,33 @@ import time
 from fractions import Fraction
 from math import prod
 
-from conftest import TABLE_S5, TABLE_S6, random_positive_fraction, table_rows
-from sumprodpower import (
+from certificates import (
     INFINITY,
-    BVector,
-    DioSolution,
-    FamilyParams,
-    Point,
     Poly,
-    SearchSpec,
-    WeierstrassCurve,
     base_point,
     certify_infinite_order,
     check_table_membership,
-    clear_denominators,
     doubled_point,
-    general_solution,
     negate,
-    on_curve,
-    primitive_reduce,
     quadrupled_point,
     quartic_to_weierstrass,
     remainder_certificate,
-    s4_curve,
-    s4_forward,
-    s4_in_positive_region,
-    s4_inverse,
     scalar_mul,
     weierstrass_model,
     weierstrass_to_quartic,
+)
+from conftest import TABLE_S5, TABLE_S6, random_positive_fraction, table_rows
+from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
+from sumprodpower import (
+    DioSolution,
+    FamilyParams,
+    Point,
+    SearchSpec,
+    WeierstrassCurve,
+    clear_denominators,
+    general_solution,
+    on_curve,
+    primitive_reduce,
 )
 from sumprodpower.cli import main
 

@@ -14,14 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certificates import add
 from conftest import TABLE_S5, TABLE_S6
-from gen4_oracle import SEED, oracle_walk, signed_solutions
+from gen4_oracle import SEED, oracle_walk, s4_curve, signed_solutions
 from sumprodpower import cli, family, search
 from sumprodpower.cli import main
-from sumprodpower.elliptic import add
 from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
 from sumprodpower.family import FamilyParams, positivity_value
-from sumprodpower.transforms import s4_curve
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -326,12 +325,12 @@ class TestSearch:
         # curve analysis first.
         limit = search.N_MAX_LIMIT
         code, out, err = run_cli(capsys, *argv, str(limit + 1))
-        assert (code, out, err) == (2, "", f"error: n_max must be at most {limit}\n")
+        assert (code, out, err) == (2, "", f"error: {argv[-1]} must be at most {limit}\n")
 
     def test_s3_at_a_lowered_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(search, "N_MAX_LIMIT", 50)
         assert run_cli(capsys, "s3", "--brute-max", "51") == (
-            2, "", "error: n_max must be at most 50\n"
+            2, "", "error: --brute-max must be at most 50\n"
         )
         code, out, _ = run_cli(capsys, "s3", "--brute-max", "50")
         assert code == 0
@@ -393,7 +392,7 @@ class TestS3Report:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: n_max must be at least s - 1\n"
+        assert err == f"error: {argv[-2]} must be at least 2\n"
 
 
 def readme_examples() -> list[tuple[str, str]]:
@@ -449,6 +448,12 @@ class TestEntryPoint:
                                   capture_output=True, text=True)
             assert proc.returncode == code, argv
             assert proc.stdout.startswith("usage: sumprodpower ") == (code == 0), argv
+
+    def test_import_leaves_multiprocessing_out(self):
+        # search imports it only for a --jobs run.
+        code = "import sys, sumprodpower.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_math_failure_exit_code(self):
         proc = subprocess.run(

@@ -5,36 +5,38 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_positive_fraction
-from sumprodpower import (
-    DioSolution,
+from certificates import (
+    Poly,
+    _sqrt_bounds,
     b1_roots,
     base_point,
     doubled_point,
-    FamilyParams,
-    general_solution,
-    leading_triple,
     negate,
-    on_curve,
-    Point,
-    Poly,
     positivity_classify,
     positivity_discriminant,
-    positivity_value,
-    primitive_reduce,
     quadrupled_point,
     quartic_curve,
     quartic_discriminant_t,
     quartic_to_weierstrass,
     QuarticPoint,
     remainder_certificate,
-    s5_polynomial_family,
-    S5Substitution,
     scalar_mul,
     weierstrass_model,
     weierstrass_to_quartic,
 )
-from sumprodpower.family import _sqrt_bounds
+from conftest import random_positive_fraction
+from sumprodpower import (
+    DioSolution,
+    FamilyParams,
+    general_solution,
+    leading_triple,
+    on_curve,
+    Point,
+    positivity_value,
+    primitive_reduce,
+    s5_polynomial_family,
+    S5Substitution,
+)
 
 UNIT = FamilyParams(5, (Fraction(1),), Fraction(1))
 

@@ -25,12 +25,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen4_oracle import ORACLE_MAX_MULTIPLE, mixed_addition_walk, oracle_walk, signed_solutions
+from gen4_oracle import (
+    ORACLE_MAX_MULTIPLE,
+    BVector,
+    mixed_addition_walk,
+    oracle_walk,
+    s4_curve,
+    s4_forward,
+    s4_in_positive_region,
+    s4_inverse,
+    signed_solutions,
+)
 from sumprodpower import cli
 from sumprodpower.exactmath import format_fraction, parse_decimal
 from sumprodpower.elliptic import Point, on_curve
 from sumprodpower.transforms import (
-    BVector,
     _s4_chart,
     _s4_extend_psi,
     _s4_odd_multiples,
@@ -38,10 +47,6 @@ from sumprodpower.transforms import (
     _s4_solution,
     clear_denominators,
     primitive_reduce,
-    s4_curve,
-    s4_forward,
-    s4_in_positive_region,
-    s4_inverse,
     s4_point_solution,
     s4_solutions,
 )

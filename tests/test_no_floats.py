@@ -1,4 +1,6 @@
-"""No floating point in the package: checked on the source's syntax tree.
+"""No floating point in the package, nor in the test references that certify
+the paper's claims (certificates.py and gen4_oracle.py): checked on the
+source's syntax tree.
 
 Fails on a float or complex literal, a call to float() or complex(), and any
 use of math's floating-point functions (sqrt, log, exp, pow, fsum and their
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sumprodpower"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "sumprodpower"
+REFERENCES = [TESTS / "certificates.py", TESTS / "gen4_oracle.py"]
 FLOAT_MATH = {"sqrt", "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "pow", "fsum"}
 
 
@@ -32,7 +36,7 @@ def float_uses(source: str) -> list[tuple[int, str]]:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + REFERENCES, ids=lambda p: p.name)
 def test_module_has_no_floating_point(path):
     assert float_uses(path.read_text()) == []
 

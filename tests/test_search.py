@@ -1,17 +1,18 @@
+import multiprocessing
 import os
 import signal
 import tracemalloc
 from itertools import combinations_with_replacement
 from math import isqrt, prod
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificates import check_table_membership
 from conftest import table_rows
 from search_oracle import oracle_solutions
-from sumprodpower import DioSolution, SearchSpec, check_table_membership, enumerate_solutions
+from sumprodpower import DioSolution, SearchSpec, enumerate_solutions
 from sumprodpower import search
 from sumprodpower.search import _tables
 
@@ -147,8 +148,9 @@ class TestEnumerateSolutions:
 
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list[int]:
-    """Swap search's multiprocessing.Pool for an in-process fake; the list
-    collects the number of processes each pool was asked for."""
+    """Swap multiprocessing.Pool, which search imports only for a parallel
+    run, for an in-process fake; the list collects the number of processes
+    each pool was asked for."""
     sizes: list[int] = []
 
     class FakePool:
@@ -166,7 +168,7 @@ def pool_sizes(monkeypatch) -> list[int]:
         def imap_unordered(self, func, blocks):
             return map(func, reversed(blocks))  # finishing order must not matter
 
-    monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(search, "_worker_tables", None)
     return sizes
 

@@ -5,22 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificates import INFINITY, negate, scalar_mul
+from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
 from sumprodpower import (
-    BVector,
     DioSolution,
     Point,
     clear_denominators,
     nagell_lutz_candidates,
-    negate,
     on_curve,
     primitive_reduce,
     s3_curve,
     s3_trace_back,
-    s4_curve,
-    s4_forward,
-    s4_in_positive_region,
-    s4_inverse,
-    scalar_mul,
 )
 
 SEED = Point(235, 8)
@@ -268,6 +263,4 @@ class TestPositiveRegion:
             assert p.y ** 2 - (6369 - 27 * p.x) ** 2 == (p.x - 243) ** 3
 
     def test_infinity_not_in_region(self):
-        from sumprodpower import INFINITY
-
         assert not s4_in_positive_region(INFINITY)
