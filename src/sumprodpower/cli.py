@@ -103,6 +103,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen4(args: argparse.Namespace) -> int:
+    # --primitive changes no gen4 record: _s4_solution divides out the whole
+    # common factor (transforms module docstring).
     if args.from_point is not None:
         point = args.from_point
         try:
@@ -115,13 +117,13 @@ def cmd_gen4(args: argparse.Namespace) -> int:
             print(f"point ({format_fraction(point.x)}, {format_fraction(point.y)}) {reason}",
                   file=sys.stderr)
             return 1
-        print(render(primitive_reduce(sol) if args.primitive else sol, "gen4", args.format))
+        print(render(sol, "gen4", args.format))
         return 0
     if args.count is None:
         return _usage_error("--count is required unless --from-point is given")
     found = 0
     for sol in s4_solutions(args.max_multiple):
-        print(render(primitive_reduce(sol) if args.primitive else sol, "gen4", args.format))
+        print(render(sol, "gen4", args.format))
         found += 1
         if found == args.count:
             return 0
@@ -157,7 +159,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     except ValueError as exc:  # the positivity quadratic D is not positive
         print(exc, file=sys.stderr)
         return 1
-    if args.primitive:
+    if args.primitive and closed_form:  # a --tail record is primitive (family docstring)
         sol = primitive_reduce(sol)
     print(render(sol, "family", args.format))
     return 0

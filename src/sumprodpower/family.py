@@ -10,33 +10,59 @@ quartic curve
 
 which is birational to the Weierstrass model
 Y^2 = X (X^2 + u^2 v^2 t^2 X - 16 u^3 t^3 (t+1)^2).  Specializing t = u*t0^2
-makes a rational base point appear, and the reflection of its double yields a
-closed-form positive triple (b1, b2, b3) whenever the quadratic
-D = 4*u*t0^2 - u*v^2*t0 + 4 is positive.  For s = 5 everything collapses to
-plain polynomials in the two integer parameters (t1, t2) = (t0, b4).
+makes a rational base point appear, and the reflection of its double yields
+the closed-form triple
 
-This module keeps only the closed forms the command line evaluates:
-leading_triple, positivity_value, general_solution and
-s5_polynomial_family.  The chain that derives them (quartic, model, base,
-doubled and quadrupled points, the maps between them, the remainder
-certificate and the classification of D's sign) is a test reference, in
-tests/certificates.py.
+    b1 = u v^3 t0 / (2D),  b2 = D / (2 u v t0 k),  b3 = D t0 / (2 v k)
+
+with k = u t0^2 + 1 and D = 4*u*t0^2 - u*v^2*t0 + 4; it is positive exactly
+when D > 0.  For s = 5 everything collapses to plain polynomials in the two
+integer parameters (t1, t2) = (t0, b4).
+
+general_solution evaluates that triple in integers.  With tail entries
+p_i/q_i in lowest terms, W = prod(q_i), U = prod(p_i) and
+V = sum(p_i * W/q_i), so that u = U/W and v = V/W, and with t0 = a/c:
+
+    K  = U a^2 + W c^2                                   k = K / (W c^2)
+    Dn = 4 U W^2 a^2 - U V^2 a c + 4 W^3 c^2 = 4 W^2 K - U V^2 a c
+                                                         D = Dn / (W^3 c^2)
+    b1 = U V^3 a c / (2 W Dn)
+    b2 = Dn c / (2 U V a K)
+    b3 = Dn a / (2 W c V K)
+
+and the tail stays p_i/q_i.  W^3 c^2 > 0, so D > 0 exactly when Dn > 0.
+Each b_i is reduced by one gcd, and the record is b = the lcm of the
+reduced denominators, part_i = num_i * (b / den_i).  For entries N_i / M
+over any common denominator M, the reduced denominators are M / x_i with
+x_i = gcd(M, N_i), and
+
+    lcm(M / x_1, ..., M / x_k) = M / gcd(x_1, ..., x_k) = M / gcd(M, N_1, ..., N_k),
+
+since at each prime p both sides have v_p(M) - min v_p(x_i).  So the parts
+and b are the integers that clearing the Fraction entries by their least
+common denominator gives: part_i = N_i / g and b = M / g with
+g = gcd(M, N_1, ..., N_k), which share no factor; a --tail record is
+already primitive.
+
+The chain that derives the triple (quartic, model, base, doubled and
+quadrupled points, the maps between them, the remainder certificate and the
+classification of D's sign) and the same closed form in Fraction
+arithmetic, which general_solution is tested against, are test references
+in tests/certificates.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 from .exactmath import format_decimal, format_fraction
-from .transforms import DioSolution, clear_denominators
+from .transforms import DioSolution
 
 __all__ = [
     "FamilyParams",
     "general_solution",
-    "leading_triple",
-    "positivity_value",
     "s5_polynomial_family",
     "S5Substitution",
 ]
@@ -46,18 +72,13 @@ __all__ = [
 class FamilyParams:
     """Parameters (s, tail, t0) of one member of the s >= 5 family.
 
-    tail holds the freely chosen positive values b4 .. b_{s-1}; u and v are
-    their product and sum, t = u * t0**2 is the specialized slope and d is
-    the positivity quadratic D (see positivity_value).
+    tail holds the freely chosen positive values b4 .. b_{s-1}; t0 is the
+    positive parameter of the specialized slope t = u * t0**2.
     """
 
     s: int
     tail: tuple[Fraction, ...]
     t0: Fraction
-    u: Fraction = field(init=False)
-    v: Fraction = field(init=False)
-    t: Fraction = field(init=False)
-    d: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tail", tuple(Fraction(e) for e in self.tail))
@@ -70,10 +91,6 @@ class FamilyParams:
             raise ValueError("tail entries must be positive")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
-        object.__setattr__(self, "u", prod(self.tail, start=Fraction(1)))
-        object.__setattr__(self, "v", sum(self.tail, start=Fraction(0)))
-        object.__setattr__(self, "t", self.u * self.t0 ** 2)
-        object.__setattr__(self, "d", positivity_value(self))
 
 
 @dataclass(frozen=True)
@@ -88,38 +105,34 @@ class S5Substitution:
             raise ValueError("t1 and t2 must be positive integers")
 
 
-def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
-    """Closed-form (b1, b2, b3) from the reflected double of the base point.
-
-    With D = 4*u*t0^2 - u*v^2*t0 + 4:
-        b1 = u v^3 t0 / (2D),  b2 = D / (2 u v t0 (u t0^2 + 1)),
-        b3 = D t0 / (2 v (u t0^2 + 1)).
-    All three are positive exactly when D > 0, and they satisfy
-    b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this; general_solution
-    leaves the final check on the cleared integers to DioSolution).
-    """
-    u, v, t0, d = params.u, params.v, params.t0, params.d
-    if d == 0:
-        raise ValueError("degenerate parameters: positivity quadratic vanishes")
-    k = u * t0 ** 2 + 1
-    return u * v ** 3 * t0 / (2 * d), d / (2 * u * v * t0 * k), d * t0 / (2 * v * k)
-
-
-def positivity_value(params: FamilyParams) -> Fraction:
-    """The quadratic D = 4*u*t0^2 - u*v^2*t0 + 4 gating positive solutions."""
-    u, v, t0 = params.u, params.v, params.t0
-    return 4 * u * t0 ** 2 - u * v * v * t0 + 4
-
-
 def general_solution(params: FamilyParams) -> DioSolution:
-    """Assemble and clear a full solution vector (b1, b2, b3, tail) for s >= 5.
+    """The cleared solution (b1, b2, b3, tail) of one family member for
+    s >= 5, in integers (module docstring); ValueError naming D when the
+    positivity quadratic D is not positive.
 
-    The vector has prod * sum = 1 (leading_triple) and, with D > 0, positive
-    entries, so DioSolution's test of the cleared integers is the only one.
+    The vector has prod * sum = 1 and, with D > 0, positive entries, so
+    DioSolution's test of the cleared integers is the only one.
     """
-    if params.d <= 0:
-        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(params.d)}")
-    return clear_denominators((*leading_triple(params), *params.tail))
+    tail = params.tail
+    W = prod(e.denominator for e in tail)
+    U = prod(e.numerator for e in tail)
+    V = sum(e.numerator * (W // e.denominator) for e in tail)
+    a, c = params.t0.numerator, params.t0.denominator
+    K = U * a * a + W * c * c
+    uvvac = U * V * V * a * c
+    dn = 4 * W * W * K - uvvac
+    if dn <= 0:
+        d = Fraction(dn, W * W * W * c * c)
+        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
+    VK = V * K
+    entries = [(uvvac * V, 2 * W * dn), (dn * c, 2 * U * a * VK), (dn * a, 2 * W * c * VK)]
+    for i, (num, den) in enumerate(entries):
+        g = gcd(num, den)
+        entries[i] = (num // g, den // g)
+    entries += ((e.numerator, e.denominator) for e in tail)
+    b = lcm(*(den for _, den in entries))
+    parts = tuple(num * (b // den) for num, den in entries)
+    return DioSolution(params.s, parts, sum(parts), b)
 
 
 def s5_polynomial_family(sub: S5Substitution) -> DioSolution:

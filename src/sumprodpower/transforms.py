@@ -3,10 +3,11 @@ curve points.
 
 ``DioSolution`` is a verified integer solution of the sum/product system.
 Divided by b, a solution is a normalized vector b_i = a_i / b with
-prod(b) * sum(b) = 1, and clear_denominators scales such a vector back.  For
-s = 3 the chart u = b1/b2, v = 1/b2 turns that constraint into u^2 + u = v^3,
-which the substitution x = 4v, y = 8u + 4 carries onto the Mordell curve
-y^2 = x^3 + 16 (note (8u+4)^2 = 64(u^2+u) + 16).  For s = 4 the fiber
+prod(b) * sum(b) = 1; scaled by a common denominator, such a vector gives
+a solution back.  For s = 3 the chart u = b1/b2, v = 1/b2 turns that
+constraint into u^2 + u = v^3, which the substitution x = 4v, y = 8u + 4
+carries onto the Mordell curve y^2 = x^3 + 16 (note (8u+4)^2 =
+64(u^2+u) + 16).  For s = 4 the fiber
 through the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart
 u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
 onto y^2 = x^3 - 166779x + 26215254.  Its inverse is v = (243 - x)/32,
@@ -29,17 +30,18 @@ b_i = N_i / den with N1 = 384e^3, N2 = 6369e^3 - 27Xe + Y and
 N3 = 6369e^3 - 27Xe - Y.  Clearing denominators divides (N1, N2, N3, den)
 by g = gcd(N1, N2, N3, den), and g divides 384: a prime dividing e and g
 would divide N2, hence Y, and gcd(Y, e) = 1; so g is prime to e and
-divides N1 = 384e^3.  The walk behind s4_solutions reads kP off the
-division polynomials of P, with no gcd: only 2 can divide both the
-numerator and the denominator of x(kP), and one shift strips it
-(_s4_odd_multiples has the reason).
+divides N1 = 384e^3.  Hence g = gcd(384, N2, N3, den), and the cleared
+record has no common factor left: gen4 records are primitive.  The walk
+behind s4_solutions reads kP off the division polynomials of P, with no
+gcd: only 2 can divide both the numerator and the denominator of x(kP), and
+one shift strips it (_s4_odd_multiples has the reason).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import Iterator
 
 from .elliptic import Point, WeierstrassCurve, on_curve
@@ -48,7 +50,6 @@ from .exactmath import format_decimal, perfect_sth_power
 __all__ = [
     "DioSolution",
     "S4_SEED_POINT",
-    "clear_denominators",
     "primitive_reduce",
     "s3_curve",
     "s3_trace_back",
@@ -93,21 +94,6 @@ class DioSolution:
     @property
     def sorted_parts(self) -> tuple[int, ...]:
         return tuple(sorted(self.parts))
-
-
-def clear_denominators(entries: tuple[Fraction, ...]) -> DioSolution:
-    """Scale normalized entries (b_1 .. b_{s-1}) by their least common
-    denominator.
-
-    With b* = lcm of the denominators, the parts a_i = b_i * b* are integers
-    and prod(a) * sum(a) = (b*)**s * prod(b) * sum(b), which is (b*)**s
-    exactly when prod(b) * sum(b) = 1.  DioSolution tests that equation and
-    the parts' positivity, so this raises ValueError when the entries are
-    not a positive solution vector.
-    """
-    scale = lcm(*(e.denominator for e in entries))
-    parts = tuple(int(e * scale) for e in entries)
-    return DioSolution(len(parts) + 1, parts, sum(parts), scale)
 
 
 def primitive_reduce(sol: DioSolution) -> DioSolution:

@@ -6,7 +6,11 @@ package's integer paths take as given:
   - the chord-and-tangent group law on ``WeierstrassCurve``, and
     ``certify_infinite_order``: (235, 8) has infinite order on the s=4 curve,
     so ``gen4`` never runs dry;
-  - the s >= 5 chain behind ``family.leading_triple``: the quartic, its
+  - the s >= 5 closed form in Fraction arithmetic (``family_uvt``,
+    ``positivity_value``, ``leading_triple``, ``clear_denominators`` and
+    ``fraction_general_solution``), the oracle that
+    ``family.general_solution``'s integer form is tested against;
+  - the s >= 5 chain behind ``leading_triple``: the quartic, its
     Weierstrass model, the base point with its closed-form double and
     quadruple, the maps between quartic and model and the roots b1 of the
     quadratic;
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 
 from sumprodpower import (
     DioSolution,
@@ -35,6 +39,7 @@ from sumprodpower import (
     enumerate_solutions,
     on_curve,
 )
+from sumprodpower.exactmath import format_fraction
 
 # ---------------------------------------------------------------------------
 # Group law
@@ -199,6 +204,66 @@ def poly_divrem(numer: Poly, denom: Poly) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
+# The s >= 5 closed form in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+# family.general_solution evaluates the closed form in integers; these take
+# the same steps on Fraction values, and the tests compare the two.
+
+
+def family_uvt(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
+    """u = prod(tail), v = sum(tail) and the specialized slope t = u * t0**2."""
+    u = prod(params.tail, start=Fraction(1))
+    return u, sum(params.tail, start=Fraction(0)), u * params.t0 ** 2
+
+
+def positivity_value(params: FamilyParams) -> Fraction:
+    """The quadratic D = 4*u*t0^2 - u*v^2*t0 + 4 gating positive solutions."""
+    (u, v, _), t0 = family_uvt(params), params.t0
+    return 4 * u * t0 ** 2 - u * v * v * t0 + 4
+
+
+def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
+    """Closed-form (b1, b2, b3) from the reflected double of the base point.
+
+    With D = 4*u*t0^2 - u*v^2*t0 + 4:
+        b1 = u v^3 t0 / (2D),  b2 = D / (2 u v t0 (u t0^2 + 1)),
+        b3 = D t0 / (2 v (u t0^2 + 1)).
+    All three are positive exactly when D > 0, and they satisfy
+    b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this).
+    """
+    (u, v, _), t0, d = family_uvt(params), params.t0, positivity_value(params)
+    if d == 0:
+        raise ValueError("degenerate parameters: positivity quadratic vanishes")
+    k = u * t0 ** 2 + 1
+    return u * v ** 3 * t0 / (2 * d), d / (2 * u * v * t0 * k), d * t0 / (2 * v * k)
+
+
+def clear_denominators(entries: tuple[Fraction, ...]) -> DioSolution:
+    """Scale normalized entries (b_1 .. b_{s-1}) by their least common
+    denominator.
+
+    With b* = lcm of the denominators, the parts a_i = b_i * b* are integers
+    and prod(a) * sum(a) = (b*)**s * prod(b) * sum(b), which is (b*)**s
+    exactly when prod(b) * sum(b) = 1.  DioSolution tests that equation and
+    the parts' positivity, so this raises ValueError when the entries are
+    not a positive solution vector.
+    """
+    scale = lcm(*(e.denominator for e in entries))
+    parts = tuple(int(e * scale) for e in entries)
+    return DioSolution(len(parts) + 1, parts, sum(parts), scale)
+
+
+def fraction_general_solution(params: FamilyParams) -> DioSolution:
+    """family.general_solution in Fraction arithmetic: the same record, or
+    the same ValueError when D is not positive."""
+    d = positivity_value(params)
+    if d <= 0:
+        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
+    return clear_denominators((*leading_triple(params), *params.tail))
+
+
+# ---------------------------------------------------------------------------
 # The s >= 5 family chain
 # ---------------------------------------------------------------------------
 
@@ -232,13 +297,13 @@ class QuarticPoint:
 
 def quartic_discriminant_t(params: FamilyParams) -> Fraction:
     """Discriminant of the quartic as a function of t; non-zero for u, v, t0 > 0."""
-    u, v, t = params.u, params.v, params.t
+    u, v, t = family_uvt(params)
     return 256 * (t + 1) ** 4 * (64 * t * t + (128 + v ** 4 * u) * t + 64) * u ** 9 * t ** 9
 
 
 def quartic_curve(params: FamilyParams) -> QuarticCurve:
     """The quartic whose square values of the discriminant drive the family."""
-    u, v, t = params.u, params.v, params.t
+    u, v, t = family_uvt(params)
     return QuarticCurve(
         a4=u * u * t * t * (t + 1) ** 2,
         a3=2 * u * u * v * (t + 1) * t * t,
@@ -250,7 +315,7 @@ def quartic_curve(params: FamilyParams) -> QuarticCurve:
 
 def weierstrass_model(params: FamilyParams) -> WeierstrassCurve:
     """Weierstrass model at t = u*t0^2: Y^2 = X^3 + u^4 v^2 t0^4 X^2 - 16 u^6 t0^6 (u t0^2 + 1)^2 X."""
-    u, v, t0 = params.u, params.v, params.t0
+    (u, v, _), t0 = family_uvt(params), params.t0
     return WeierstrassCurve(
         a=u ** 4 * v ** 2 * t0 ** 4,
         b=-16 * u ** 6 * t0 ** 6 * (u * t0 ** 2 + 1) ** 2,
@@ -260,14 +325,14 @@ def weierstrass_model(params: FamilyParams) -> WeierstrassCurve:
 
 def base_point(params: FamilyParams) -> Point:
     """The rational point (4u^3 t0^3 (u t0^2 + 1), 4v u^5 t0^5 (u t0^2 + 1))."""
-    u, v, t0 = params.u, params.v, params.t0
+    (u, v, _), t0 = family_uvt(params), params.t0
     k = u * t0 ** 2 + 1
     return Point(4 * u ** 3 * t0 ** 3 * k, 4 * v * u ** 5 * t0 ** 5 * k)
 
 
 def doubled_point(params: FamilyParams) -> Point:
     """Closed form of twice the base point."""
-    u, v, t0 = params.u, params.v, params.t0
+    (u, v, _), t0 = family_uvt(params), params.t0
     k = u * t0 ** 2 + 1
     return Point(
         16 * u ** 2 * t0 ** 2 * k ** 2 / v ** 2,
@@ -278,7 +343,7 @@ def doubled_point(params: FamilyParams) -> Point:
 def quadrupled_point(params: FamilyParams) -> Point:
     """Closed form of four times the base point; its X-coordinate carries the
     non-polynomiality certificate (see remainder_certificate)."""
-    u, v, t0 = params.u, params.v, params.t0
+    (u, v, _), t0 = family_uvt(params), params.t0
     k = u * t0 ** 2 + 1
     s = 16 * u ** 2 * t0 ** 4 + (32 * u + v ** 4 * u ** 2) * t0 ** 2 + 16
     big = (
@@ -323,7 +388,7 @@ def weierstrass_to_quartic(params: FamilyParams, point: Point) -> QuarticPoint:
         raise ValueError("point is not on the family Weierstrass model")
     if point.is_infinity or point.x == 0:
         raise ValueError("exceptional point: the map needs an affine point with X != 0")
-    u, v, t = params.u, params.v, params.t
+    u, v, t = family_uvt(params)
     big_x, big_y = point.x, point.y
     y = (big_y - u * v * t * big_x) / (2 * u * t * (t + 1) * big_x)
     w = (big_y ** 2 - u * u * v * v * t * t * big_x ** 2 - 2 * big_x ** 3) / (
@@ -340,7 +405,7 @@ def quartic_to_weierstrass(params: FamilyParams, qpt: QuarticPoint) -> Point:
     """
     if not quartic_curve(params).contains(qpt):
         raise ValueError("point is not on the quartic")
-    u, v, t = params.u, params.v, params.t
+    u, v, t = family_uvt(params)
     y, w = qpt.y, qpt.w
     big_x = 2 * u * t * (t + 1) * (u * t * (t + 1) * y * y + u * v * t * y - w)
     big_y = big_x * u * t * (2 * (t + 1) * y + v)
@@ -358,7 +423,7 @@ def b1_roots(params: FamilyParams, qpt: QuarticPoint) -> list[Fraction]:
         raise ValueError("degenerate quartic point: y = 0 yields no solutions")
     if not quartic_curve(params).contains(qpt):
         raise ValueError("point is not on the quartic")
-    u, v, t = params.u, params.v, params.t
+    u, v, t = family_uvt(params)
     y, w = qpt.y, qpt.w
     lead = t * u * y * y
     mid = u * t * ((t + 1) * y + v) * y * y

@@ -29,12 +29,11 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterator
 
-from certificates import add, negate
+from certificates import add, clear_denominators, negate
 from sumprodpower import (
     DioSolution,
     Point,
     WeierstrassCurve,
-    clear_denominators,
     on_curve,
     primitive_reduce,
 )

@@ -16,7 +16,9 @@ from certificates import (
     base_point,
     certify_infinite_order,
     check_table_membership,
+    clear_denominators,
     doubled_point,
+    family_uvt,
     negate,
     quadrupled_point,
     quartic_to_weierstrass,
@@ -33,7 +35,6 @@ from sumprodpower import (
     Point,
     SearchSpec,
     WeierstrassCurve,
-    clear_denominators,
     general_solution,
     on_curve,
     primitive_reduce,
@@ -234,7 +235,8 @@ def test_criterion_10_structural_identities():
         tail = tuple(random_positive_fraction(rng, upper=5) for _ in range(s - 4))
         t0 = random_positive_fraction(rng, upper=5)
         params = FamilyParams(s, tail, t0)
-        if 4 * params.u * t0 ** 2 - params.u * params.v ** 2 * t0 + 4 <= 0:
+        u, v, _ = family_uvt(params)
+        if 4 * u * t0 ** 2 - u * v ** 2 * t0 + 4 <= 0:
             continue
         sol = general_solution(params)
         assert prod(sol.parts) * sol.n == sol.b ** sol.s

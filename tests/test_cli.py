@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certificates import add
+from certificates import add, fraction_general_solution, positivity_value
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, s4_curve, signed_solutions
-from sumprodpower import cli, family, search
+from sumprodpower import cli, family, search, transforms
 from sumprodpower.cli import main
 from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
-from sumprodpower.family import FamilyParams, positivity_value
+from sumprodpower.family import FamilyParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -254,23 +255,34 @@ class TestFamily:
         assert out == ""
         assert "D = -11" in err
 
-    def test_one_op_builds_the_params_and_d_once(self, capsys, monkeypatch):
-        calls = {"FamilyParams": 0, "positivity_value": 0}
-        build, value = family.FamilyParams.__post_init__, family.positivity_value
+    def test_one_tail_op_runs_no_fraction_arithmetic(self, capsys, monkeypatch):
+        # The closed form runs in integers: one FamilyParams, one DioSolution
+        # and no Fraction operator, while the record is the Fraction chain's.
+        argv = ("--s", "7", "--tail", "1/2,2,3/5", "--t0", "7/3")
+        params = FamilyParams(7, (Fraction(1, 2), Fraction(2), Fraction(3, 5)), Fraction(7, 3))
+        expected = cli.render(fraction_general_solution(params), "family", "jsonl") + "\n"
+        calls = {"FamilyParams": 0, "DioSolution": 0}
 
-        def counted_build(params):
-            calls["FamilyParams"] += 1
-            build(params)
+        def counted(cls, name):
+            init = cls.__post_init__
 
-        def counted_value(params):
-            calls["positivity_value"] += 1
-            return value(params)
+            def post_init(self):
+                calls[name] += 1
+                init(self)
 
-        monkeypatch.setattr(family.FamilyParams, "__post_init__", counted_build)
-        monkeypatch.setattr(family, "positivity_value", counted_value)
-        code, out, _ = run_cli(capsys, "family", "--s", "6", "--tail", "1,1", "--t0", "1")
-        assert code == 0 and out
-        assert calls == {"FamilyParams": 1, "positivity_value": 1}
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        counted(family.FamilyParams, "FamilyParams")
+        counted(transforms.DioSolution, "DioSolution")
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic ran")
+
+        for op in ("add", "sub", "mul", "truediv", "pow"):
+            monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+            monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+        assert run_cli(capsys, "family", *argv) == (0, expected, "")
+        assert calls == {"FamilyParams": 1, "DioSolution": 1}
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "family", "--s", "5", "--t1", "1")[0] == 2

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from certificates import (
@@ -11,9 +11,13 @@ from certificates import (
     b1_roots,
     base_point,
     doubled_point,
+    family_uvt,
+    fraction_general_solution,
+    leading_triple,
     negate,
     positivity_classify,
     positivity_discriminant,
+    positivity_value,
     quadrupled_point,
     quartic_curve,
     quartic_discriminant_t,
@@ -29,10 +33,8 @@ from sumprodpower import (
     DioSolution,
     FamilyParams,
     general_solution,
-    leading_triple,
     on_curve,
     Point,
-    positivity_value,
     primitive_reduce,
     s5_polynomial_family,
     S5Substitution,
@@ -41,6 +43,39 @@ from sumprodpower import (
 UNIT = FamilyParams(5, (Fraction(1),), Fraction(1))
 
 SMALL_POSITIVE = st.builds(Fraction, st.integers(1, 40), st.integers(1, 10))
+ENTRY = SMALL_POSITIVE | st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+# Past Python's 4300-digit int/str limit, as numerator or as denominator.
+HUGE = st.integers(10 ** 4300, 10 ** 4301)
+HUGE_ENTRY = st.builds(Fraction, HUGE, st.integers(1, 9)) | st.builds(Fraction, st.integers(1, 9), HUGE)
+# Members with D = 0: the roots of D(t0) are rational where u (u v^4 - 64)
+# is a square (a search of small rational tails found none at s = 5).
+DEGENERATE = [
+    (6, (1, 2), Fraction(2)),
+    (6, (1, 2), Fraction(1, 4)),
+    (7, (1, Fraction(2, 3), Fraction(4, 3)), Fraction(3, 2)),
+    (7, (1, Fraction(2, 3), Fraction(4, 3)), Fraction(3, 4)),
+    (8, (1, 3, Fraction(1, 3), Fraction(2, 3)), Fraction(6)),
+    (9, (1, 1, 1, Fraction(1, 2), Fraction(1, 2)), Fraction(2)),
+]
+
+
+@st.composite
+def family_members(draw) -> FamilyParams:
+    """Members with D > 0, D < 0 (t0 = v^2 / 8 for large u v^4) and D = 0,
+    now and then with one tail entry past 4300 digits."""
+    if draw(st.integers(0, 9)) == 0:
+        return FamilyParams(*draw(st.sampled_from(DEGENERATE)))
+    s = draw(st.integers(5, 9))
+    if draw(st.integers(0, 19)) == 0:  # small neighbours keep the record short
+        tail = draw(st.lists(SMALL_POSITIVE, min_size=s - 5, max_size=s - 5))
+        tail.insert(draw(st.integers(0, s - 5)), draw(HUGE_ENTRY))
+        return FamilyParams(s, tuple(tail), draw(SMALL_POSITIVE))
+    tail = draw(st.lists(ENTRY, min_size=s - 4, max_size=s - 4))
+    # D = u t0 (4 t0 - v^2) + 4 is smallest, 4 - u v^4 / 16, at t0 = v^2 / 8
+    # and positive for every t0 > v^2 / 4.
+    v = sum(tail)
+    t0 = draw(ENTRY | st.just(v * v / 8) | ENTRY.map(lambda e: v * v / 4 + e))
+    return FamilyParams(s, tuple(tail), t0)
 
 
 def random_params(rng, s: int | None = None) -> FamilyParams:
@@ -52,10 +87,10 @@ def random_params(rng, s: int | None = None) -> FamilyParams:
 class TestFamilyParams:
     def test_derived_values(self):
         params = FamilyParams(6, (Fraction(2), Fraction(3, 2)), Fraction(1, 2))
-        assert params.u == 3
-        assert params.v == Fraction(7, 2)
-        assert params.t == 3 * Fraction(1, 4)
-        assert params.d == 4 * 3 * Fraction(1, 4) - 3 * Fraction(7, 2) ** 2 * Fraction(1, 2) + 4
+        assert family_uvt(params) == (3, Fraction(7, 2), 3 * Fraction(1, 4))
+        assert positivity_value(params) == (
+            4 * 3 * Fraction(1, 4) - 3 * Fraction(7, 2) ** 2 * Fraction(1, 2) + 4
+        )
 
     @pytest.mark.parametrize(
         "args",
@@ -83,7 +118,7 @@ class TestQuarticCurve:
     def test_discriminant_formula_at_unit_uv(self):
         for t0 in (Fraction(1), Fraction(2), Fraction(1, 3)):
             params = FamilyParams(5, (Fraction(1),), t0)
-            t = params.t
+            _, _, t = family_uvt(params)
             expected = 256 * (t + 1) ** 4 * (64 * t * t + 129 * t + 64) * t ** 9
             assert quartic_discriminant_t(params) == expected
 
@@ -106,7 +141,7 @@ class TestEprimeCurve:
         # same curve written in t: a = u^2 v^2 t^2, b = -16 u^3 t^3 (t+1)^2
         for _ in range(10):
             params = random_params(rng)
-            u, v, t = params.u, params.v, params.t
+            u, v, t = family_uvt(params)
             curve = weierstrass_model(params)
             assert curve.a == u * u * v * v * t * t
             assert curve.b == -16 * u ** 3 * t ** 3 * (t + 1) ** 2
@@ -216,7 +251,7 @@ class TestB1Roots:
         for _ in range(8):
             params = random_params(rng)
             qpt = weierstrass_to_quartic(params, negate(doubled_point(params)))
-            u, v, t = params.u, params.v, params.t
+            u, v, t = family_uvt(params)
             for root in b1_roots(params, qpt):
                 z = t * qpt.y
                 assert root * qpt.y * z * u * (root + qpt.y + z + v) == 1
@@ -250,7 +285,7 @@ class TestLeadingTriple:
             b1, b2, b3 = leading_triple(params)
             qpt = weierstrass_to_quartic(params, negate(doubled_point(params)))
             assert b2 == qpt.y
-            assert b3 == params.t * qpt.y
+            assert b3 == family_uvt(params)[2] * qpt.y
             assert b1 in b1_roots(params, qpt)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -267,7 +302,8 @@ class TestLeadingTriple:
         params = FamilyParams(s, tail, t0)
         assume(positivity_value(params) * sign > 0)
         b1, b2, b3 = leading_triple(params)
-        assert b1 * b2 * b3 * params.u * (b1 + b2 + b3 + params.v) == 1
+        u, v, _ = family_uvt(params)
+        assert b1 * b2 * b3 * u * (b1 + b2 + b3 + v) == 1
 
     def test_degenerate_rejected(self):
         # tail (2, 1) gives u = 2, v = 3, whose delta = 196 is a square, so
@@ -390,6 +426,23 @@ class TestGeneralSolution:
             sol = general_solution(params)
             assert prod(sol.parts) * sol.n == sol.b ** sol.s
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=family_members())
+    @example(params=FamilyParams(*DEGENERATE[0]))
+    @example(params=FamilyParams(6, (1, 3), 2))  # D = -44
+    def test_matches_the_fraction_oracle(self, params):
+        # The integer closed form gives the Fraction chain's record, or its
+        # ValueError text; the record is primitive (module docstring).
+        try:
+            expected = fraction_general_solution(params)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                general_solution(params)
+            assert str(info.value) == str(exc)
+        else:
+            assert general_solution(params) == expected
+            assert gcd(*expected.parts, expected.b) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(s=st.integers(5, 9), data=st.data())

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificates import clear_denominators
 from gen4_oracle import (
     ORACLE_MAX_MULTIPLE,
     BVector,
@@ -45,7 +46,6 @@ from sumprodpower.transforms import (
     _s4_odd_multiples,
     _s4_psi_seed,
     _s4_solution,
-    clear_denominators,
     primitive_reduce,
     s4_point_solution,
     s4_solutions,
@@ -184,6 +184,18 @@ class TestIntegerKernel:
             assert 384 % g == 0, point
             gcds.add(g)
         assert 384 in gcds and len(gcds) > 2
+
+    def test_records_are_primitive(self):
+        # _s4_solution divides by the whole common factor (transforms module
+        # docstring), so gen4 --primitive has nothing left to reduce.
+        for k, sol in enumerate(s4_solutions(LONG_WALK)):
+            assert gcd(*sol.parts, sol.b) == 1, 2 * k + 1
+        points = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE) if k % 2]
+        points += [Point(x, sign * y) for x, y in INTEGRAL_POINTS for sign in (1, -1)]
+        records = [s4_point_solution(point) for point in points]
+        assert {sol.parts[1] > sol.parts[2] for sol in records if sol} == {True, False}
+        for point, sol in zip(points, records):
+            assert sol is None or gcd(*sol.parts, sol.b) == 1, point
 
     def test_walk_triples_are_the_multiples_in_lowest_terms(self):
         odd = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE)[::2] if k % 2]

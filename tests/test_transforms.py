@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificates import INFINITY, negate, scalar_mul
+from certificates import INFINITY, clear_denominators, negate, scalar_mul
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
 from sumprodpower import (
     DioSolution,
     Point,
-    clear_denominators,
     nagell_lutz_candidates,
     on_curve,
     primitive_reduce,
