@@ -5,10 +5,10 @@ All arithmetic is exact (Python integers and fractions.Fraction); there is no
 floating point in the mathematical core.
 """
 
-from .elliptic import Point, WeierstrassCurve, discriminant, nagell_lutz_candidates, on_curve
+from .elliptic import nagell_lutz_candidates, on_curve
 from .exactmath import divisors, int_nth_root, perfect_sth_power
-from .family import FamilyParams, general_solution, s5_polynomial_family, S5Substitution
+from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
-from .transforms import DioSolution, primitive_reduce, s3_curve, s3_trace_back
+from .transforms import DioSolution, primitive_reduce, s3_trace_back
 
 __version__ = "0.1.0"

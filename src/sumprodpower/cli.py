@@ -17,14 +17,13 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .elliptic import Point, WeierstrassCurve, nagell_lutz_candidates, on_curve
+from .elliptic import nagell_lutz_candidates, on_curve
 from .exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
-from .family import FamilyParams, S5Substitution, general_solution, s5_polynomial_family
+from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
 from .transforms import (
     DioSolution,
     primitive_reduce,
-    s3_curve,
     s3_trace_back,
     s4_point_solution,
     s4_solutions,
@@ -78,11 +77,11 @@ def _fraction_list(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}") from exc
 
 
-def _point(text: str) -> Point:
+def _point(text: str) -> tuple[Fraction, Fraction]:
     coords = _fraction_list(text)
     if len(coords) != 2:
         raise argparse.ArgumentTypeError(f"a point needs exactly two coordinates: {text!r}")
-    return Point(coords[0], coords[1])
+    return coords[0], coords[1]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -106,16 +105,15 @@ def cmd_gen4(args: argparse.Namespace) -> int:
     # --primitive changes no gen4 record: _s4_solution divides out the whole
     # common factor (transforms module docstring).
     if args.from_point is not None:
-        point = args.from_point
+        x, y = args.from_point
         try:
-            sol = s4_point_solution(point)
+            sol = s4_point_solution(x, y)
         except ValueError:
             sol, reason = None, "is not on the s=4 curve"
         else:
             reason = "is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
         if sol is None:
-            print(f"point ({format_fraction(point.x)}, {format_fraction(point.y)}) {reason}",
-                  file=sys.stderr)
+            print(f"point ({format_fraction(x)}, {format_fraction(y)}) {reason}", file=sys.stderr)
             return 1
         print(render(sol, "gen4", args.format))
         return 0
@@ -153,7 +151,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             return _usage_error(str(exc))
     try:
         if closed_form:
-            sol = s5_polynomial_family(S5Substitution(args.t1, args.t2))
+            sol = s5_polynomial_family(args.t1, args.t2)
         else:
             sol = general_solution(params)
     except ValueError as exc:  # the positivity quadratic D is not positive
@@ -184,20 +182,19 @@ def cmd_s3(args: argparse.Namespace) -> int:
         spec = SearchSpec(3, args.brute_max)
     except ValueError as exc:
         return _usage_error(str(exc).replace("n_max", "--brute-max"))
-    curve = s3_curve()
     print("curve: y^2 = x^3 + 16")
-    candidates = nagell_lutz_candidates(curve)
-    rendered = ", ".join(f"({p.x}, {p.y})" for p in candidates)
+    candidates = nagell_lutz_candidates(16)
+    rendered = ", ".join(f"({x}, {y})" for x, y in candidates)
     print(f"integral candidates (y = 0 or y | disc): {rendered}")
     positive = 0
-    for point in candidates:
-        pair = s3_trace_back(point)
+    for x, y in candidates:
+        pair = s3_trace_back(x, y)
         if pair is None:
-            print(f"trace back ({point.x}, {point.y}): v = 0, degenerate, no (b1, b2)")
+            print(f"trace back ({x}, {y}): v = 0, degenerate, no (b1, b2)")
         else:
             is_pos = pair[0] > 0 and pair[1] > 0
             positive += is_pos
-            print(f"trace back ({point.x}, {point.y}): (b1, b2) = ({pair[0]}, {pair[1]}),"
+            print(f"trace back ({x}, {y}): (b1, b2) = ({pair[0]}, {pair[1]}),"
                   f" positive: {'yes' if is_pos else 'no'}")
     print(f"positive preimages among candidates: {positive}")
     brute = enumerate_solutions(spec)
@@ -207,9 +204,8 @@ def cmd_s3(args: argparse.Namespace) -> int:
         " ((16u+8)^2 - (4v)^3 - 64 = 192(u^2+u) is not identically 0);"
         " the consistent scaling is x = 4v, y = 8u + 4 onto y^2 = x^3 + 16"
     )
-    alt = WeierstrassCurve(0, 0, 64)
     for x, y in ((8, 24), (8, -24), (0, 8), (0, -8), (-4, 0)):
-        ok = on_curve(alt, Point(x, y))
+        ok = on_curve(64, x, y)
         print(f"point ({x}, {y}) on y^2 = x^3 + 64: {'yes' if ok else 'no'}")
     return 0
 

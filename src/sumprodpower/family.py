@@ -64,7 +64,6 @@ __all__ = [
     "FamilyParams",
     "general_solution",
     "s5_polynomial_family",
-    "S5Substitution",
 ]
 
 
@@ -91,18 +90,6 @@ class FamilyParams:
             raise ValueError("tail entries must be positive")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
-
-
-@dataclass(frozen=True)
-class S5Substitution:
-    """Integer substitution (t1, t2) = (t0, b4) for the closed s=5 family."""
-
-    t1: int
-    t2: int
-
-    def __post_init__(self) -> None:
-        if self.t1 < 1 or self.t2 < 1:
-            raise ValueError("t1 and t2 must be positive integers")
 
 
 def general_solution(params: FamilyParams) -> DioSolution:
@@ -135,14 +122,16 @@ def general_solution(params: FamilyParams) -> DioSolution:
     return DioSolution(params.s, parts, sum(parts), b)
 
 
-def s5_polynomial_family(sub: S5Substitution) -> DioSolution:
-    """Closed polynomial form of the s = 5 family at u = v = t2, t0 = t1.
+def s5_polynomial_family(t1: int, t2: int) -> DioSolution:
+    """Closed polynomial form of the s = 5 family at u = v = t2, t0 = t1,
+    for positive integers t1 and t2 (ValueError otherwise).
 
     parts = (t1^2 t2^6 (t1^2 t2 + 1), D^2, t1^2 t2 D^2, 2 t1 t2^3 (t1^2 t2 + 1) D)
     with D = 4 t1^2 t2 - t1 t2^3 + 4, and b = 2 t1 t2^2 (t1^2 t2 + 1) D, which
     is 2 u v t0 (u t0^2 + 1) D under the substitution.
     """
-    t1, t2 = sub.t1, sub.t2
+    if t1 < 1 or t2 < 1:
+        raise ValueError("t1 and t2 must be positive integers")
     d = 4 * t1 * t1 * t2 - t1 * t2 ** 3 + 4
     if d <= 0:
         raise ValueError(f"positivity quadratic is not positive: D = {format_decimal(d)}")

@@ -7,7 +7,9 @@ prod(b) * sum(b) = 1; scaled by a common denominator, such a vector gives
 a solution back.  For s = 3 the chart u = b1/b2, v = 1/b2 turns that
 constraint into u^2 + u = v^3, which the substitution x = 4v, y = 8u + 4
 carries onto the Mordell curve y^2 = x^3 + 16 (note (8u+4)^2 =
-64(u^2+u) + 16).  For s = 4 the fiber
+64(u^2+u) + 16).  The s=3 report traces back only the integral torsion
+candidates (elliptic), so the inverse takes an integral point (x, y):
+b1 = u/v = (y - 4)/2x and b2 = 1/v = 4/x.  For s = 4 the fiber
 through the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart
 u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
 onto y^2 = x^3 - 166779x + 26215254.  Its inverse is v = (243 - x)/32,
@@ -44,14 +46,13 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterator
 
-from .elliptic import Point, WeierstrassCurve, on_curve
+from .elliptic import on_curve
 from .exactmath import format_decimal, perfect_sth_power
 
 __all__ = [
     "DioSolution",
     "S4_SEED_POINT",
     "primitive_reduce",
-    "s3_curve",
     "s3_trace_back",
     "s4_point_solution",
     "s4_solutions",
@@ -113,27 +114,20 @@ def primitive_reduce(sol: DioSolution) -> DioSolution:
 # s = 3
 # ---------------------------------------------------------------------------
 
-_S3_CURVE = WeierstrassCurve(Fraction(0), Fraction(0), Fraction(16))
 
-
-def s3_curve() -> WeierstrassCurve:
-    """The Mordell curve y^2 = x^3 + 16 carrying the s=3 chart."""
-    return _S3_CURVE
-
-
-def s3_trace_back(point: Point) -> tuple[Fraction, Fraction] | None:
-    """Invert the s=3 chart: point -> (b1, b2), or None on the v = 0 fiber.
+def s3_trace_back(x: int, y: int) -> tuple[Fraction, Fraction] | None:
+    """Invert the s=3 chart at the integral point (x, y) of y^2 = x^3 + 16:
+    (b1, b2) = ((y - 4)/2x, 4/x), or None on the v = 0 fiber x = 0.
 
     Positivity of the returned pair is the caller's concern; for s=3 no curve
     point produces a positive pair, which is the negative result this module
     exists to make checkable.
     """
-    if not on_curve(_S3_CURVE, point) or point.is_infinity:
-        raise ValueError("point is not an affine point of y^2 = x^3 + 16")
-    if point.x == 0:
+    if not on_curve(16, x, y):
+        raise ValueError("point is not on y^2 = x^3 + 16")
+    if x == 0:
         return None
-    u, v = (point.y - 4) / 8, point.x / 4
-    return (u / v, 1 / v)
+    return Fraction(y - 4, 2 * x), Fraction(4, x)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +136,7 @@ def s3_trace_back(point: Point) -> tuple[Fraction, Fraction] | None:
 
 _S4_B, _S4_C = -166779, 26215254
 # Image of the seed b-vector (4, 1/3, 1/6) = (1, 2, 24)/6; it has infinite order.
-S4_SEED_POINT = Point(235, 8)
+S4_SEED_POINT = (235, 8)
 
 
 def _s4_chart(X: int, Y: int, e: int) -> tuple[int, int, int, int]:
@@ -176,15 +170,14 @@ def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
     return DioSolution(4, parts, sum(parts), den // g)
 
 
-def s4_point_solution(point: Point) -> DioSolution | None:
-    """The cleared chart preimage of an affine point in the positive
+def s4_point_solution(x: Fraction, y: Fraction) -> DioSolution | None:
+    """The cleared chart preimage of the point (x, y) in the positive
     region, None for one outside it; ValueError when the point is
     not on the curve.  The point comes from outside the program, so its
     form (X/e^2, Y/e^3) is tested first.  Then _s4_solution runs the region
     test and the clearing, and its DioSolution rejects an off-curve point
     in the region (the 8192 identity).  Only a point outside the region
     gets the membership test, on the integers (X, Y, e)."""
-    x, y = point.x, point.y
     X, Y, e = x.numerator, y.numerator, isqrt(x.denominator)
     e2 = e * e
     if e2 != x.denominator or y.denominator != e2 * e:  # see module docstring
@@ -202,7 +195,7 @@ def _s4_psi_seed() -> list[int]:
     """psi_0 .. psi_4 of the division polynomials of y^2 = x^3 + Ax + B
     (Silverman, The Arithmetic of Elliptic Curves, Ex. 3.7) at
     P = S4_SEED_POINT = (x, y)."""
-    x, y = S4_SEED_POINT.x.numerator, S4_SEED_POINT.y.numerator
+    x, y = S4_SEED_POINT
     a, b = _S4_B, _S4_C
     return [
         0,
@@ -252,7 +245,7 @@ def _s4_odd_multiples(max_multiple: int) -> Iterator[tuple[int, int, int]]:
     the division by 4y = 32 is exact, and 2^(3v) comes off Y by a shift.
     So the walk needs no gcd, and its only divisions are by 16 and 32.
     """
-    x = S4_SEED_POINT.x.numerator
+    x = S4_SEED_POINT[0]
     psi = _s4_psi_seed()
     for k in range(1, max_multiple + 1, 2):
         _s4_extend_psi(psi, k + 2)

@@ -3,6 +3,12 @@
 The command line runs none of this; the tests use it to prove what the
 package's integer paths take as given:
 
+  - curves ``y^2 = x^3 + a*x^2 + b*x + c`` with rational coefficients
+    (``WeierstrassCurve``, with the exact membership test
+    ``WeierstrassCurve.contains`` and the cubic's ``discriminant``) and
+    their points in ``Fraction`` coordinates (``Point``, with the point at
+    infinity ``INFINITY``); the package's s=3 report needs only two
+    Mordell curves on integers (``sumprodpower.elliptic``);
   - the chord-and-tangent group law on ``WeierstrassCurve``, and
     ``certify_infinite_order``: (235, 8) has infinite order on the s=4 curve,
     so ``gen4`` never runs dry;
@@ -30,16 +36,78 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
-from sumprodpower import (
-    DioSolution,
-    FamilyParams,
-    Point,
-    SearchSpec,
-    WeierstrassCurve,
-    enumerate_solutions,
-    on_curve,
-)
+from sumprodpower import DioSolution, FamilyParams, SearchSpec, enumerate_solutions
 from sumprodpower.exactmath import format_fraction
+
+# ---------------------------------------------------------------------------
+# Curves and points
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Point:
+    """Affine point, or the point at infinity when both coordinates are None."""
+
+    x: Fraction | None
+    y: Fraction | None
+
+    def __post_init__(self) -> None:
+        if (self.x is None) != (self.y is None):
+            raise ValueError("affine points need both coordinates")
+        if self.x is not None:
+            object.__setattr__(self, "x", Fraction(self.x))
+            object.__setattr__(self, "y", Fraction(self.y))
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.x is None
+
+    def __repr__(self) -> str:
+        if self.is_infinity:
+            return "Point(infinity)"
+        return f"Point({self.x}, {self.y})"
+
+
+INFINITY = Point(None, None)
+
+
+@dataclass(frozen=True)
+class WeierstrassCurve:
+    """Non-singular curve ``y^2 = x^3 + a*x^2 + b*x + c`` with rational coefficients."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "c", Fraction(self.c))
+        if discriminant(self) == 0:
+            raise ValueError("singular cubic: discriminant is zero")
+
+    @property
+    def has_integer_coefficients(self) -> bool:
+        return all(f.denominator == 1 for f in (self.a, self.b, self.c))
+
+    def rhs(self, x: Fraction) -> Fraction:
+        """The cubic ``x^3 + a*x^2 + b*x + c`` evaluated at ``x``."""
+        return ((x + self.a) * x + self.b) * x + self.c
+
+    def contains(self, point: Point) -> bool:
+        """Exact membership test; the point at infinity is always on the curve."""
+        return point.is_infinity or point.y * point.y == self.rhs(point.x)
+
+    def __repr__(self) -> str:
+        return f"WeierstrassCurve(a={self.a}, b={self.b}, c={self.c})"
+
+
+def discriminant(curve: WeierstrassCurve) -> Fraction:
+    """Discriminant of the cubic x^3 + a x^2 + b x + c, the squared product
+    of its root differences (non-zero on a constructed curve)."""
+    a, b, c = curve.a, curve.b, curve.c
+    return -4 * a ** 3 * c + a * a * b * b + 18 * a * b * c - 4 * b ** 3 - 27 * c * c
+
 
 # ---------------------------------------------------------------------------
 # Group law
@@ -48,8 +116,6 @@ from sumprodpower.exactmath import format_fraction
 # Largest possible order of a rational torsion point (Mazur's theorem);
 # makes the torsion test below terminate.
 MAZUR_TORSION_BOUND = 12
-
-INFINITY = Point(None, None)
 
 
 def is_integral(point: Point) -> bool:
@@ -85,14 +151,14 @@ def _add_unchecked(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
 
 def add(curve: WeierstrassCurve, p: Point, q: Point) -> Point:
     """Group law sum of two points on ``curve``."""
-    if not on_curve(curve, p) or not on_curve(curve, q):
+    if not curve.contains(p) or not curve.contains(q):
         raise ValueError("point is not on the curve")
     return _add_unchecked(curve, p, q)
 
 
 def scalar_mul(curve: WeierstrassCurve, k: int, point: Point) -> Point:
     """``k``-th multiple of ``point`` by double-and-add; ``k`` may be negative."""
-    if not on_curve(curve, point):
+    if not curve.contains(point):
         raise ValueError("point is not on the curve")
     if k < 0:
         k, point = -k, negate(point)
@@ -121,7 +187,7 @@ def certify_infinite_order(curve: WeierstrassCurve, point: Point) -> bool:
         raise ValueError("integral model required: coefficients must be integers")
     if point.is_infinity:
         raise ValueError("the point at infinity is trivially torsion")
-    if not on_curve(curve, point):
+    if not curve.contains(point):
         raise ValueError("point is not on the curve")
     multiple = point
     for _ in range(MAZUR_TORSION_BOUND):
@@ -384,7 +450,7 @@ def remainder_certificate(u: Fraction | int, v: Fraction | int) -> Poly:
 
 def weierstrass_to_quartic(params: FamilyParams, point: Point) -> QuarticPoint:
     """Pull a Weierstrass point back to the quartic (undefined at X = 0)."""
-    if not on_curve(weierstrass_model(params), point):
+    if not weierstrass_model(params).contains(point):
         raise ValueError("point is not on the family Weierstrass model")
     if point.is_infinity or point.x == 0:
         raise ValueError("exceptional point: the map needs an affine point with X != 0")

@@ -29,14 +29,8 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterator
 
-from certificates import add, clear_denominators, negate
-from sumprodpower import (
-    DioSolution,
-    Point,
-    WeierstrassCurve,
-    on_curve,
-    primitive_reduce,
-)
+from certificates import Point, WeierstrassCurve, add, clear_denominators, negate
+from sumprodpower import DioSolution, primitive_reduce
 
 # The s=4 analysis works on the fiber through the seed solution (1, 2, 24).
 S4_FIBER_PRODUCT = Fraction(2, 9)
@@ -103,7 +97,7 @@ def s4_inverse(point: Point) -> tuple[Fraction, Fraction, Fraction]:
     has prod = 2/9 and sum = 9/2 (hence prod * sum = 1), with signs
     depending on the point.
     """
-    if not on_curve(_S4_CURVE, point) or point.is_infinity:
+    if not _S4_CURVE.contains(point) or point.is_infinity:
         raise ValueError("point is not an affine point of the s=4 curve")
     if point.x == 243:
         raise ValueError("degenerate point: x = 243 has no chart preimage")
@@ -122,7 +116,7 @@ def s4_in_positive_region(point: Point) -> bool:
     y^2 < (6369 - 27x)^2 with 6369 - 27x > 0, while the unbounded component
     starts at e3 ~ 236.5, where 6369 - 27x is already negative.
     """
-    if not on_curve(_S4_CURVE, point):
+    if not _S4_CURVE.contains(point):
         raise ValueError("point is not on the s=4 curve")
     if point.is_infinity:
         return False

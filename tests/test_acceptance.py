@@ -12,7 +12,9 @@ from math import prod
 
 from certificates import (
     INFINITY,
+    Point,
     Poly,
+    WeierstrassCurve,
     base_point,
     certify_infinite_order,
     check_table_membership,
@@ -29,16 +31,7 @@ from certificates import (
 )
 from conftest import TABLE_S5, TABLE_S6, random_positive_fraction, table_rows
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
-from sumprodpower import (
-    DioSolution,
-    FamilyParams,
-    Point,
-    SearchSpec,
-    WeierstrassCurve,
-    general_solution,
-    on_curve,
-    primitive_reduce,
-)
+from sumprodpower import DioSolution, FamilyParams, SearchSpec, general_solution, primitive_reduce
 from sumprodpower.cli import main
 
 # The two worked s=4 points: the non-integral infinite-order witness and the
@@ -134,14 +127,14 @@ def test_criterion_05_s4_generator(capsys):
 
     # the published example point: on the curve, inside the region, and it
     # clears (after primitive reduction, as a multiset) to the printed parts
-    assert on_curve(curve, EXAMPLE_POINT)
+    assert curve.contains(EXAMPLE_POINT)
     assert s4_in_positive_region(EXAMPLE_POINT)
     example_sol = primitive_reduce(clear_denominators(s4_inverse(EXAMPLE_POINT)))
     assert example_sol.sorted_parts == EXAMPLE_PARTS
 
     # the non-integral witness is on the curve (its role is the infinite-order
     # certificate; it sits outside the positive region, x > 243)
-    assert on_curve(curve, WITNESS_POINT)
+    assert curve.contains(WITNESS_POINT)
     assert not s4_in_positive_region(WITNESS_POINT)
 
     # the generator reaches three distinct verified solutions within 25 multiples
@@ -179,7 +172,7 @@ def test_criterion_07_closed_forms_match_group_law():
         curve = weierstrass_model(params)
         p = base_point(params)
         p2, p4 = doubled_point(params), quadrupled_point(params)
-        assert on_curve(curve, p) and on_curve(curve, p2) and on_curve(curve, p4)
+        assert curve.contains(p) and curve.contains(p2) and curve.contains(p4)
         assert p2 == scalar_mul(curve, 2, p)
         assert p4 == scalar_mul(curve, 4, p)
     elapsed = time.perf_counter() - start

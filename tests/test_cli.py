@@ -397,6 +397,26 @@ class TestS3Report:
         assert "erratum" in out
         assert out.count("on y^2 = x^3 + 64: yes") == 5
 
+    def test_whole_report(self, capsys):
+        code, out, err = run_cli(capsys, "s3", "--brute-max", "100")
+        assert (code, err) == (0, "")
+        assert out == (
+            "curve: y^2 = x^3 + 16\n"
+            "integral candidates (y = 0 or y | disc): (0, -4), (0, 4)\n"
+            "trace back (0, -4): v = 0, degenerate, no (b1, b2)\n"
+            "trace back (0, 4): v = 0, degenerate, no (b1, b2)\n"
+            "positive preimages among candidates: 0\n"
+            "brute force a1 + a2 <= 100: 0 solutions\n"
+            "erratum: the scaling x = 4v, y = 16u + 8 does not land on y^2 = x^3 + 64"
+            " ((16u+8)^2 - (4v)^3 - 64 = 192(u^2+u) is not identically 0);"
+            " the consistent scaling is x = 4v, y = 8u + 4 onto y^2 = x^3 + 16\n"
+            "point (8, 24) on y^2 = x^3 + 64: yes\n"
+            "point (8, -24) on y^2 = x^3 + 64: yes\n"
+            "point (0, 8) on y^2 = x^3 + 64: yes\n"
+            "point (0, -8) on y^2 = x^3 + 64: yes\n"
+            "point (-4, 0) on y^2 = x^3 + 64: yes\n"
+        )
+
     @pytest.mark.parametrize(
         "argv", [("s3", "--brute-max", "1"), ("search", "--s", "3", "--max-n", "1")]
     )

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificates import clear_denominators
+from certificates import Point, clear_denominators
 from gen4_oracle import (
     ORACLE_MAX_MULTIPLE,
     BVector,
@@ -39,7 +39,6 @@ from gen4_oracle import (
 )
 from sumprodpower import cli
 from sumprodpower.exactmath import format_fraction, parse_decimal
-from sumprodpower.elliptic import Point, on_curve
 from sumprodpower.transforms import (
     _s4_chart,
     _s4_extend_psi,
@@ -166,14 +165,14 @@ class TestIntegerKernel:
     def test_kernel_is_the_fraction_chart_and_clearing(self):
         # Both signs of every k <= 81; the even k check the None branch.
         for k, point, sol in signed_solutions(ORACLE_MAX_MULTIPLE):
-            assert s4_point_solution(point) == sol, k
+            assert s4_point_solution(point.x, point.y) == sol, k
         # The integral points with x < 4300, where 3 divides the clearing gcd
         # when it divides y.
         for x, y in INTEGRAL_POINTS:
             for point in (Point(x, y), Point(x, -y)):
                 sol = (clear_denominators(s4_inverse(point))
                        if s4_in_positive_region(point) else None)
-                assert s4_point_solution(point) == sol, point
+                assert s4_point_solution(point.x, point.y) == sol, point
 
     def test_clearing_gcd_divides_384(self):
         gcds = set()
@@ -192,7 +191,7 @@ class TestIntegerKernel:
             assert gcd(*sol.parts, sol.b) == 1, 2 * k + 1
         points = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE) if k % 2]
         points += [Point(x, sign * y) for x, y in INTEGRAL_POINTS for sign in (1, -1)]
-        records = [s4_point_solution(point) for point in points]
+        records = [s4_point_solution(point.x, point.y) for point in points]
         assert {sol.parts[1] > sol.parts[2] for sol in records if sol} == {True, False}
         for point, sol in zip(points, records):
             assert sol is None or gcd(*sol.parts, sol.b) == 1, point
@@ -244,7 +243,7 @@ class TestIntegerKernel:
                 if min(n2, n3, den) <= 0:
                     continue
                 point = Point(Fraction(X, e * e), Fraction(Y + dy, e ** 3))
-                if on_curve(s4_curve(), point):
+                if s4_curve().contains(point):
                     assert _s4_solution(X, Y + dy, e) is not None, (X, Y + dy, e)
                     on += 1
                 else:
@@ -299,11 +298,11 @@ class TestIntegerKernel:
                Point(Fraction(1, 4), Fraction(1, 8))]
         for point in off:
             assert point.x < 243 and abs(point.y) < 6369 - 27 * point.x
-            assert not on_curve(s4_curve(), point)
+            assert not s4_curve().contains(point)
             with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
-                s4_point_solution(point)
+                s4_point_solution(point.x, point.y)
         outside = Point(243, 192)
-        assert on_curve(s4_curve(), outside) and s4_point_solution(outside) is None
+        assert s4_curve().contains(outside) and s4_point_solution(outside.x, outside.y) is None
         for point in [*off, outside]:
             text = f"{format_fraction(point.x)},{format_fraction(point.y)}"
             reason = ("is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
@@ -338,7 +337,7 @@ class TestProperties:
            sign=st.sampled_from((1, -1)), primitive=st.booleans())
     def test_chart_round_trips(self, k, sign, primitive):
         _, point, _ = signed_solutions(k)[2 * k - 1 if sign < 0 else 2 * k - 2]
-        sol = s4_point_solution(point)
+        sol = s4_point_solution(point.x, point.y)
         if primitive:
             sol = primitive_reduce(sol)
         assert s4_forward(BVector.from_solution(sol)) == point

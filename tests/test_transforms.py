@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificates import INFINITY, clear_denominators, negate, scalar_mul
+from certificates import INFINITY, Point, clear_denominators, negate, scalar_mul
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
-from sumprodpower import (
-    DioSolution,
-    Point,
-    nagell_lutz_candidates,
-    on_curve,
-    primitive_reduce,
-    s3_curve,
-    s3_trace_back,
-)
+from sumprodpower import DioSolution, nagell_lutz_candidates, primitive_reduce, s3_trace_back
 
 SEED = Point(235, 8)
 # The second worked s=4 point: equals [3](235, 8).
@@ -125,32 +117,30 @@ class TestPrimitiveReduce:
 
 class TestS3:
     def test_curve_and_candidates(self):
-        curve = s3_curve()
-        assert (curve.a, curve.b, curve.c) == (0, 0, 16)
-        assert nagell_lutz_candidates(curve) == [Point(0, -4), Point(0, 4)]
+        assert nagell_lutz_candidates(16) == [(0, -4), (0, 4)]
 
     def test_trace_back_degenerate(self):
-        assert s3_trace_back(Point(0, 4)) is None
-        assert s3_trace_back(Point(0, -4)) is None
+        assert s3_trace_back(0, 4) is None
+        assert s3_trace_back(0, -4) is None
 
     def test_trace_back_rejects_off_curve(self):
         # (4, 12) satisfies neither the curve nor the original constraint:
         # its would-be preimage (1, 1) has b1*b2*(b1+b2) = 2.
         with pytest.raises(ValueError):
-            s3_trace_back(Point(4, 12))
+            s3_trace_back(4, 12)
 
     def test_no_rational_s3_vector_exists_for_small_candidates(self):
         # Both integral candidates are degenerate, so no positive pair at all.
-        for point in nagell_lutz_candidates(s3_curve()):
-            assert s3_trace_back(point) is None
+        for x, y in nagell_lutz_candidates(16):
+            assert s3_trace_back(x, y) is None
 
 
 class TestS4Maps:
     def test_curve_membership_examples(self):
         curve = s4_curve()
-        assert on_curve(curve, Point(235, 8))
-        assert on_curve(curve, Point(51, -4224))
-        assert on_curve(curve, Point(243, 192))
+        assert curve.contains(Point(235, 8))
+        assert curve.contains(Point(51, -4224))
+        assert curve.contains(Point(243, 192))
 
     @pytest.mark.parametrize(
         "entries, expected",
@@ -163,7 +153,7 @@ class TestS4Maps:
     def test_forward(self, entries, expected):
         point = s4_forward(BVector(4, entries))
         assert point == expected
-        assert on_curve(s4_curve(), point)
+        assert s4_curve().contains(point)
 
     def test_forward_rejects_off_fiber(self):
         # (1, 8, 9) with b = 6 is a solution on a different fiber: prod = 1/3.
@@ -210,7 +200,7 @@ class TestS4Maps:
     def test_witness_point_is_outside_region(self):
         # The non-integral witness certifies infinite order but sits off the
         # bounded component: x > 243, so its preimage has negative entries.
-        assert on_curve(s4_curve(), WITNESS)
+        assert s4_curve().contains(WITNESS)
         assert not s4_in_positive_region(WITNESS)
         assert not all(b > 0 for b in s4_inverse(WITNESS))
 
