@@ -9,6 +9,6 @@ from .elliptic import nagell_lutz_candidates, on_curve
 from .exactmath import divisors, int_nth_root, perfect_sth_power
 from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
-from .transforms import DioSolution, primitive_reduce, s3_trace_back
+from .transforms import DioSolution, primitive_reduce
 
 __version__ = "0.1.0"

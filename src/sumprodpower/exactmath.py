@@ -4,6 +4,12 @@ Everything here is arbitrary precision: integer k-th roots, perfect-power
 detection, divisor enumeration by trial division, and decimal conversion of
 integers and rationals of any length.  No floating point is used anywhere.
 
+Numbers are read in one grammar at every length: ASCII digits with an
+optional sign, and ``p/q`` for a rational.  The forms that ``int()`` and
+``Fraction()`` accept beyond it (``1_000``, ``1e3``, ``1.5``, non-ASCII
+digits) are refused, however short; only the conversion of a valid text
+depends on its length.
+
 The k-th root rests on two facts.  For a continuous increasing f that takes
 integer values only at integers, such as x ** (1/j), floor(f(floor(x))) ==
 floor(f(x)) (Graham, Knuth and Patashnik, Concrete Mathematics, 3.2); so
@@ -94,26 +100,29 @@ def perfect_sth_power(m: int, s: int) -> int | None:
 # that stay well below it.
 _DECIMAL_CHUNK = 4000
 
+# The one grammar of numbers: an integer p, or a rational p/q, in ASCII
+# digits with an optional sign on p and surrounding ASCII whitespace.
+_NUMBER = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
+def _digits_value(digits: str) -> int:
+    # int(digits) for a signed ASCII digit string of any length.
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(digits)
+    low = len(digits) // 2  # the sign stays with the high half
+    rest = _digits_value(digits[-low:])
+    return _digits_value(digits[:-low]) * 10 ** low + (-rest if digits[0] == "-" else rest)
+
 
 def parse_decimal(text: str) -> int:
-    """Exact ``int(text)`` for a decimal of any length.
-
-    Short texts go straight to ``int()``.  Longer ones must be ASCII digits
-    with an optional sign and surrounding whitespace; they are converted in
-    chunks.  Raises ``ValueError`` like ``int()``.
-    """
-    if len(text) <= _DECIMAL_CHUNK:
-        return int(text)
-    body = text.strip()
-    sign = -1 if body[:1] == "-" else 1
-    if body[:1] in "+-":
-        body = body[1:]
-    if not (body.isascii() and body.isdigit()):
+    """The integer ``p`` that ``text`` writes, at any length: ASCII digits
+    with an optional sign and surrounding ASCII whitespace.  Anything else,
+    such as ``1_000``, ``1e3``, ``1.5`` or non-ASCII digits, raises
+    ``ValueError``."""
+    match = _NUMBER.fullmatch(text)
+    if match is None or match[2] is not None:
         raise ValueError(f"invalid decimal literal of {len(text)} characters")
-    if len(body) <= _DECIMAL_CHUNK:
-        return sign * int(body)
-    low = len(body) // 2
-    return sign * (parse_decimal(body[:-low]) * 10 ** low + parse_decimal(body[-low:]))
+    return _digits_value(match[1])
 
 
 def format_decimal(value: int) -> str:
@@ -128,27 +137,19 @@ def format_decimal(value: int) -> str:
     return format_decimal(high) + format_decimal(rest).zfill(low)
 
 
-_LONG_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
-
-
 def parse_fraction(text: str) -> Fraction:
-    """Exact ``Fraction(text)`` for a rational of any length.
-
-    Short texts go straight to ``Fraction()``.  Longer ones must be ``p`` or
-    ``p/q`` in ASCII digits, with an optional sign on ``p`` and surrounding
-    whitespace; both sides go through parse_decimal.  Raises ``ValueError``
-    like ``Fraction()``, and ``ZeroDivisionError`` when ``q`` is zero.
-    """
-    if len(text) <= _DECIMAL_CHUNK:
-        return Fraction(text)
-    match = _LONG_RATIONAL.fullmatch(text)
+    """The rational ``p`` or ``p/q`` that ``text`` writes, at any length, in
+    the grammar of parse_decimal with an optional ``/q`` of unsigned ASCII
+    digits.  Anything else raises ``ValueError``; a zero ``q`` raises
+    ``ZeroDivisionError``."""
+    match = _NUMBER.fullmatch(text)
     if match is None:
         raise ValueError(f"invalid rational literal of {len(text)} characters")
     num, den = match.groups()
-    q = 1 if den is None else parse_decimal(den)
-    if q == 0:  # Fraction's own message would print the long numerator
+    q = 1 if den is None else _digits_value(den)
+    if q == 0:  # Fraction's own message would print the numerator
         raise ZeroDivisionError(f"zero denominator in a rational of {len(text)} characters")
-    return Fraction(parse_decimal(num), q)
+    return Fraction(_digits_value(num), q)
 
 
 def format_fraction(value: Fraction | int) -> str:

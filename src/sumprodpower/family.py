@@ -72,7 +72,9 @@ class FamilyParams:
     """Parameters (s, tail, t0) of one member of the s >= 5 family.
 
     tail holds the freely chosen positive values b4 .. b_{s-1}; t0 is the
-    positive parameter of the specialized slope t = u * t0**2.
+    positive parameter of the specialized slope t = u * t0**2.  Both are
+    kept as given (Fractions or ints): general_solution reads only their
+    numerators and denominators.
     """
 
     s: int
@@ -80,8 +82,7 @@ class FamilyParams:
     t0: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tail", tuple(Fraction(e) for e in self.tail))
-        object.__setattr__(self, "t0", Fraction(self.t0))
+        object.__setattr__(self, "tail", tuple(self.tail))
         if self.s < 5:
             raise ValueError("the family needs s >= 5")
         if len(self.tail) != self.s - 4:
@@ -119,7 +120,7 @@ def general_solution(params: FamilyParams) -> DioSolution:
     entries += ((e.numerator, e.denominator) for e in tail)
     b = lcm(*(den for _, den in entries))
     parts = tuple(num * (b // den) for num, den in entries)
-    return DioSolution(params.s, parts, sum(parts), b)
+    return DioSolution(parts, b)
 
 
 def s5_polynomial_family(t1: int, t2: int) -> DioSolution:
@@ -143,4 +144,4 @@ def s5_polynomial_family(t1: int, t2: int) -> DioSolution:
         2 * t1 * t2 ** 3 * kernel * d,
     )
     b = 2 * t1 * t2 ** 2 * kernel * d
-    return DioSolution(5, parts, sum(parts), b)
+    return DioSolution(parts, b)

@@ -239,5 +239,5 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
             for chunk in pool.imap_unordered(_leading_block, blocks):
                 raw.extend(chunk)
     raw.sort(key=lambda item: (item[1], item[0]))
-    return [DioSolution(spec.s, parts, n, b) for parts, n, b in raw]
+    return [DioSolution(parts, b) for parts, _, b in raw]
 

@@ -2,14 +2,18 @@
 curve points.
 
 ``DioSolution`` is a verified integer solution of the sum/product system.
+It holds the parts and b alone: s is the number of parts plus one and n is
+their sum, so only prod(parts) * n == b^s and positivity need a test.
 Divided by b, a solution is a normalized vector b_i = a_i / b with
 prod(b) * sum(b) = 1; scaled by a common denominator, such a vector gives
 a solution back.  For s = 3 the chart u = b1/b2, v = 1/b2 turns that
 constraint into u^2 + u = v^3, which the substitution x = 4v, y = 8u + 4
-carries onto the Mordell curve y^2 = x^3 + 16 (note (8u+4)^2 =
-64(u^2+u) + 16).  The s=3 report traces back only the integral torsion
-candidates (elliptic), so the inverse takes an integral point (x, y):
-b1 = u/v = (y - 4)/2x and b2 = 1/v = 4/x.  For s = 4 the fiber
+carries onto the Mordell curve y^2 = x^3 + 16, since
+(8u+4)^2 - (4v)^3 - 16 = 64(u^2 + u - v^3).  Its inverse b1 = u/v =
+(y - 4)/2x, b2 = 1/v = 4/x is defined off the fiber x = 0.  The s=3 report
+traces back the integral torsion candidates of that curve (elliptic); they
+are (0, 4) and (0, -4), both on the fiber, so the report states that no
+candidate gives a pair (b1, b2) and runs no inverse.  For s = 4 the fiber
 through the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart
 u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
 onto y^2 = x^3 - 166779x + 26215254.  Its inverse is v = (243 - x)/32,
@@ -46,14 +50,12 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterator
 
-from .elliptic import on_curve
 from .exactmath import format_decimal, perfect_sth_power
 
 __all__ = [
     "DioSolution",
     "S4_SEED_POINT",
     "primitive_reduce",
-    "s3_trace_back",
     "s4_point_solution",
     "s4_solutions",
 ]
@@ -61,36 +63,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DioSolution:
-    """Verified positive integer solution: n = sum(parts), prod(parts) * n = b**s."""
+    """Verified positive integer solution: parts a_1 .. a_{s-1} and b with
+    prod(parts) * n == b**s, where s = len(parts) + 1 and n = sum(parts)."""
 
-    s: int
     parts: tuple[int, ...]
-    n: int
     b: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
-        if self.s < 3:
-            raise ValueError("s must be >= 3")
-        if len(self.parts) != self.s - 1:
-            raise ValueError(f"expected {self.s - 1} parts, got {len(self.parts)}")
+        if len(self.parts) < 2:
+            raise ValueError("need at least two parts (s >= 3)")
         if any(a < 1 for a in self.parts) or self.b < 1:
             raise ValueError("parts and b must be positive")
-        if self.n != sum(self.parts):
-            raise ValueError("n must equal the sum of the parts")
         if prod(self.parts) * self.n != self.b ** self.s:
             raise ValueError("prod(parts) * n is not b**s")
 
     @classmethod
-    def from_parts(cls, s: int, parts: tuple[int, ...] | list[int]) -> "DioSolution":
-        """Build a solution from parts alone, computing n and b; raises if
+    def from_parts(cls, parts: tuple[int, ...] | list[int]) -> "DioSolution":
+        """Build a solution from parts alone, computing b; raises if
         prod(parts) * sum(parts) is not a perfect s-th power."""
-        n = sum(parts)
-        value = prod(parts) * n
+        s = len(parts) + 1
+        value = prod(parts) * sum(parts)
         b = perfect_sth_power(value, s)
         if b is None:
             raise ValueError(f"{format_decimal(value)} is not a perfect {s}-th power")
-        return cls(s, tuple(parts), n, b)
+        return cls(tuple(parts), b)
+
+    @property
+    def s(self) -> int:
+        return len(self.parts) + 1
+
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
 
     @property
     def sorted_parts(self) -> tuple[int, ...]:
@@ -107,27 +111,7 @@ def primitive_reduce(sol: DioSolution) -> DioSolution:
     if d == 1:
         return sol
     parts = tuple(a // d for a in sol.parts)
-    return DioSolution(sol.s, parts, sol.n // d, sol.b // d)
-
-
-# ---------------------------------------------------------------------------
-# s = 3
-# ---------------------------------------------------------------------------
-
-
-def s3_trace_back(x: int, y: int) -> tuple[Fraction, Fraction] | None:
-    """Invert the s=3 chart at the integral point (x, y) of y^2 = x^3 + 16:
-    (b1, b2) = ((y - 4)/2x, 4/x), or None on the v = 0 fiber x = 0.
-
-    Positivity of the returned pair is the caller's concern; for s=3 no curve
-    point produces a positive pair, which is the negative result this module
-    exists to make checkable.
-    """
-    if not on_curve(16, x, y):
-        raise ValueError("point is not on y^2 = x^3 + 16")
-    if x == 0:
-        return None
-    return Fraction(y - 4, 2 * x), Fraction(4, x)
+    return DioSolution(parts, sol.b // d)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +151,7 @@ def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
         return None
     g = gcd(384, n2, n3, den)
     parts = (n1 // g, n2 // g, n3 // g)
-    return DioSolution(4, parts, sum(parts), den // g)
+    return DioSolution(parts, den // g)
 
 
 def s4_point_solution(x: Fraction, y: Fraction) -> DioSolution | None:

@@ -317,7 +317,7 @@ def clear_denominators(entries: tuple[Fraction, ...]) -> DioSolution:
     """
     scale = lcm(*(e.denominator for e in entries))
     parts = tuple(int(e * scale) for e in entries)
-    return DioSolution(len(parts) + 1, parts, sum(parts), scale)
+    return DioSolution(parts, scale)
 
 
 def fraction_general_solution(params: FamilyParams) -> DioSolution:

@@ -39,7 +39,9 @@ TABLE_S6 = [
 
 def table_rows(s: int) -> list[DioSolution]:
     table = TABLE_S5 if s == 5 else TABLE_S6
-    return [DioSolution(s, parts, n, b) for parts, b, n in table]
+    rows = [DioSolution(parts, b) for parts, b, _ in table]
+    assert [(row.s, row.n) for row in rows] == [(s, n) for _, _, n in table]
+    return rows
 
 
 @pytest.fixture

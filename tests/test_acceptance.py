@@ -73,8 +73,8 @@ def test_criterion_02_table_verification(capsys):
     start = time.perf_counter()
     for s, table in ((5, TABLE_S5), (6, TABLE_S6)):
         for parts, b, n in table:
-            sol = DioSolution.from_parts(s, parts)
-            assert (sol.b, sol.n) == (b, n)
+            sol = DioSolution.from_parts(parts)
+            assert (sol.s, sol.b, sol.n) == (s, b, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.010, f"20-row verification took {elapsed:.6f} s"
     # the CLI surface agrees row by row
@@ -146,7 +146,7 @@ def test_criterion_05_s4_generator(capsys):
     assert records[0]["parts"] == [1, 2, 24]
     assert records[1]["parts"] == list(EXAMPLE_PARTS)
     for r in records:
-        sol = DioSolution.from_parts(r["s"], tuple(r["parts"]))
+        sol = DioSolution.from_parts(tuple(r["parts"]))
         assert (sol.n, sol.b) == (r["n"], r["b"])
     _report(5, "s=4 generator: k=1 gives {1, 2, 24}; example point maps to the "
                "published triple; 3 distinct solutions within k <= 25")

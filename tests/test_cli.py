@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from certificates import add, fraction_general_solution, positivity_value
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, s4_curve, signed_solutions
-from sumprodpower import cli, family, search, transforms
+from sumprodpower import DioSolution, cli, family, search, transforms
 from sumprodpower.cli import main
 from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
 from sumprodpower.family import FamilyParams
@@ -283,6 +283,18 @@ class TestFamily:
             monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
         assert run_cli(capsys, "family", *argv) == (0, expected, "")
         assert calls == {"FamilyParams": 1, "DioSolution": 1}
+
+    def test_lenient_number_is_a_prompt_usage_error(self, capsys):
+        # Fraction("1e1000000") would be 10**1000000, and the record that
+        # follows from it takes minutes to compute and print.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "family", "--s", "5", "--tail", "1", "--t0", "1e1000000")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "sumprodpower family: error: argument --t0: not a rational p/q: '1e1000000'"
+        ]
+        assert elapsed < 1.0
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "family", "--s", "5", "--t1", "1")[0] == 2
@@ -599,6 +611,105 @@ class TestDispatch:
         assert err.endswith("\nsumprodpower: error: the following arguments are required: command\n")
         code, out, err = run_argv("--help")
         assert (code, err) == (0, "") and out.startswith("usage: sumprodpower [-h]")
+
+
+# Bounded argv for every subcommand.  Each value flag takes a valid value
+# from a small range or, in about one argv in four, one malformed token.
+BAD_TOKENS = ("1e1000000", "1_0", "1.5", "\u0661", "1/0", "", "1,,2")
+S_VALUE = st.integers(-1, 9).map(str)
+SMALL_BOUND = st.integers(1, 60).map(str)
+DIGITS20 = st.integers(1, 10 ** 20 - 1)
+POSITIVE_RATIONAL = st.one_of(DIGITS20.map(str), st.builds("{}/{}".format, DIGITS20, DIGITS20))
+RATIONAL = st.one_of(POSITIVE_RATIONAL, st.integers(-9, 0).map(str))
+KNOWN_PARTS = [parts for parts, _, _ in TABLE_S5 + TABLE_S6] + [(1, 2, 24), (2, 4, 48)]
+PARTS = st.one_of(
+    st.builds(lambda parts, k: [k * a for a in parts], st.sampled_from(KNOWN_PARTS),
+              st.integers(1, 1000)),
+    st.lists(st.integers(-1, 10 ** 6), min_size=1, max_size=8),
+)
+POINT = st.one_of(
+    st.sampled_from(["235,8", "60266587/257049,3852230624/130323843",
+                     "60266587/257049,-3852230624/130323843", "300,1"]),
+    st.builds("{},{}".format, RATIONAL, RATIONAL),
+)
+
+
+def join(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def bounded_argv(draw) -> list[str]:
+    def maybe(flag, values):
+        return [(flag, draw(values))] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(COMMANDS))
+    if command == "verify":
+        parts = draw(PARTS)
+        s = draw(st.one_of(st.just(str(len(parts) + 1)), S_VALUE))
+        pairs = [("--s", s), ("--parts", join(parts))]
+    elif command == "gen4":
+        pairs = [*maybe("--count", st.integers(0, 5).map(str)),
+                 *maybe("--max-multiple", st.integers(0, 9).map(str)),
+                 *maybe("--from-point", POINT)]
+    elif command == "family":
+        form = draw(st.sampled_from(["closed", "tail", "mixed"]))
+        s = draw(st.integers(3 if form == "mixed" else 5, 9))
+        tail = st.lists(POSITIVE_RATIONAL, min_size=max(s - 4, 1), max_size=max(s - 4, 1))
+        t1 = st.integers(0 if form == "mixed" else 1, 10 ** 6).map(str)
+        if form == "closed":
+            pairs = [("--s", "5"), ("--t1", draw(t1)), ("--t2", draw(t1))]
+        elif form == "tail":
+            pairs = [("--s", str(s)), ("--tail", join(draw(tail))), ("--t0", draw(RATIONAL))]
+        else:
+            pairs = [("--s", str(s)), *maybe("--t1", t1), *maybe("--tail", tail.map(join)),
+                     *maybe("--t0", RATIONAL)]
+    elif command == "search":
+        pairs = [("--s", draw(S_VALUE)), ("--max-n", draw(SMALL_BOUND)),
+                 *maybe("--max-part", SMALL_BOUND)]
+    else:
+        pairs = maybe("--brute-max", SMALL_BOUND)
+    if pairs and draw(st.integers(0, 3)) == 3:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(st.sampled_from(BAD_TOKENS)))
+    flags = [] if command == "s3" else draw(st.sampled_from(
+        [[], ["--format", "jsonl"], ["--format", "tsv"]]))
+    if command in ("gen4", "family") and draw(st.booleans()):
+        flags.append("--primitive")
+    return [command, *(tok for pair in pairs for tok in pair), *flags]
+
+
+def rebuilt_record(line: str) -> tuple[DioSolution, int, int]:
+    """The DioSolution of one jsonl or tsv record, with the s and n it prints."""
+    if line.startswith("{"):
+        record = json.loads(line, parse_int=parse_decimal)
+        return DioSolution(tuple(record["parts"]), record["b"]), record["s"], record["n"]
+    *parts, b, n = map(parse_decimal, line.split("\t"))
+    return DioSolution(tuple(parts), b), len(parts) + 1, n
+
+
+class TestMainContract:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=bounded_argv())
+    @example(argv=["family", "--s", "5", "--tail", "1", "--t0", "1e1000000"])
+    @example(argv=["verify", "--s", "0", "--parts", "1,2,24"])
+    @example(argv=["gen4", "--count", "5", "--max-multiple", "7", "--format", "tsv"])
+    @example(argv=["family", "--s", "7", "--tail", "1/2,2,3/5", "--t0", "7/3", "--format", "tsv"])
+    @example(argv=["family", "--s", "5", "--t1", "2", "--t2", "1", "--primitive"])
+    def test_exit_codes_and_records(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1
+        if code == 2:
+            assert out == ""
+        if argv[0] != "s3":
+            for line in out.splitlines():
+                sol, s, n = rebuilt_record(line)
+                assert (sol.s, sol.n) == (s, n)
 
 
 class TestInterrupt:

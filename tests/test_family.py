@@ -103,6 +103,12 @@ class TestFamilyParams:
         with pytest.raises(ValueError):
             FamilyParams(*args)
 
+    def test_keeps_the_rationals_it_is_given(self):
+        tail, t0 = (Fraction(1, 2), Fraction(2), Fraction(3, 5)), Fraction(7, 3)
+        params = FamilyParams(7, tail, t0)
+        assert all(params.tail[i] is tail[i] for i in range(len(tail)))
+        assert params.t0 is t0
+
 
 class TestQuarticCurve:
     def test_unit_coefficients(self):
@@ -453,7 +459,7 @@ class TestGeneralSolution:
         params = FamilyParams(s, tuple(tail), t0)
         assume(positivity_value(params) > 0)
         sol = general_solution(params)
-        assert DioSolution.from_parts(s, sol.parts).b == sol.b
+        assert DioSolution.from_parts(sol.parts).b == sol.b
 
 
 class TestS5PolynomialFamily:
@@ -495,4 +501,4 @@ class TestS5PolynomialFamily:
         t1 = data.draw(st.integers(max(1, t2 * t2 // 4 - 2), t2 * t2 // 4 + 200))
         assume(4 * t1 * t1 * t2 - t1 * t2 ** 3 + 4 > 0)
         sol = s5_polynomial_family(t1, t2)
-        assert DioSolution.from_parts(5, sol.parts).b == sol.b
+        assert DioSolution.from_parts(sol.parts).b == sol.b

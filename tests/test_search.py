@@ -309,7 +309,7 @@ class TestDivisibilityStep:
 class TestTableMembership:
     def test_individual_row(self):
         # 1 * 4 * 20 * 25 * 50 = 100000 = 10^5
-        row = DioSolution(5, (1, 4, 20, 25), 50, 10)
+        row = DioSolution((1, 4, 20, 25), 10)
         assert prod(row.parts) * row.n == 10 ** 5
 
     def test_s5_rows_up_to_81(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from certificates import INFINITY, Point, clear_denominators, negate, scalar_mul
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
-from sumprodpower import DioSolution, nagell_lutz_candidates, primitive_reduce, s3_trace_back
+from sumprodpower import DioSolution, nagell_lutz_candidates, primitive_reduce
 
 SEED = Point(235, 8)
 # The second worked s=4 point: equals [3](235, 8).
@@ -18,23 +18,25 @@ WITNESS = Point(Fraction(30507, 121), Fraction(-584592, 1331))
 
 class TestDioSolution:
     def test_seed_solution(self):
-        sol = DioSolution(4, (1, 2, 24), 27, 6)
+        sol = DioSolution((1, 2, 24), 6)
         assert sol.sorted_parts == (1, 2, 24)
+        assert (sol.s, sol.n) == (4, 27)
 
     def test_from_parts(self):
-        sol = DioSolution.from_parts(4, (1, 2, 24))
-        assert (sol.n, sol.b) == (27, 6)
+        sol = DioSolution.from_parts((1, 2, 24))
+        assert (sol.s, sol.n, sol.b) == (4, 27, 6)
         with pytest.raises(ValueError):
-            DioSolution.from_parts(4, (1, 2, 25))
+            DioSolution.from_parts((1, 2, 25))
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(s=4, parts=(1, 2, 24), n=28, b=6),  # wrong sum
-            dict(s=4, parts=(1, 2, 24), n=27, b=7),  # wrong power
-            dict(s=4, parts=(1, 2), n=3, b=1),  # wrong arity
-            dict(s=2, parts=(1,), n=1, b=1),  # s too small
-            dict(s=4, parts=(1, -2, 24), n=23, b=6),  # negative part
+            dict(parts=(1, 2, 24), b=7),  # wrong power
+            dict(parts=(1, 2, 25), b=6),  # wrong sum, so wrong power
+            dict(parts=(1, 2), b=1),  # s = 3: 6 is not a cube
+            dict(parts=(1,), b=1),  # s = 2 is too small
+            dict(parts=(1, -2, 24), b=6),  # negative part
+            dict(parts=(1, 2, 24), b=-6),  # negative b
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -61,7 +63,7 @@ class TestBVector:
             BVector(s, tuple(entries))
 
     def test_from_solution(self):
-        sol = DioSolution(4, (1, 2, 24), 27, 6)
+        sol = DioSolution((1, 2, 24), 6)
         bvec = BVector.from_solution(sol)
         assert bvec.entries == (Fraction(1, 6), Fraction(1, 3), Fraction(4))
         assert bvec.is_positive
@@ -101,17 +103,17 @@ class TestClearDenominators:
 
 class TestPrimitiveReduce:
     def test_reduces_known_solution(self):
-        sol = DioSolution(5, (20, 324, 1296, 360), 2000, 360)
+        sol = DioSolution((20, 324, 1296, 360), 360)
         reduced = primitive_reduce(sol)
         assert (reduced.parts, reduced.b, reduced.n) == ((5, 81, 324, 90), 90, 500)
 
     def test_primitive_fixed_point(self):
-        sol = DioSolution(4, (1, 2, 24), 27, 6)
+        sol = DioSolution((1, 2, 24), 6)
         assert primitive_reduce(sol) is sol
 
     def test_scale_then_reduce_roundtrip(self):
-        base = DioSolution(4, (1, 2, 24), 27, 6)
-        scaled = DioSolution(4, tuple(3 * a for a in base.parts), 3 * base.n, 3 * base.b)
+        base = DioSolution((1, 2, 24), 6)
+        scaled = DioSolution(tuple(3 * a for a in base.parts), 3 * base.b)
         assert primitive_reduce(scaled) == base
 
 
@@ -119,20 +121,11 @@ class TestS3:
     def test_curve_and_candidates(self):
         assert nagell_lutz_candidates(16) == [(0, -4), (0, 4)]
 
-    def test_trace_back_degenerate(self):
-        assert s3_trace_back(0, 4) is None
-        assert s3_trace_back(0, -4) is None
-
-    def test_trace_back_rejects_off_curve(self):
-        # (4, 12) satisfies neither the curve nor the original constraint:
-        # its would-be preimage (1, 1) has b1*b2*(b1+b2) = 2.
-        with pytest.raises(ValueError):
-            s3_trace_back(4, 12)
-
-    def test_no_rational_s3_vector_exists_for_small_candidates(self):
-        # Both integral candidates are degenerate, so no positive pair at all.
-        for x, y in nagell_lutz_candidates(16):
-            assert s3_trace_back(x, y) is None
+    @settings(max_examples=100, deadline=None)
+    @given(u=st.fractions(max_denominator=10 ** 6), v=st.fractions(max_denominator=10 ** 6))
+    def test_chart_identity(self, u, v):
+        # x = 4v, y = 8u + 4 carries u^2 + u = v^3 onto y^2 = x^3 + 16.
+        assert (8 * u + 4) ** 2 - (4 * v) ** 3 - 16 == 64 * (u * u + u - v ** 3)
 
 
 class TestS4Maps:
