@@ -1,24 +1,48 @@
 """Bounded exhaustive enumeration of solutions with nondecreasing parts.
 
-The enumeration walks nondecreasing prefixes (a_1 <= ... <= a_{s-2}) whose sum
+The enumeration walks nondecreasing prefixes (a_1 <= ... <= a_{s-3}) whose sum
 leaves room for the parts still to come, pruning a prefix as soon as the
 remaining slots cannot fit (each remaining part is at least as large as the
-current one).  The last part is never scanned.  With P and T the product and
-sum of a prefix, a solution needs P * a * (T + a) = b**s, and P divides b**s
-exactly when b is a multiple of
+current one).  The last two parts a <= x are never both scanned.  With P and
+T the product and sum of a prefix, a solution needs
+
+    P * a * x * (T + a + x) = b**s,
+
+and P divides b**s exactly when b is a multiple of
 
     r(P) = prod p**ceil(e/s)  over the prime powers p**e exactly dividing P.
 
-So for each prefix the search bisects a sorted list of s-th powers for the b
-range that the smallest and largest allowed last part give, visits only the
-multiples of r(P) in it, and recovers the last part exactly as
-a = (isqrt(T**2 + 4 * b**s / P) - T) / 2 when the discriminant is a perfect
-square.  r(P) comes from a smallest-prime-factor sieve over [0, n_max]: the
-prime-exponent map of the prefix is carried down the upper levels, and at the
-level that completes the prefix r is multiplied by
-p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of the new part.
+No sum can exceed (s - 1) times the part bound, so n_max below stands for the
+sum bound min(n_max, (s - 1) * a_max).  r(P) and the factors of b come from a
+smallest-prime-factor sieve over [0, n_max]: the prime-exponent map exps of
+the prefix is carried down the upper levels, and r is multiplied by
+p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of a new part.
 All of it is integer arithmetic.  Solutions are re-verified exactly when they
 are materialized as DioSolution values.
+
+For s >= 4 the prefix is not empty, and the last level walks b.  The
+second-to-last part a lies in [lo, hi], with hi <= (n_max - T) / 2, and
+a <= x <= top(a) = min(a_max, n_max - T - a).  P * a * x * (T + a + x) rises
+in a and in x, so it is least at a = x = lo.  At x = top(a) it still rises
+in a while a <= (n_max - T) / 2, so it is greatest at a = hi, x = top(hi).
+A sorted list of s-th powers, bisected, gives the b range between the two,
+and in it only the multiples of r(P) are visited.  For each such b:
+  - Q = b**s / P is exact, because r(P) | b gives P | b**s.
+  - For each prime power p**e exactly dividing b, p**(s*e - exps[p]) exactly
+    divides Q, and s*e - exps[p] >= 0 because P | b**s.  Q divides b**s,
+    so b's primes are all of Q's.  b < n <= n_max (see _divisor_walk), so
+    b's factors come from the sieve.
+  - a | Q is the same condition as P * a | b**s, so the divisors of Q in
+    [lo, hi] are the only second-to-last parts to try, with no r(P * a).
+  - x then solves x * (t + x) = Q / a with t = T + a: the discriminant
+    t**2 + 4 * Q / a must be a perfect square root**2, and root = t (mod 2)
+    since root**2 = t**2 (mod 4), so x = (root - t) / 2 is an integer.  The
+    pair is kept when a <= x <= a_max and t + x <= n_max.
+For s = 3 the prefix is empty, every b up to about 0.63 * n_max is a
+multiple of r(1) = 1, and Q = b**3 has many divisors; so the last level
+loops over a instead.  For each a it bisects the b range that the smallest
+and largest allowed x give, visits only the multiples of r(a) in it, and
+recovers x from the same quadratic with T = 0.
 
 Whole prefixes are cut at the upper levels by the same r.  Take a prefix with
 product P * a and sum t, and m parts still to choose.
@@ -84,6 +108,11 @@ class SearchSpec:
     @property
     def part_bound(self) -> int:
         return self.n_max if self.a_max is None else min(self.a_max, self.n_max)
+
+    @property
+    def sum_bound(self) -> int:
+        # s - 1 parts of at most part_bound each.
+        return min(self.n_max, (self.s - 1) * self.part_bound)
 
 
 # The bounds and lookup tables of one run: s, n_max, a_max, spf, powers.
@@ -153,9 +182,29 @@ def _extend(
             for p, f in factors:
                 exps[p] -= f
         return
-    # `parts + (a,)` is the whole prefix, with product pp and sum t.  The last
-    # part x in [a, top] needs pp * x * (t + x) = b**s, and pp divides b**s
-    # exactly when ra = r(pp) divides b.
+    # The last level (module docstring): s >= 4 walks b, s = 3 loops over a.
+    if parts:
+        _divisor_walk(tables, parts, total, product, r, exps, lo, hi, out)
+    else:
+        _last_slot(tables, parts, total, product, r, exps, lo, hi, out)
+
+
+def _last_slot(
+    tables: _Tables,
+    parts: tuple[int, ...],
+    total: int,
+    product: int,
+    r: int,
+    exps: dict[int, int],
+    lo: int,
+    hi: int,
+    out: list[tuple[tuple[int, ...], int, int]],
+) -> None:
+    # The last level by its second-to-last part a: `parts + (a,)` is the
+    # whole prefix, with product pp and sum t.  The last part x in [a, top]
+    # needs pp * x * (t + x) = b**s, and pp divides b**s exactly when
+    # ra = r(pp) divides b.
+    s, n_max, a_max, spf, powers = tables
     s1 = s - 1
     for a in range(lo, hi + 1):
         ra = r
@@ -183,6 +232,66 @@ def _extend(
             root = isqrt(disc)
             if root * root == disc:
                 out.append((parts + (a, (root - t) >> 1), (root + t) >> 1, b))
+
+
+def _b_range(tables: _Tables, total: int, product: int, r: int, lo: int, hi: int) -> range:
+    # The multiples of r = r(product) that can be b for a prefix with this
+    # product and sum and a second-to-last part a in [lo, hi]: from a = x = lo
+    # to a = hi, x = top(hi) (module docstring).
+    s, n_max, a_max, spf, powers = tables
+    top = min(a_max, n_max - total - hi)
+    b_lo = bisect_left(powers, product * lo * lo * (total + 2 * lo))
+    b_end = bisect_right(powers, product * hi * top * (total + hi + top))
+    return range(-(-b_lo // r) * r, b_end, r)
+
+
+def _divisor_walk(
+    tables: _Tables,
+    parts: tuple[int, ...],
+    total: int,
+    product: int,
+    r: int,
+    exps: dict[int, int],
+    lo: int,
+    hi: int,
+    out: list[tuple[tuple[int, ...], int, int]],
+) -> None:
+    # The last level by b (module docstring), for a non-empty prefix `parts`
+    # with product P = product and sum T = total: for each b, every divisor
+    # a in [lo, hi] of Q = b**s / P, then x from x * (T + a + x) = Q / a.
+    s, n_max, a_max, spf, powers = tables
+    for b in _b_range(tables, total, product, r, lo, hi):
+        # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1
+        # parts of sum n = T + hi + top <= n_max, each below n.  So b**s < n**s
+        # and b < n <= n_max: b is inside the sieve.
+        q = powers[b] // product
+        divisors = [1]
+        m = b
+        while m > 1:
+            p = spf[m]
+            m //= p
+            e = 1
+            while spf[m] == p:
+                m //= p
+                e += 1
+            # p**(s * e - exps[p]) exactly divides Q.
+            f = s * e - exps.get(p, 0)
+            for d in divisors[:]:
+                for _ in range(f):
+                    d *= p
+                    if d > hi:
+                        break
+                    divisors.append(d)
+        for a in divisors:
+            if a < lo:
+                continue
+            t = total + a
+            disc = t * t + 4 * (q // a)
+            root = isqrt(disc)
+            if root * root == disc:
+                x = (root - t) >> 1
+                if a <= x <= a_max and t + x <= n_max:
+                    out.append((parts + (a, x), t + x, b))
 
 
 def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
@@ -218,10 +327,11 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
     """All solutions with nondecreasing parts, sum <= n_max and parts <= a_max,
     sorted by (n, parts); identical output for any jobs value."""
     a_max = spec.part_bound
-    lead_hi = min(a_max, spec.n_max // (spec.s - 1))
+    n_max = spec.sum_bound
+    lead_hi = min(a_max, n_max // (spec.s - 1))
     workers = min(spec.jobs, _usable_cores())
     if workers == 1 or lead_hi <= 1:
-        raw = _search(_tables(spec.s, spec.n_max, a_max), 1, lead_hi)
+        raw = _search(_tables(spec.s, n_max, a_max), 1, lead_hi)
     else:
         # About four blocks of consecutive leading parts per worker.  Small
         # leading parts cost the most, so blocks come out in falling order of
@@ -234,7 +344,7 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
         with multiprocessing.Pool(
             min(workers, len(blocks)),
             initializer=_init_worker,
-            initargs=(spec.s, spec.n_max, a_max),
+            initargs=(spec.s, n_max, a_max),
         ) as pool:
             for chunk in pool.imap_unordered(_leading_block, blocks):
                 raw.extend(chunk)

@@ -275,6 +275,129 @@ class TestPrefixCut:
         assert pruned_prefixes(monkeypatch, SearchSpec(6, 100))
 
 
+def last_level_calls(monkeypatch, spec: SearchSpec) -> list[tuple]:
+    """Run the search with a recording wrapper around search._extend and
+    return (tables, parts, total, product, r, exps, lo, hi) for every call
+    that reaches the last level with a non-empty prefix (s >= 4)."""
+    calls = []
+    extend = search._extend
+
+    def recording(tables, parts, total, product, r, exps, lo, hi, out):
+        if parts and spec.s - 2 - len(parts) == 1:
+            calls.append((tables, parts, total, product, r, dict(exps), lo, hi))
+        extend(tables, parts, total, product, r, exps, lo, hi, out)
+
+    monkeypatch.setattr(search, "_extend", recording)
+    enumerate_solutions(spec)
+    return calls
+
+
+def last_level(kernel, tables, parts, total, product, r, exps, lo, hi):
+    out: list[tuple[tuple[int, ...], int, int]] = []
+    kernel(tables, parts, total, product, r, dict(exps), lo, hi, out)
+    return sorted(out)
+
+
+class TestDivisorWalk:
+    """The last level's walk over the divisors of b**s / P against the loop
+    over the second-to-last part, prefix by prefix."""
+
+    @pytest.mark.parametrize("a_max", [None, 3, 5, 18, 40])
+    @pytest.mark.parametrize(
+        "s, n_max",
+        [(4, 12), (4, 60), (4, 150), (5, 12), (5, 64), (5, 150), (6, 12), (6, 72), (6, 120),
+         (7, 12), (7, 40), (7, 90)],
+    )
+    def test_matches_the_last_slot_loop(self, monkeypatch, s, n_max, a_max):
+        spec = SearchSpec(s, n_max, a_max)
+        calls = last_level_calls(monkeypatch, spec)
+        assert calls
+        for tables, parts, total, product, r, exps, lo, hi in calls:
+            for bounds in ((lo, hi), (hi + 1, hi)):  # and an empty range
+                args = (tables, parts, total, product, r, exps, *bounds)
+                assert last_level(search._divisor_walk, *args) == last_level(
+                    search._last_slot, *args)
+
+    def test_the_grid_reaches_the_edges(self, monkeypatch):
+        # Prefixes with hi = a_max, and a solution with a = x.
+        calls = last_level_calls(monkeypatch, SearchSpec(5, 150, 18))
+        assert any(hi == 18 for *_, hi in calls)
+        found = [row for call in calls for row in last_level(search._divisor_walk, *call)]
+        assert ((1, 2, 12, 12), 27, 6) in found
+
+
+class TestWalkInsideSieve:
+    """Every b the walk visits is below the tables' sum bound, which is the
+    last index of the sieve, so Q = b**s / P is factored from spf[b]."""
+
+    @staticmethod
+    def check(monkeypatch, spec: SearchSpec) -> int:
+        # Returns the number of b visited.
+        count = 0
+        for tables, parts, total, product, r, exps, lo, hi in last_level_calls(monkeypatch, spec):
+            n_max, spf = tables[1], tables[3]
+            assert n_max == len(spf) - 1 == spec.sum_bound
+            visited = search._b_range(tables, total, product, r, lo, hi)
+            assert not visited or visited[-1] < n_max
+            count += len(visited)
+        return count
+
+    @pytest.mark.parametrize("a_max", [None, 1, 3, 18])
+    @pytest.mark.parametrize("s, n_max", [(4, 3), (4, 300), (5, 4), (5, 200), (6, 100), (7, 64)])
+    def test_grid(self, monkeypatch, s, n_max, a_max):
+        visited = self.check(monkeypatch, SearchSpec(s, n_max, a_max))
+        assert visited or n_max < 10 or a_max == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.integers(4, 7),
+        n_max=st.integers(3, 150),
+        a_max=st.none() | st.integers(1, 150),
+    )
+    def test_property(self, s, n_max, a_max):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, SearchSpec(s, max(n_max, s - 1), a_max))
+
+
+class TestSumBound:
+    """No sum exceeds (s - 1) * part_bound, so the tables stop there."""
+
+    @pytest.fixture
+    def sieve_lengths(self, monkeypatch) -> list[int]:
+        lengths: list[int] = []
+        tables = search._tables
+
+        def recording(s, n_max, a_max):
+            built = tables(s, n_max, a_max)
+            lengths.append(len(built[3]))
+            return built
+
+        monkeypatch.setattr(search, "_tables", recording)
+        return lengths
+
+    @pytest.mark.parametrize("a_max, records", [(1, 0), (30, 4)])
+    def test_sieve_stops_at_the_sum_bound(self, sieve_lengths, a_max, records):
+        spec = SearchSpec(5, search.N_MAX_LIMIT, a_max)
+        assert spec.sum_bound == 4 * a_max
+        found = rows(spec)
+        assert sieve_lengths == [4 * a_max + 1]
+        assert len(found) == records
+        assert found == rows(SearchSpec(5, 4 * a_max, a_max))
+        assert found == oracle_solutions(5, 4 * a_max, a_max)
+
+    def test_parallel_workers_too(self, sieve_lengths, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        found = rows(SearchSpec(5, search.N_MAX_LIMIT, 30, jobs=2))
+        assert pool_sizes == [2]
+        assert sieve_lengths == [121]
+        assert found == oracle_solutions(5, 120, 30)
+
+    def test_no_part_bound(self):
+        assert SearchSpec(5, 100).sum_bound == 100
+        assert SearchSpec(5, 100, a_max=25).sum_bound == 100
+        assert SearchSpec(5, 100, a_max=24).sum_bound == 96
+
+
 class TestDivisibilityStep:
     @pytest.mark.parametrize("s, n_max", [(4, 300), (5, 200), (6, 100), (7, 64)])
     def test_b_is_a_multiple_of_r_of_the_prefix(self, s, n_max):
