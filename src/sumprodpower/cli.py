@@ -173,11 +173,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         spec = SearchSpec(s=args.s, n_max=args.max_n, a_max=args.max_part, jobs=args.jobs)
     except ValueError as exc:
         return _usage_error(str(exc).replace("n_max", "--max-n"))
-    try:  # the prefix walk recurses once per part
-        solutions = enumerate_solutions(spec)
-    except RecursionError:
-        return _usage_error(f"--s {spec.s} is too large for the search")
-    for sol in solutions:
+    for sol in enumerate_solutions(spec):
         print(render(sol, "search", args.format))
     return 0
 

@@ -20,6 +20,15 @@ p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of a new part.
 All of it is integer arithmetic.  Solutions are re-verified exactly when they
 are materialized as DioSolution values.
 
+The upper levels (every part before the last two) are walked from an explicit
+stack of prefix states (parts, total, product, r, exps, lo, hi), where the
+next part lies in [lo, hi].  Popping a state loops over that part, factors
+it from the sieve inline, and either pushes the child state or, when the
+child holds all s - 3 parts, hands it to the last level.  A child whose part
+is above 1 gets its own copy of exps, so no state changes once it is pushed
+and nothing is undone on the way back.  The depth of the walk is a list's
+length, not the interpreter's stack, so any s runs.
+
 For s >= 4 the prefix is not empty, and the last level walks b.  The
 second-to-last part a lies in [lo, hi], with hi <= (n_max - T) / 2, and
 a <= x <= top(a) = min(a_max, n_max - T - a).  P * a * x * (T + a + x) rises
@@ -34,6 +43,10 @@ and in it only the multiples of r(P) are visited.  For each such b:
     b's factors come from the sieve.
   - a | Q is the same condition as P * a | b**s, so the divisors of Q in
     [lo, hi] are the only second-to-last parts to try, with no r(P * a).
+  - x >= a >= lo gives Q = a * x * (T + a + x) >= a**2 * (T + 2 * a) >=
+    a**2 * (T + 2 * lo), so a <= cap = min(hi, isqrt(Q // (T + 2 * lo)))
+    (a**2 is an integer, so flooring Q / (T + 2 * lo) loses nothing).  The
+    divisors are generated only up to cap.
   - x then solves x * (t + x) = Q / a with t = T + a: the discriminant
     t**2 + 4 * Q / a must be a perfect square root**2, and root = t (mod 2)
     since root**2 = t**2 (mod 4), so x = (root - t) / 2 is an integer.  The
@@ -134,59 +147,53 @@ def _tables(s: int, n_max: int, a_max: int) -> _Tables:
     return s, n_max, a_max, spf, [b ** s for b in range(b_max + 1)]
 
 
-def _factor(spf: list[int], m: int) -> list[tuple[int, int]]:
-    # (p, f) for each prime power p**f exactly dividing m.
-    out = []
-    while m > 1:
-        p = spf[m]
-        m //= p
-        f = 1
-        while spf[m] == p:
-            m //= p
-            f += 1
-        out.append((p, f))
-    return out
-
-
-def _extend(
-    tables: _Tables,
-    parts: tuple[int, ...],
-    total: int,
-    product: int,
-    r: int,
-    exps: dict[int, int],
-    lo: int,
-    hi: int,
-    out: list[tuple[tuple[int, ...], int, int]],
-) -> None:
-    # Append every solution whose parts start with `parts` and continue with
-    # a next part in [lo, hi].  r = r(product); exps maps each prime to its
-    # exponent in product and is restored before returning.
+def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
+    # All solutions whose smallest part lies in [lo, hi].
     s, n_max, a_max, spf, powers = tables
-    remaining = s - 2 - len(parts)  # parts still to choose after the next one
-    if remaining > 1:
+    out: list[tuple[tuple[int, ...], int, int]] = []
+    if s == 3:  # the prefix is empty, so the first part is the last level's
+        _last_slot(tables, (), 0, 1, 1, {}, lo, hi, out)
+        return out
+    s1 = s - 1
+    # The upper levels (module docstring).  In a prefix state the next part
+    # lies in [lo, hi], r = r(product), and exps maps each prime to its
+    # exponent in product; no state changes once it is on the stack.
+    stack = [((), 0, 1, 1, {}, lo, hi)]
+    while stack:
+        parts, total, product, r, exps, lo, hi = stack.pop()
+        remaining = s - 2 - len(parts)  # parts still to choose after the next one
+        room = remaining ** remaining
+        last = remaining == 2  # the children are last-level prefixes
         for a in range(lo, hi + 1):
             ra = r
-            factors = _factor(spf, a)
-            for p, f in factors:
-                e = exps.get(p, 0)
-                ra *= p ** ((e + f + s - 1) // s - (e + s - 1) // s)
-                exps[p] = e + f
+            child = exps
+            if a > 1:
+                child = exps.copy()
+                m = a
+                while m > 1:  # a's prime powers p**f from the sieve
+                    p = spf[m]
+                    m //= p
+                    f = 1
+                    while spf[m] == p:
+                        m //= p
+                        f += 1
+                    e = child.get(p, 0)
+                    ra *= p ** ((e + f + s1) // s - (e + s1) // s)
+                    child[p] = e + f
             t = total + a
             pa = product * a
+            rest = n_max - t
             # The prefix cut (module docstring): r(pa)**s > pa times the
             # AM-GM bound on the rest leaves no completion.
-            if ra ** s * remaining ** remaining <= pa * (n_max - t) ** remaining * n_max:
-                _extend(tables, parts + (a,), t, pa, ra, exps, a,
-                        min(a_max, (n_max - t) // remaining), out)
-            for p, f in factors:
-                exps[p] -= f
-        return
-    # The last level (module docstring): s >= 4 walks b, s = 3 loops over a.
-    if parts:
-        _divisor_walk(tables, parts, total, product, r, exps, lo, hi, out)
-    else:
-        _last_slot(tables, parts, total, product, r, exps, lo, hi, out)
+            if ra ** s * room <= pa * rest ** remaining * n_max:
+                child_hi = rest // remaining
+                if child_hi > a_max:
+                    child_hi = a_max
+                if last:
+                    _divisor_walk(tables, parts + (a,), t, pa, ra, child, a, child_hi, out)
+                else:
+                    stack.append((parts + (a,), t, pa, ra, child, a, child_hi))
+    return out
 
 
 def _last_slot(
@@ -209,7 +216,7 @@ def _last_slot(
     for a in range(lo, hi + 1):
         ra = r
         m = a
-        while m > 1:  # _factor(spf, a), inlined: this is the hot loop
+        while m > 1:  # a's prime powers p**f from the sieve
             p = spf[m]
             m //= p
             f = 1
@@ -258,13 +265,19 @@ def _divisor_walk(
 ) -> None:
     # The last level by b (module docstring), for a non-empty prefix `parts`
     # with product P = product and sum T = total: for each b, every divisor
-    # a in [lo, hi] of Q = b**s / P, then x from x * (T + a + x) = Q / a.
+    # a of Q = b**s / P from lo up to the per-b cap, then x from
+    # x * (T + a + x) = Q / a.
     s, n_max, a_max, spf, powers = tables
+    t_lo = total + 2 * lo
     for b in _b_range(tables, total, product, r, lo, hi):
         # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1
         # parts of sum n = T + hi + top <= n_max, each below n.  So b**s < n**s
         # and b < n <= n_max: b is inside the sieve.
         q = powers[b] // product
+        # x >= a >= lo gives a**2 * (T + 2 * lo) <= Q (module docstring).
+        cap = isqrt(q // t_lo)
+        if cap > hi:
+            cap = hi
         divisors = [1]
         m = b
         while m > 1:
@@ -279,7 +292,7 @@ def _divisor_walk(
             for d in divisors[:]:
                 for _ in range(f):
                     d *= p
-                    if d > hi:
+                    if d > cap:
                         break
                     divisors.append(d)
         for a in divisors:
@@ -292,13 +305,6 @@ def _divisor_walk(
                 x = (root - t) >> 1
                 if a <= x <= a_max and t + x <= n_max:
                     out.append((parts + (a, x), t + x, b))
-
-
-def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
-    # All solutions whose smallest part lies in [lo, hi].
-    out: list[tuple[tuple[int, ...], int, int]] = []
-    _extend(tables, (), 0, 1, 1, {}, lo, hi, out)
-    return out
 
 
 _worker_tables: _Tables | None = None  # set in each pool worker by _init_worker

@@ -1,12 +1,22 @@
-"""The original last-slot scan of the search, kept as a test-only oracle.
+"""Test-only oracles for sumprodpower.search.
 
-For every prefix it tries each possible last part a and looks up
-prod * a * (sum + a) in a dict of s-th powers.  It is slow but has no
-number theory in it, which makes it a good reference for the
-divisibility-stepped kernel in sumprodpower.search.
+- oracle_solutions: the original last-slot scan.  For every prefix it tries
+  each possible last part a and looks up prod * a * (sum + a) in a dict of
+  s-th powers.  It is slow but has no number theory in it, which makes it a
+  good reference for the divisibility-stepped kernel.
+- recursive_search: the upper levels as one recursive call per prefix, with
+  one prime-exponent map that is changed on the way down and restored on the
+  way back.  It hands every last-level prefix to search._divisor_walk or
+  search._last_slot, as the explicit-stack walk in search._search does.
+- uncapped_divisor_walk: the last level's walk over the divisors of b**s / P
+  with the divisors generated up to hi and not up to the per-b cap.
 """
 
 from __future__ import annotations
+
+from math import isqrt
+
+from sumprodpower import search
 
 
 def _power_table(s: int, n_max: int) -> dict[int, int]:
@@ -58,3 +68,92 @@ def oracle_solutions(
         _scan(s, n_max, a_max, (a1,), a1, a1, powers, out)
     out.sort(key=lambda item: (item[1], item[0]))
     return out
+
+
+def _factor(spf: list[int], m: int) -> list[tuple[int, int]]:
+    # (p, f) for each prime power p**f exactly dividing m.
+    out = []
+    while m > 1:
+        p = spf[m]
+        m //= p
+        f = 1
+        while spf[m] == p:
+            m //= p
+            f += 1
+        out.append((p, f))
+    return out
+
+
+def _extend(tables, parts, total, product, r, exps, lo, hi, out) -> None:
+    # Hand every last-level prefix that starts with `parts` and continues
+    # with a next part in [lo, hi] to the last level.  r = r(product); exps
+    # maps each prime to its exponent in product and is restored before
+    # returning.
+    s, n_max, a_max, spf, powers = tables
+    remaining = s - 2 - len(parts)  # parts still to choose after the next one
+    if remaining > 1:
+        for a in range(lo, hi + 1):
+            ra = r
+            factors = _factor(spf, a)
+            for p, f in factors:
+                e = exps.get(p, 0)
+                ra *= p ** ((e + f + s - 1) // s - (e + s - 1) // s)
+                exps[p] = e + f
+            t = total + a
+            pa = product * a
+            if ra ** s * remaining ** remaining <= pa * (n_max - t) ** remaining * n_max:
+                _extend(tables, parts + (a,), t, pa, ra, exps, a,
+                        min(a_max, (n_max - t) // remaining), out)
+            for p, f in factors:
+                exps[p] -= f
+        return
+    if parts:
+        search._divisor_walk(tables, parts, total, product, r, exps, lo, hi, out)
+    else:
+        search._last_slot(tables, parts, total, product, r, exps, lo, hi, out)
+
+
+def recursive_search(tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """search._search by recursion: all solutions whose smallest part lies
+    in [lo, hi], with the same last-level calls."""
+    out: list[tuple[tuple[int, ...], int, int]] = []
+    _extend(tables, (), 0, 1, 1, {}, lo, hi, out)
+    return out
+
+
+def uncapped_divisor_walk(tables, parts, total, product, r, exps, lo, hi):
+    """search._divisor_walk with each b's divisors generated up to hi:
+    {b: sorted (parts, n, b) rows} for every b of search._b_range."""
+    s, n_max, a_max, spf, powers = tables
+    found = {}
+    for b in search._b_range(tables, total, product, r, lo, hi):
+        q = powers[b] // product
+        divisors = [1]
+        m = b
+        while m > 1:
+            p = spf[m]
+            m //= p
+            e = 1
+            while spf[m] == p:
+                m //= p
+                e += 1
+            f = s * e - exps.get(p, 0)
+            for d in divisors[:]:
+                for _ in range(f):
+                    d *= p
+                    if d > hi:
+                        break
+                    divisors.append(d)
+        rows = []
+        for a in divisors:
+            if a < lo:
+                continue
+            t = total + a
+            disc = t * t + 4 * (q // a)
+            root = isqrt(disc)
+            if root * root == disc:
+                x = (root - t) >> 1
+                if a <= x <= a_max and t + x <= n_max:
+                    rows.append((parts + (a, x), t + x, b))
+        found[b] = sorted(rows)
+    return found

@@ -330,14 +330,18 @@ class TestSearch:
         assert table_rows_36 <= set(lines)
         assert "2\t2\t6\t8\t9\t6\t27" in lines
 
-    @pytest.mark.parametrize("jobs, max_n", [("1", "1000"), ("2", "2000")])
-    def test_too_large_s_is_a_one_line_usage_error(self, capsys, jobs, max_n):
-        # The prefix walk recurses once per part, so s = 1000 exceeds the
-        # interpreter's stack.  --max-n 2000 leaves two leading parts, so
-        # --jobs 2 takes the pool on two or more usable cores.
-        code, out, err = run_cli(capsys, "search", "--s", "1000", "--max-n", max_n,
-                                 "--jobs", jobs)
-        assert (code, out, err) == (2, "", "error: --s 1000 is too large for the search\n")
+    @pytest.mark.parametrize("s, max_n, jobs", [("1000", "999", "1"), ("300", "598", "2")])
+    def test_large_s_runs_to_the_end(self, capsys, s, max_n, jobs):
+        # The prefix walk keeps its prefixes on an explicit stack, not on the
+        # interpreter's, so a thousand parts are no deeper than five.  Neither
+        # bound has a solution: at s = 1000 every part is 1, and 999 is no
+        # 1000th power; at s = 300 the parts are k twos and 299 - k ones, so
+        # b = 2 and n = 299 + k would have to be 2**(300 - k).  --max-n 598
+        # leaves two leading parts, so --jobs 2 takes the pool on two or more
+        # usable cores; at s = 1000 that needs --max-n 1998, which takes
+        # about 2 s of big-integer prefix cuts.
+        assert run_cli(capsys, "search", "--s", s, "--max-n", max_n, "--jobs", jobs) == (
+            0, "", "")
 
     @pytest.mark.parametrize(
         "argv",

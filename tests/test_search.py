@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import signal
 import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import isqrt, prod
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from certificates import check_table_membership
 from conftest import table_rows
-from search_oracle import oracle_solutions
+from search_oracle import oracle_solutions, recursive_search, uncapped_divisor_walk
 from sumprodpower import DioSolution, SearchSpec, enumerate_solutions
 from sumprodpower import search
 from sumprodpower.search import _tables
@@ -232,26 +233,53 @@ class TestAgainstScanOracle:
         assert rows(SearchSpec(s, n_max, a_max)) == oracle_solutions(s, n_max, a_max)
 
 
-def pruned_prefixes(monkeypatch, spec: SearchSpec) -> set[tuple[int, ...]]:
-    """Run the search with a recording wrapper around search._extend and
-    return the prefixes the upper-level cut skipped: the children an
-    upper-level call loops over but never descends into."""
+def last_level_calls(spec: SearchSpec) -> list[tuple]:
+    """Run the search with a recording wrapper around search._divisor_walk
+    and return (tables, parts, total, product, r, exps, lo, hi) for every
+    prefix that reaches the last level with a non-empty prefix (s >= 4).
+    The wrapper is removed before returning, so the caller's own
+    search._divisor_walk calls are not recorded."""
     calls = []
-    extend = search._extend
+    walk = search._divisor_walk
 
     def recording(tables, parts, total, product, r, exps, lo, hi, out):
-        calls.append((parts, lo, hi))
-        extend(tables, parts, total, product, r, exps, lo, hi, out)
+        calls.append((tables, parts, total, product, r, dict(exps), lo, hi))
+        walk(tables, parts, total, product, r, exps, lo, hi, out)
 
-    monkeypatch.setattr(search, "_extend", recording)
-    enumerate_solutions(spec)
-    visited = {parts for parts, _, _ in calls}
-    return {
-        parts + (a,)
-        for parts, lo, hi in calls
-        if spec.s - 2 - len(parts) > 1  # an upper level
-        for a in range(lo, hi + 1)
-    } - visited
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(search, "_divisor_walk", recording)
+        enumerate_solutions(spec)
+    return calls
+
+
+def bounded_prefixes(spec: SearchSpec) -> set[tuple[int, ...]]:
+    """Every nondecreasing prefix of 1 to s - 3 parts that the upper levels
+    would loop over with no prefix cut: after a prefix of L parts with sum t,
+    the next part runs from the last one (or 1) to
+    min(part bound, (sum bound - t) // (s - 1 - L))."""
+    s, n_max, a_max = spec.s, spec.sum_bound, spec.part_bound
+    found = set()
+
+    def extend(parts: tuple[int, ...], total: int) -> None:
+        for a in range(parts[-1] if parts else 1,
+                       min(a_max, (n_max - total) // (s - 1 - len(parts))) + 1):
+            found.add(parts + (a,))
+            if len(parts) + 1 < s - 3:
+                extend(parts + (a,), total + a)
+
+    extend((), 0)
+    return found
+
+
+def pruned_prefixes(spec: SearchSpec) -> set[tuple[int, ...]]:
+    """The prefixes the upper-level cut skipped: those of bounded_prefixes
+    that no prefix handed to the last level starts with.  Without the cut
+    every bounded prefix extends to a last-level one, since the next part's
+    range always holds the last part."""
+    reached = {parts for _, parts, *_ in last_level_calls(spec)}
+    bounded = bounded_prefixes(spec)
+    assert reached <= bounded
+    return bounded - {parts[:k] for parts in reached for k in range(1, len(parts) + 1)}
 
 
 class TestPrefixCut:
@@ -265,31 +293,70 @@ class TestPrefixCut:
         [(4, 60), (4, 240), (5, 64), (5, 120), (6, 8), (6, 36), (6, 72), (6, 100), (7, 40),
          (7, 64)],
     )
-    def test_no_pruned_prefix_has_a_completion(self, monkeypatch, s, n_max, a_max):
-        pruned = pruned_prefixes(monkeypatch, SearchSpec(s, n_max, a_max))
+    def test_no_pruned_prefix_has_a_completion(self, s, n_max, a_max):
+        pruned = pruned_prefixes(SearchSpec(s, n_max, a_max))
         for parts, _, _ in oracle_solutions(s, n_max, a_max):
             for k in range(1, s - 2):
                 assert parts[:k] not in pruned
 
-    def test_the_cut_fires(self, monkeypatch):
-        assert pruned_prefixes(monkeypatch, SearchSpec(6, 100))
+    def test_the_cut_fires(self):
+        assert pruned_prefixes(SearchSpec(6, 100))
 
 
-def last_level_calls(monkeypatch, spec: SearchSpec) -> list[tuple]:
-    """Run the search with a recording wrapper around search._extend and
-    return (tables, parts, total, product, r, exps, lo, hi) for every call
-    that reaches the last level with a non-empty prefix (s >= 4)."""
-    calls = []
-    extend = search._extend
+def stub_last_level(monkeypatch) -> list[tuple]:
+    """Swap both last-level kernels for stubs that only record the prefix
+    state they are handed: (kernel, parts, total, product, r, exps, lo, hi),
+    with exps as the sorted tuple of its nonzero entries."""
+    calls: list[tuple] = []
 
-    def recording(tables, parts, total, product, r, exps, lo, hi, out):
-        if parts and spec.s - 2 - len(parts) == 1:
-            calls.append((tables, parts, total, product, r, dict(exps), lo, hi))
-        extend(tables, parts, total, product, r, exps, lo, hi, out)
+    def stub(kernel: str):
+        def record(tables, parts, total, product, r, exps, lo, hi, out):
+            entries = tuple(sorted((p, e) for p, e in exps.items() if e))
+            calls.append((kernel, parts, total, product, r, entries, lo, hi))
+        return record
 
-    monkeypatch.setattr(search, "_extend", recording)
-    enumerate_solutions(spec)
+    monkeypatch.setattr(search, "_divisor_walk", stub("walk"))
+    monkeypatch.setattr(search, "_last_slot", stub("slot"))
     return calls
+
+
+class TestStackWalk:
+    """The upper levels walked from an explicit stack against the recursive
+    walk they replaced (search_oracle.recursive_search): both hand the same
+    multiset of prefix states to the last level."""
+
+    @staticmethod
+    def check(s: int, n_max: int, a_max: int | None, lo: int, hi: int) -> int:
+        # Returns the number of last-level calls.
+        spec = SearchSpec(s, n_max, a_max)
+        tables = _tables(s, spec.sum_bound, spec.part_bound)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = stub_last_level(monkeypatch)
+            assert search._search(tables, lo, hi) == []
+            stacked = Counter(calls)
+            calls.clear()
+            recursive_search(tables, lo, hi)
+            assert Counter(calls) == stacked
+        return len(calls)
+
+    @pytest.mark.parametrize(
+        "s, n_max", [(3, 2400), (4, 400), (5, 170), (6, 100), (7, 64), (8, 60)])
+    def test_benchmark_bounds(self, s, n_max):
+        assert self.check(s, n_max, None, 1, n_max // (s - 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=st.integers(4, 8),
+        n_max=st.integers(3, 160),
+        a_max=st.none() | st.integers(1, 160),
+        data=st.data(),
+    )
+    def test_property(self, s, n_max, a_max, data):
+        # Any block [lo, hi] of leading parts, as a --jobs worker gets one.
+        n_max = max(n_max, s - 1)
+        lead_hi = min(n_max if a_max is None else a_max, n_max // (s - 1))
+        lo = data.draw(st.integers(1, lead_hi))
+        self.check(s, n_max, a_max, lo, data.draw(st.integers(lo, lead_hi)))
 
 
 def last_level(kernel, tables, parts, total, product, r, exps, lo, hi):
@@ -298,29 +365,55 @@ def last_level(kernel, tables, parts, total, product, r, exps, lo, hi):
     return sorted(out)
 
 
+# The TestDivisorWalk grid: (s, n_max) pairs, and a_max values for each.
+DIVISOR_WALK_GRID = [
+    (4, 12), (4, 60), (4, 150), (5, 12), (5, 64), (5, 150), (6, 12), (6, 72), (6, 120),
+    (7, 12), (7, 40), (7, 90)]
+DIVISOR_WALK_A_MAX = [None, 3, 5, 18, 40]
+
+
+def walk_bounds(call: tuple) -> list[tuple[int, int]]:
+    """The prefix's own range of second-to-last parts, an empty range, and
+    [a, a] for each solution (a, x) of the prefix.  For a solution with
+    a = x the last range makes the per-b cap exactly a."""
+    tables, parts, total, product, r, exps, lo, hi = call
+    found = last_level(search._last_slot, *call)
+    return [(lo, hi), (hi + 1, hi)] + [(row[0][-2],) * 2 for row in found]
+
+
 class TestDivisorWalk:
     """The last level's walk over the divisors of b**s / P against the loop
     over the second-to-last part, prefix by prefix."""
 
-    @pytest.mark.parametrize("a_max", [None, 3, 5, 18, 40])
-    @pytest.mark.parametrize(
-        "s, n_max",
-        [(4, 12), (4, 60), (4, 150), (5, 12), (5, 64), (5, 150), (6, 12), (6, 72), (6, 120),
-         (7, 12), (7, 40), (7, 90)],
-    )
-    def test_matches_the_last_slot_loop(self, monkeypatch, s, n_max, a_max):
+    @pytest.mark.parametrize("a_max", DIVISOR_WALK_A_MAX)
+    @pytest.mark.parametrize("s, n_max", DIVISOR_WALK_GRID)
+    def test_matches_the_last_slot_loop(self, s, n_max, a_max):
         spec = SearchSpec(s, n_max, a_max)
-        calls = last_level_calls(monkeypatch, spec)
+        calls = last_level_calls(spec)
         assert calls
-        for tables, parts, total, product, r, exps, lo, hi in calls:
-            for bounds in ((lo, hi), (hi + 1, hi)):  # and an empty range
-                args = (tables, parts, total, product, r, exps, *bounds)
+        for call in calls:
+            for bounds in walk_bounds(call):
+                args = (*call[:-2], *bounds)
                 assert last_level(search._divisor_walk, *args) == last_level(
                     search._last_slot, *args)
 
-    def test_the_grid_reaches_the_edges(self, monkeypatch):
+    @pytest.mark.parametrize("a_max", DIVISOR_WALK_A_MAX)
+    @pytest.mark.parametrize("s, n_max", DIVISOR_WALK_GRID)
+    def test_cap_matches_the_uncapped_walk(self, s, n_max, a_max):
+        # Divisors above isqrt(Q // (T + 2 * lo)) give x < a: capping each b's
+        # divisors there loses no solution, b by b.
+        for call in last_level_calls(SearchSpec(s, n_max, a_max)):
+            for bounds in walk_bounds(call):
+                args = (*call[:-2], *bounds)
+                uncapped = uncapped_divisor_walk(*args)
+                capped = {b: [] for b in uncapped}
+                for row in last_level(search._divisor_walk, *args):
+                    capped[row[2]].append(row)
+                assert capped == uncapped
+
+    def test_the_grid_reaches_the_edges(self):
         # Prefixes with hi = a_max, and a solution with a = x.
-        calls = last_level_calls(monkeypatch, SearchSpec(5, 150, 18))
+        calls = last_level_calls(SearchSpec(5, 150, 18))
         assert any(hi == 18 for *_, hi in calls)
         found = [row for call in calls for row in last_level(search._divisor_walk, *call)]
         assert ((1, 2, 12, 12), 27, 6) in found
@@ -331,10 +424,10 @@ class TestWalkInsideSieve:
     last index of the sieve, so Q = b**s / P is factored from spf[b]."""
 
     @staticmethod
-    def check(monkeypatch, spec: SearchSpec) -> int:
+    def check(spec: SearchSpec) -> int:
         # Returns the number of b visited.
         count = 0
-        for tables, parts, total, product, r, exps, lo, hi in last_level_calls(monkeypatch, spec):
+        for tables, parts, total, product, r, exps, lo, hi in last_level_calls(spec):
             n_max, spf = tables[1], tables[3]
             assert n_max == len(spf) - 1 == spec.sum_bound
             visited = search._b_range(tables, total, product, r, lo, hi)
@@ -344,8 +437,8 @@ class TestWalkInsideSieve:
 
     @pytest.mark.parametrize("a_max", [None, 1, 3, 18])
     @pytest.mark.parametrize("s, n_max", [(4, 3), (4, 300), (5, 4), (5, 200), (6, 100), (7, 64)])
-    def test_grid(self, monkeypatch, s, n_max, a_max):
-        visited = self.check(monkeypatch, SearchSpec(s, n_max, a_max))
+    def test_grid(self, s, n_max, a_max):
+        visited = self.check(SearchSpec(s, n_max, a_max))
         assert visited or n_max < 10 or a_max == 1
 
     @settings(max_examples=60, deadline=None)
@@ -355,8 +448,7 @@ class TestWalkInsideSieve:
         a_max=st.none() | st.integers(1, 150),
     )
     def test_property(self, s, n_max, a_max):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            self.check(monkeypatch, SearchSpec(s, max(n_max, s - 1), a_max))
+        self.check(SearchSpec(s, max(n_max, s - 1), a_max))
 
 
 class TestSumBound:
