@@ -12,12 +12,8 @@ usage error prints the usage line of the subcommand it came from (the
 top-level one when there is no subcommand).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
-from fractions import Fraction
-from typing import Sequence
 
 from .elliptic import nagell_lutz_candidates, on_curve
 from .exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
@@ -29,6 +25,11 @@ from .transforms import (
     s4_point_solution,
     s4_solutions,
 )
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+    from fractions import Fraction
 
 
 def render(sol: DioSolution, source: str, fmt: str) -> str:
@@ -68,21 +69,21 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str) -> "Fraction":
     try:
         return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
 
 
-def _fraction_list(text: str) -> list[Fraction]:
+def _fraction_list(text: str) -> "list[Fraction]":
     try:
         return [parse_fraction(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}") from exc
 
 
-def _point(text: str) -> tuple[Fraction, Fraction]:
+def _point(text: str) -> "tuple[Fraction, Fraction]":
     coords = _fraction_list(text)
     if len(coords) != 2:
         raise argparse.ArgumentTypeError(f"a point needs exactly two coordinates: {text!r}")
@@ -266,7 +267,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 _PARSERS: tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]] | None = None
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
+def _parse(argv: "Sequence[str]") -> argparse.Namespace:
     """Parse argv with the parser of the subcommand that argv[0] names, in
     one pass; the top-level parser takes every other argv (none, -h, an
     unknown command).  The Namespace is the top-level one without its
@@ -281,7 +282,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return command.parse_args(argv[1:])
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -17,8 +17,6 @@ references (tests/certificates.py): the s=4 walk reads its multiples off
 division polynomials in integers instead.
 """
 
-from __future__ import annotations
-
 from .exactmath import divisors, int_nth_root
 
 __all__ = ["nagell_lutz_candidates", "on_curve"]

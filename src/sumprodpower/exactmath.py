@@ -21,11 +21,12 @@ of ``m``'s digits doubles the precision at each level (Brent and
 Zimmermann, Modern Computer Arithmetic, 1.5.2).
 """
 
-from __future__ import annotations
-
 import re
-from fractions import Fraction
 from math import isqrt
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "divisors",
@@ -137,7 +138,7 @@ def format_decimal(value: int) -> str:
     return format_decimal(high) + format_decimal(rest).zfill(low)
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str) -> "Fraction":
     """The rational ``p`` or ``p/q`` that ``text`` writes, at any length, in
     the grammar of parse_decimal with an optional ``/q`` of unsigned ASCII
     digits.  Anything else raises ``ValueError``; a zero ``q`` raises
@@ -149,10 +150,12 @@ def parse_fraction(text: str) -> Fraction:
     q = 1 if den is None else _digits_value(den)
     if q == 0:  # Fraction's own message would print the numerator
         raise ZeroDivisionError(f"zero denominator in a rational of {len(text)} characters")
-    return Fraction(_digits_value(num), q)
+    import fractions  # on first use: fractions loads decimal, which no integer path needs
+
+    return fractions.Fraction(_digits_value(num), q)
 
 
-def format_fraction(value: Fraction | int) -> str:
+def format_fraction(value: "Fraction | int") -> str:
     """Exact ``str(value)`` for a Fraction (or int) of any size: ``p`` or ``p/q``."""
     num = format_decimal(value.numerator)
     return num if value.denominator == 1 else f"{num}/{format_decimal(value.denominator)}"

@@ -51,14 +51,16 @@ arithmetic, which general_solution is tested against, are test references
 in tests/certificates.py.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
+from ._value import Value
 from .exactmath import format_decimal, format_fraction
 from .transforms import DioSolution
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+    from fractions import Fraction
 
 __all__ = [
     "FamilyParams",
@@ -67,22 +69,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Value):
     """Parameters (s, tail, t0) of one member of the s >= 5 family.
 
-    tail holds the freely chosen positive values b4 .. b_{s-1}; t0 is the
-    positive parameter of the specialized slope t = u * t0**2.  Both are
-    kept as given (Fractions or ints): general_solution reads only their
-    numerators and denominators.
+    tail holds the freely chosen positive values b4 .. b_{s-1}, as a tuple;
+    t0 is the positive parameter of the specialized slope t = u * t0**2.
+    Both are kept as given (Fractions or ints): general_solution reads only
+    their numerators and denominators.
     """
 
+    __slots__ = ("s", "tail", "t0")
     s: int
-    tail: tuple[Fraction, ...]
-    t0: Fraction
+    tail: "tuple[Fraction, ...]"
+    t0: "Fraction"
+
+    def __init__(self, s: int, tail: "Iterable[Fraction]", t0: "Fraction") -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "tail", tuple(tail))
+        object.__setattr__(self, "t0", t0)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tail", tuple(self.tail))
         if self.s < 5:
             raise ValueError("the family needs s >= 5")
         if len(self.tail) != self.s - 4:
@@ -110,7 +117,9 @@ def general_solution(params: FamilyParams) -> DioSolution:
     uvvac = U * V * V * a * c
     dn = 4 * W * W * K - uvvac
     if dn <= 0:
-        d = Fraction(dn, W * W * W * c * c)
+        import fractions  # only this branch builds a Fraction
+
+        d = fractions.Fraction(dn, W * W * W * c * c)
         raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
     VK = V * K
     entries = [(uvvac * V, 2 * W * dn), (dn * c, 2 * U * a * VK), (dn * a, 2 * W * c * VK)]

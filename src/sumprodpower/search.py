@@ -77,17 +77,16 @@ under about 480 MB.  Each --jobs worker builds its own tables.
 Parallel runs split the leading part into blocks of consecutive values for at
 most one worker per usable core; each worker builds the sieve and the power
 list once, workers share nothing and the merged result is sorted, so output
-is a function of the spec alone.
+is a function of the spec alone.  multiprocessing and signal (each worker
+ignores SIGINT) are imported only by such runs, so a serial run and every
+other subcommand start without them.
 """
 
-from __future__ import annotations
-
 import os
-import signal
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import isqrt
 
+from ._value import Value
 from .exactmath import int_nth_root
 from .transforms import DioSolution
 
@@ -97,14 +96,21 @@ __all__ = ["SearchSpec", "enumerate_solutions"]
 N_MAX_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Value):
     """Bounds for one enumeration run: s, sum bound, optional part bound, workers."""
 
+    __slots__ = ("s", "n_max", "a_max", "jobs")
     s: int
     n_max: int
-    a_max: int | None = None
-    jobs: int = 1
+    a_max: int | None
+    jobs: int
+
+    def __init__(self, s: int, n_max: int, a_max: int | None = None, jobs: int = 1) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "a_max", a_max)
+        object.__setattr__(self, "jobs", jobs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.s < 3:
@@ -313,6 +319,8 @@ _worker_tables: _Tables | None = None  # set in each pool worker by _init_worker
 def _init_worker(s: int, n_max: int, a_max: int) -> None:
     # Ctrl-C reaches the whole process group.  Only the parent acts on it:
     # leaving the pool's with-block terminates the workers.
+    import signal  # here, with multiprocessing: only --jobs runs need it
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _worker_tables
     _worker_tables = _tables(s, n_max, a_max)

@@ -43,14 +43,15 @@ gcd: only 2 can divide both the numerator and the denominator of x(kP), and
 one shift strips it (_s4_odd_multiples has the reason).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, prod
-from typing import Iterator
 
+from ._value import Value
 from .exactmath import format_decimal, perfect_sth_power
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+    from fractions import Fraction
 
 __all__ = [
     "DioSolution",
@@ -61,13 +62,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DioSolution:
+class DioSolution(Value):
     """Verified positive integer solution: parts a_1 .. a_{s-1} and b with
     prod(parts) * n == b**s, where s = len(parts) + 1 and n = sum(parts)."""
 
+    __slots__ = ("parts", "b")
     parts: tuple[int, ...]
     b: int
+
+    def __init__(self, parts: tuple[int, ...], b: int) -> None:
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.parts) < 2:
@@ -154,7 +160,7 @@ def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
     return DioSolution(parts, den // g)
 
 
-def s4_point_solution(x: Fraction, y: Fraction) -> DioSolution | None:
+def s4_point_solution(x: "Fraction", y: "Fraction") -> DioSolution | None:
     """The cleared chart preimage of the point (x, y) in the positive
     region, None for one outside it; ValueError when the point is
     not on the curve.  The point comes from outside the program, so its
@@ -207,7 +213,7 @@ def _s4_extend_psi(psi: list[int], n: int) -> None:
             psi.append(psi[m] * bracket // 16)
 
 
-def _s4_odd_multiples(max_multiple: int) -> Iterator[tuple[int, int, int]]:
+def _s4_odd_multiples(max_multiple: int) -> "Iterator[tuple[int, int, int]]":
     """Lowest-terms triples (X, Y, e) of kP = (X/e^2, Y/e^3) for the odd
     k = 1, 3, 5, ... <= max_multiple, P = S4_SEED_POINT = (x, y).
 
@@ -242,7 +248,7 @@ def _s4_odd_multiples(max_multiple: int) -> Iterator[tuple[int, int, int]]:
         yield phi >> 2 * v, Y if p > 0 else -Y, abs(p) >> v
 
 
-def s4_solutions(max_multiple: int) -> Iterator[DioSolution]:
+def s4_solutions(max_multiple: int) -> "Iterator[DioSolution]":
     """Solutions from the odd multiples P, 3P, 5P, ... (up to max_multiple) of
     P = S4_SEED_POINT, one per multiple, in that order.
 

@@ -1,16 +1,30 @@
-"""The package imports only the standard library and itself.
+"""The package imports only the standard library and itself, and a cold
+command imports little of that.
 
 The tests run with tests/ on sys.path, so a package module that imported a
 test reference (say `from certificates import add`) would pass them and
 still break the installed package, which ships no tests/.  Checked on the
 source's syntax tree.
+
+A command-line run is mostly interpreter start-up, so a module that the
+package loads but the command does not need (dataclasses with inspect,
+fractions with decimal, signal, typing) is most of what the package adds to
+it.  Checked in fresh interpreters, against the modules that the standard
+library needs for the same work.
 """
 
 import ast
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from certificates import fraction_general_solution
+from sumprodpower import cli
+from sumprodpower.exactmath import parse_fraction
+from sumprodpower.family import FamilyParams
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sumprodpower"
 
@@ -57,3 +71,92 @@ def test_checker_sees_every_foreign_import():
         (8, "numpy.linalg"),
         (11, "hypothesis"),
     ]
+
+
+# Runs BODY in a fresh interpreter with no site (-I -S) and prints, on its
+# last line, the modules that BODY loaded.  argv[1] is the source directory.
+PROBE = """\
+import sys
+before = set(sys.modules)
+{body}
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+# argparse loads more modules when a parser is built and run than on import
+# (shutil for the help width and locale for gettext, which vary by version),
+# so the budget runs one parser too, on a valid and an invalid argv.
+STDLIB_BUDGET = """\
+import argparse, bisect, math, os, re
+parser = argparse.ArgumentParser(prog="probe")
+parser.add_subparsers().add_parser("run").add_argument("--n", type=int)
+parser.parse_args(["run", "--n", "1"])
+try:
+    parser.parse_args(["run", "--bogus"])
+except SystemExit:
+    pass
+"""
+RUN_CLI = """\
+sys.path.insert(0, sys.argv[1])
+from sumprodpower.cli import main
+print(main(sys.argv[2:]))
+"""
+
+
+def cold_run(body: str, *argv: str) -> tuple[list[str], str, set[str]]:
+    """The stdout lines and the stderr of BODY, and the modules it loads, in
+    a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", PROBE.format(body=body), str(PACKAGE.parent), *argv],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    *lines, modules = proc.stdout.splitlines()
+    return lines, proc.stderr, set(modules.split())
+
+
+def beyond_budget(loaded: set[str], budget: set[str]) -> set[str]:
+    return {name for name in loaded - budget if name.partition(".")[0] != "sumprodpower"}
+
+
+@pytest.fixture(scope="module")
+def stdlib_budget() -> set[str]:
+    return cold_run(STDLIB_BUDGET)[2]
+
+
+INTEGER_COMMANDS = [
+    ("verify", "--s", "4", "--parts", "1,2,24"),
+    ("verify", "--s", "4", "--parts", "1,2,25"),
+    ("gen4", "--count", "2"),
+    ("family", "--s", "5", "--t1", "2", "--t2", "1", "--primitive"),
+    ("search", "--s", "5", "--max-n", "50"),
+    ("s3", "--brute-max", "100"),
+    ("verify", "--bogus"),
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_COMMANDS, ids=" ".join)
+def test_cold_command_loads_only_its_budget(stdlib_budget, argv):
+    _, _, loaded = cold_run(RUN_CLI, *argv)
+    assert beyond_budget(loaded, stdlib_budget) == set()
+    assert "sumprodpower.cli" in loaded
+
+
+def test_cold_verify_prints_the_record():
+    lines, err, _ = cold_run(RUN_CLI, "verify", "--s", "4", "--parts", "1,2,24")
+    record = '{"s": 4, "parts": [1, 2, 24], "n": 27, "b": 6, "source": "verify"}'
+    assert (lines, err) == ([record, "0"], "")
+
+
+@pytest.mark.parametrize("tail", ["1/2,3", "1/2,1/3"])
+def test_fractions_loads_when_a_rational_is_read(stdlib_budget, tail):
+    # Beyond the budget only what fractions needs loads, and fractions does.
+    # D <= 0 at the tail 1/2,3, which builds a Fraction of its own for the
+    # message; the record or the message is the Fraction oracle's.
+    fractions_budget = stdlib_budget | cold_run("import fractions")[2]
+    lines, err, loaded = cold_run(RUN_CLI, "family", "--s", "6", "--tail", tail, "--t0", "1")
+    assert beyond_budget(loaded, fractions_budget) == set()
+    assert "fractions" in loaded
+    params = FamilyParams(6, map(parse_fraction, tail.split(",")), Fraction(1))
+    try:
+        expected = [cli.render(fraction_general_solution(params), "family", "jsonl"), "0"], ""
+    except ValueError as exc:
+        expected = ["1"], f"{exc}\n"
+    assert (lines, err) == expected

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import make_dataclass
 from fractions import Fraction
 from math import prod
 
@@ -7,7 +10,13 @@ from hypothesis import strategies as st
 
 from certificates import INFINITY, Point, clear_denominators, negate, scalar_mul
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
-from sumprodpower import DioSolution, nagell_lutz_candidates, primitive_reduce
+from sumprodpower import (
+    DioSolution,
+    FamilyParams,
+    SearchSpec,
+    nagell_lutz_candidates,
+    primitive_reduce,
+)
 
 SEED = Point(235, 8)
 # The second worked s=4 point: equals [3](235, 8).
@@ -42,6 +51,84 @@ class TestDioSolution:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DioSolution(**kwargs)
+
+
+# Each value with its repr, which is the one @dataclass(frozen=True) wrote.
+VALUES = [
+    pytest.param(DioSolution((1, 2, 24), 6), "DioSolution(parts=(1, 2, 24), b=6)",
+                 id="DioSolution"),
+    pytest.param(SearchSpec(4, 100), "SearchSpec(s=4, n_max=100, a_max=None, jobs=1)",
+                 id="SearchSpec-defaults"),
+    pytest.param(SearchSpec(5, 800, 30, jobs=2), "SearchSpec(s=5, n_max=800, a_max=30, jobs=2)",
+                 id="SearchSpec"),
+    pytest.param(FamilyParams(6, [Fraction(1, 2), 3], Fraction(7, 3)),
+                 "FamilyParams(s=6, tail=(Fraction(1, 2), 3), t0=Fraction(7, 3))",
+                 id="FamilyParams"),
+]
+CLONES = {
+    **{f"pickle{p}": lambda v, p=p: pickle.loads(pickle.dumps(v, p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+# A field of each value as a protocol-0 pickle writes it, and a value for it
+# that the class's check refuses.
+TAMPERED = [
+    pytest.param(DioSolution((1, 2, 24), 6), b"I6\n", b"I7\n", id="DioSolution-b"),
+    pytest.param(SearchSpec(4, 100), b"I4\n", b"I2\n", id="SearchSpec-s"),
+    pytest.param(FamilyParams(6, (Fraction(1, 2), 3), Fraction(7, 3)), b"I6\n", b"I5\n",
+                 id="FamilyParams-s"),
+]
+
+
+def fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+@pytest.mark.parametrize("value, text", VALUES)
+class TestValueSemantics:
+    """DioSolution, SearchSpec and FamilyParams behave as the frozen
+    dataclasses they replace."""
+
+    def test_repr_and_hash_are_the_dataclass_ones(self, value, text):
+        cls = type(value)
+        twin = make_dataclass(cls.__name__, cls.__slots__, frozen=True)(*fields(value))
+        assert repr(value) == repr(twin) == text
+        assert hash(value) == hash(twin)
+
+    def test_equality_is_by_fields_within_one_class(self, value, text):
+        same = type(value)(*fields(value))
+        assert value == same and len({value, same}) == 1
+        assert value != fields(value)
+
+    def test_assignment_and_deletion_raise(self, value, text):
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+    def test_pickle_and_copy_round_trip(self, value, text, clone):
+        back = clone(value)
+        assert type(back) is type(value) and back == value and repr(back) == text
+
+
+def test_family_params_keeps_its_tail_as_a_tuple():
+    params = FamilyParams(6, iter([Fraction(1, 2), 3]), Fraction(1))
+    assert params.tail == (Fraction(1, 2), 3)
+    assert params == FamilyParams(6, (Fraction(1, 2), 3), Fraction(1))
+
+
+@pytest.mark.parametrize("value, field, refused", TAMPERED)
+def test_a_tampered_pickle_runs_the_check(value, field, refused):
+    payload = pickle.dumps(value, 0)
+    assert pickle.loads(payload) == value and payload.count(field) == 1
+    with pytest.raises(ValueError):
+        pickle.loads(payload.replace(field, refused))
 
 
 class TestBVector:
