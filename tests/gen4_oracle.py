@@ -19,6 +19,11 @@ Fraction arithmetic stops at ORACLE_MAX_MULTIPLE.
 mixed_addition_walk is the integer walk that transforms._s4_odd_multiples
 ran before division polynomials: one addition of 2P per step, then a gcd
 and two exact divisions.  It reaches far past the Fraction walk.
+
+short_model_psi_seed and extend_short_model_psi are the division
+polynomials psi_j of the short model at the seed point, which the walk ran
+before it moved to the scaled psi'_j = psi_j / 2^(j^2 - 1) of the 2-minimal
+model.
 """
 
 from __future__ import annotations
@@ -203,3 +208,36 @@ def mixed_addition_walk(max_multiple: int) -> Iterator[tuple[int, int, int]]:
             f = gcd(X2, e * h)
             X, Y, e = X2 // (f * f), Y2 // (f * f * f), e * h // f
         yield X, Y, e
+
+
+_S4_A, _S4_B = -166779, 26215254
+
+
+def short_model_psi_seed() -> list[int]:
+    """psi_0 .. psi_4 of the division polynomials of y^2 = x^3 + Ax + B
+    (Silverman, The Arithmetic of Elliptic Curves, Ex. 3.7) at the seed
+    point (x, y)."""
+    x, y = SEED.x.numerator, SEED.y.numerator
+    a, b = _S4_A, _S4_B
+    return [
+        0,
+        1,
+        2 * y,
+        3 * x**4 + 6 * a * x**2 + 12 * b * x - a**2,
+        4 * y * (x**6 + 5 * a * x**4 + 20 * b * x**3 - 5 * a**2 * x**2
+                 - 4 * a * b * x - 8 * b**2 - a**3),
+    ]
+
+
+def extend_short_model_psi(psi: list[int], n: int) -> None:
+    """Append psi_j to psi = [psi_0, psi_1, ...] for every j up to n, by
+    psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3 and
+    psi_{2m} = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / 2y,
+    where 2y = 16.  Needs psi_0 .. psi_4 already."""
+    for j in range(len(psi), n + 1):
+        m = j >> 1
+        if j & 1:
+            psi.append(psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3)
+        else:
+            bracket = psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2
+            psi.append(psi[m] * bracket // 16)

@@ -6,8 +6,9 @@ positive region, and -kP repeats the solution of kP.  These tests pin both
 facts for k <= 80 and check that gen4 prints what the oracle walk printed.
 They also check the integer pipeline (lowest-terms triples (X, Y, e) with
 x = X/e^2, y = Y/e^3) against the oracle's Fraction points and charts, the
-division-polynomial facts the walk takes as proven, and the walk against the
-older mixed-addition walk well past the Fraction oracle's reach.
+division-polynomial facts the walk takes as proven, its scaled sequence psi'
+against the short model's psi and the 2-minimal model, and the walk against
+the older mixed-addition walk well past the Fraction oracle's reach.
 """
 
 from __future__ import annotations
@@ -29,21 +30,23 @@ from certificates import Point, clear_denominators
 from gen4_oracle import (
     ORACLE_MAX_MULTIPLE,
     BVector,
+    extend_short_model_psi,
     mixed_addition_walk,
     oracle_walk,
     s4_curve,
     s4_forward,
     s4_in_positive_region,
     s4_inverse,
+    short_model_psi_seed,
     signed_solutions,
 )
 from sumprodpower import cli
 from sumprodpower.exactmath import format_fraction, parse_decimal
 from sumprodpower.transforms import (
+    _S4_PSI_SEED,
     _s4_chart,
     _s4_extend_psi,
     _s4_odd_multiples,
-    _s4_psi_seed,
     _s4_solution,
     primitive_reduce,
     s4_point_solution,
@@ -55,6 +58,14 @@ MAX_MULTIPLE = 80
 # there pass 4300 digits.
 LONG_WALK = 121
 FLAG_SETS = [[], ["--primitive"], ["--format", "tsv"], ["--primitive", "--format", "tsv"]]
+# The 2-minimal model [a1, a2, a3, a4, a6] that the walk's psi' belong to,
+# its point P' and the change of variables onto the short model and P.
+MINIMAL_MODEL = (1, -46, -16, -9718, 564964)
+MINIMAL_SEED = (74, -28)
+
+
+def to_short_model(x: int, y: int) -> tuple[int, int]:
+    return 4 * x - 61, 8 * y + 4 * x - 64
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +75,29 @@ def walk():
 
 @pytest.fixture(scope="module")
 def psi():
-    """psi_0 .. psi_{LONG_WALK + 2}, every value the walk to LONG_WALK reads."""
-    values = _s4_psi_seed()
+    """psi'_0 .. psi'_{LONG_WALK + 2}, every value the walk to LONG_WALK reads."""
+    values = list(_S4_PSI_SEED)
     _s4_extend_psi(values, LONG_WALK + 2)
     return values
+
+
+def weierstrass_psi_seed(model, x, y) -> list[int]:
+    """psi_0 .. psi_4 of the general Weierstrass model [a1, a2, a3, a4, a6]
+    at (x, y), from b2, b4, b6 and b8 (Silverman, AEC, III.1 and Ex. 3.7)."""
+    a1, a2, a3, a4, a6 = model
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    psi2 = 2 * y + a1 * x + a3
+    psi3 = 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8
+    psi4 = psi2 * (2 * x**6 + b2 * x**5 + 5 * b4 * x**4 + 10 * b6 * x**3 + 10 * b8 * x**2
+                   + (b2 * b8 - b4 * b6) * x + b4 * b8 - b6 * b6)
+    return [0, 1, psi2, psi3, psi4]
+
+
+def weierstrass_value(model, x, y) -> int:
+    """y^2 + a1 xy + a3 y - (x^3 + a2 x^2 + a4 x + a6); zero on the model."""
+    a1, a2, a3, a4, a6 = model
+    return y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)
 
 
 def run_gen4(capsys, *argv) -> tuple[int, str, str]:
@@ -214,18 +244,47 @@ class TestIntegerKernel:
         assert [k for k, e in enumerate(denominators, 1) if e % 17491 == 0] == [4, 8, 12]
 
     def test_phi_and_psi_share_only_powers_of_two(self, psi):
+        # 235 psi'_k^2 - 4 psi'_{k-1} psi'_{k+1} is phi_k / 2^(2k^2 - 2).
         for k in range(1, ORACLE_MAX_MULTIPLE + 1, 2):
-            g = gcd(235 * psi[k] ** 2 - psi[k - 1] * psi[k + 1], psi[k])
+            g = gcd(235 * psi[k] ** 2 - 4 * psi[k - 1] * psi[k + 1], psi[k])
             assert g & (g - 1) == 0, k
 
-    def test_psi_divisions_by_16_and_32_are_exact(self, psi):
+    def test_psi_halving_and_w_shift_are_exact(self, psi):
         for j in range(6, LONG_WALK + 3, 2):
             m = j // 2
             bracket = psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2
-            assert psi[m] * bracket % 16 == 0, j
+            assert psi[m] * bracket % 2 == 0, j
         for k in range(1, LONG_WALK + 1, 2):
             before2 = psi[k - 2] if k > 1 else -1
-            assert (psi[k + 2] * psi[k - 1] ** 2 - before2 * psi[k + 1] ** 2) % 32 == 0, k
+            w = psi[k + 2] * psi[k - 1] ** 2 - before2 * psi[k + 1] ** 2
+            v = (psi[k] & -psi[k]).bit_length() - 1
+            assert (2 * w) % (1 << 3 * v) == 0, k
+
+    def test_psi_is_the_short_model_psi_scaled(self, psi):
+        # psi'_j = psi_j / 2^(j^2 - 1): the walk's sequence against the
+        # short-model sequence it replaced.
+        short = short_model_psi_seed()
+        extend_short_model_psi(short, LONG_WALK + 2)
+        assert len(short) == len(psi) == LONG_WALK + 3
+        for j, (value, scaled) in enumerate(zip(short, psi)):
+            assert value == scaled << max(j * j - 1, 0), j
+
+    def test_seeds_are_the_division_polynomials_of_the_2_minimal_model(self):
+        assert list(_S4_PSI_SEED) == weierstrass_psi_seed(MINIMAL_MODEL, *MINIMAL_SEED)
+        # The general formulas give the short model's seeds at (235, 8).
+        short = (0, 0, 0, -166779, 26215254)
+        assert weierstrass_psi_seed(short, 235, 8) == short_model_psi_seed()
+
+    def test_change_of_variables_carries_the_2_minimal_model_onto_the_curve(self):
+        assert weierstrass_value(MINIMAL_MODEL, *MINIMAL_SEED) == 0
+        assert to_short_model(*MINIMAL_SEED) == (235, 8)
+        # Both sides are polynomials of degree <= 3 in x and <= 2 in y, so
+        # agreeing on a 4 x 3 grid makes them equal; u = 2 gives the 2^6.
+        for x in range(-2, 2):
+            for y in range(-1, 2):
+                sx, sy = to_short_model(x, y)
+                short = sy * sy - (sx**3 - 166779 * sx + 26215254)
+                assert short == 64 * weierstrass_value(MINIMAL_MODEL, x, y), (x, y)
 
     def test_psi_takes_both_signs_at_odd_k(self, psi):
         # The sign of Y follows the sign of psi_k, so both branches run.
