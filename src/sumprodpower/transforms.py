@@ -69,7 +69,12 @@ __all__ = [
 
 class DioSolution(Value):
     """Verified positive integer solution: parts a_1 .. a_{s-1} and b with
-    prod(parts) * n == b**s, where s = len(parts) + 1 and n = sum(parts)."""
+    prod(parts) * n == b**s, where s = len(parts) + 1 and n = sum(parts).
+
+    The constructor tests that identity in __post_init__.  from_parts runs
+    the one test itself, from the root: perfect_sth_power's
+    b**s == prod(parts) * sum(parts), so it skips __post_init__ and keeps
+    only the constructor's checks of count and sign."""
 
     __slots__ = ("parts", "b")
     parts: tuple[int, ...]
@@ -81,12 +86,15 @@ class DioSolution(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        self._check_positive()
+        if prod(self.parts) * self.n != self.b ** self.s:
+            raise ValueError("prod(parts) * n is not b**s")
+
+    def _check_positive(self) -> None:
         if len(self.parts) < 2:
             raise ValueError("need at least two parts (s >= 3)")
         if any(a < 1 for a in self.parts) or self.b < 1:
             raise ValueError("parts and b must be positive")
-        if prod(self.parts) * self.n != self.b ** self.s:
-            raise ValueError("prod(parts) * n is not b**s")
 
     @classmethod
     def from_parts(cls, parts: tuple[int, ...] | list[int]) -> "DioSolution":
@@ -97,7 +105,11 @@ class DioSolution(Value):
         b = perfect_sth_power(value, s)
         if b is None:
             raise ValueError(f"{format_decimal(value)} is not a perfect {s}-th power")
-        return cls(tuple(parts), b)
+        sol = object.__new__(cls)
+        object.__setattr__(sol, "parts", tuple(parts))
+        object.__setattr__(sol, "b", b)
+        sol._check_positive()
+        return sol
 
     @property
     def s(self) -> int:
@@ -139,9 +151,10 @@ def _s4_chart(X: int, Y: int, e: int) -> tuple[int, int, int, int]:
     (X/e^2, Y/e^3): b_i = N_i / den with den = 12e(243e^2 - X), N1 = 384e^3
     and N2, N3 = 6369e^3 - 27Xe +- Y (the chart's inverse b_i with
     x = X/e^2, y = Y/e^3, numerator and denominator times e^3)."""
-    e3 = e * e * e
+    e2 = e * e
+    e3 = e2 * e
     mid = 6369 * e3 - 27 * X * e
-    return 384 * e3, mid + Y, mid - Y, 12 * e * (243 * e * e - X)
+    return 384 * e3, mid + Y, mid - Y, 12 * e * (243 * e2 - X)
 
 
 def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
@@ -248,15 +261,18 @@ def _s4_odd_multiples(max_multiple: int) -> "Iterator[tuple[int, int, int]]":
     """
     x = S4_SEED_POINT[0]
     psi = list(_S4_PSI_SEED)
+    before_sq = 0  # psi'_0^2; at k, psi'_{k-1}^2 is the psi'_{k+1}^2 of k - 2
     for k in range(1, max_multiple + 1, 2):
         _s4_extend_psi(psi, k + 2)
         before2 = psi[k - 2] if k > 1 else -1  # psi'_{-1} = -psi'_1
         before, p, after, after2 = psi[k - 1], psi[k], psi[k + 1], psi[k + 2]
+        after_sq = after * after
         phi = x * p * p - 4 * before * after
-        w = after2 * before * before - before2 * after * after
+        w = after2 * before_sq - before2 * after_sq
         v = (p & -p).bit_length() - 1
         Y = 2 * w >> 3 * v
         yield phi >> 2 * v, Y if p > 0 else -Y, abs(p) >> v
+        before_sq = after_sq
 
 
 def s4_solutions(max_multiple: int) -> "Iterator[DioSolution]":

@@ -9,6 +9,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,20 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "1400" in err and "4-th power" in err
+
+    def test_accepted_verify_evaluates_the_identity_once(self, capsys, monkeypatch):
+        # from_parts tests prod(parts) * n == b**s from the root alone; the
+        # constructor's check would take a second prod of the parts.
+        calls = []
+
+        def counted(parts):
+            calls.append(tuple(parts))
+            return prod(parts)
+
+        monkeypatch.setattr(transforms, "prod", counted)
+        code, out, err = run_cli(capsys, "verify", "--s", "5", "--parts", "1,4,20,25")
+        assert (code, err) == (0, "") and parse_jsonl(out)[0]["b"] == 10
+        assert calls == [(1, 4, 20, 25)]
 
     def test_wrong_arity_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2")

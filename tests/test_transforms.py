@@ -5,11 +5,13 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certificates import INFINITY, Point, clear_denominators, negate, scalar_mul
+from conftest import TABLE_S5
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
+from root_oracle import oracle_nth_root
 from sumprodpower import (
     DioSolution,
     FamilyParams,
@@ -17,12 +19,54 @@ from sumprodpower import (
     nagell_lutz_candidates,
     primitive_reduce,
 )
+from sumprodpower.exactmath import format_decimal
 
 SEED = Point(235, 8)
 # The second worked s=4 point: equals [3](235, 8).
 EXAMPLE_POINT = Point(Fraction(60266587, 257049), Fraction(3852230624, 130323843))
 EXAMPLE_PARTS = (781943058, 138991832, 18609625)
 WITNESS = Point(Fraction(30507, 121), Fraction(-584592, 1331))
+
+
+def oracle_from_parts(parts) -> DioSolution:
+    """DioSolution.from_parts by way of the constructor: b is the s-th root
+    of prod(parts) * sum(parts), and DioSolution(parts, b) tests the identity
+    again, with the error texts of from_parts."""
+    s = len(parts) + 1
+    value = prod(parts) * sum(parts)
+    if value < 1:
+        raise ValueError("m must be positive")
+    b = oracle_nth_root(value, s)
+    if b ** s != value:
+        raise ValueError(f"{format_decimal(value)} is not a perfect {s}-th power")
+    return DioSolution(tuple(parts), b)
+
+
+def outcome(build, parts) -> DioSolution | str:
+    try:
+        return build(parts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def solution_like(draw) -> list[int]:
+    # A known solution scaled to up to about 1500 digits a part, then as
+    # drawn: kept, one part moved by a little, one part set to 0, or some
+    # signs flipped (flipping all three parts of an s = 4 one keeps prod * n).
+    parts, _ = draw(st.sampled_from([((1, 2, 24), 6)] + [row[:2] for row in TABLE_S5]))
+    scale = draw(st.integers(1, 10 ** draw(st.integers(0, 1497))))
+    parts = draw(st.permutations([a * scale for a in parts]))
+    i = draw(st.integers(0, len(parts) - 1))
+    change = draw(st.sampled_from(["none", "nudge", "zero", "signs"]))
+    if change == "nudge":
+        parts[i] += draw(st.integers(-3, 3))
+    elif change == "zero":
+        parts[i] = 0
+    elif change == "signs":
+        flips = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+        parts = [-a if flip else a for a, flip in zip(parts, flips)]
+    return parts
 
 
 class TestDioSolution:
@@ -36,6 +80,22 @@ class TestDioSolution:
         assert (sol.s, sol.n, sol.b) == (4, 27, 6)
         with pytest.raises(ValueError):
             DioSolution.from_parts((1, 2, 25))
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=6) | solution_like())
+    @example(parts=(-9, -8, -1))  # prod * n = 1296 = 6^4
+    @example(parts=(-6, -2, 8, 9))  # prod * n = 7776 = 6^5
+    @example(parts=(5,))
+    @example(parts=())
+    def test_from_parts_matches_the_constructor_oracle(self, parts):
+        assert outcome(DioSolution.from_parts, parts) == outcome(oracle_from_parts, parts)
+
+    @pytest.mark.parametrize("parts", [(-9, -8, -1), (-6, -2, 8, 9)])
+    def test_from_parts_refuses_negative_parts_of_a_perfect_power(self, parts):
+        assert prod(parts) * sum(parts) == 6 ** (len(parts) + 1)
+        with pytest.raises(ValueError) as info:
+            DioSolution.from_parts(parts)
+        assert str(info.value) == "parts and b must be positive"
 
     @pytest.mark.parametrize(
         "kwargs",
