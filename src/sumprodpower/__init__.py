@@ -5,8 +5,8 @@ All arithmetic is exact (Python integers and fractions.Fraction); there is no
 floating point in the mathematical core.
 """
 
-from .elliptic import nagell_lutz_candidates, on_curve
-from .exactmath import divisors, int_nth_root, perfect_sth_power
+from .elliptic import on_curve
+from .exactmath import int_nth_root, perfect_sth_power
 from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
 from .transforms import DioSolution, primitive_reduce

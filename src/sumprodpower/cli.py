@@ -15,7 +15,7 @@ top-level one when there is no subcommand).
 import argparse
 import sys
 
-from .elliptic import nagell_lutz_candidates, on_curve
+from .elliptic import on_curve
 from .exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
 from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
@@ -95,7 +95,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if s < 3:
         return _usage_error("--s must be at least 3")
     if len(parts) != s - 1:
-        return _usage_error(f"expected {s - 1} parts for s={s}, got {len(parts)}")
+        return _usage_error(f"expected {format_decimal(s - 1)} parts for "
+                            f"s={format_decimal(s)}, got {len(parts)}")
     if any(a < 1 for a in parts):
         return _usage_error("parts must be positive integers")
     try:
@@ -179,18 +180,22 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+# The integral torsion candidates of y^2 = x^3 + 16 (Nagell-Lutz: y = 0 or
+# y | 27 * 16^2), sorted; tests/certificates.py derives them.  Both have
+# x = 0, the fiber v = 0 of the chart (transforms module docstring), so none
+# traces back to a pair (b1, b2).
+_S3_CANDIDATES = ((0, -4), (0, 4))
+
+
 def cmd_s3(args: argparse.Namespace) -> int:
     try:
         spec = SearchSpec(3, args.brute_max)
     except ValueError as exc:
         return _usage_error(str(exc).replace("n_max", "--brute-max"))
     print("curve: y^2 = x^3 + 16")
-    candidates = nagell_lutz_candidates(16)
-    rendered = ", ".join(f"({x}, {y})" for x, y in candidates)
+    rendered = ", ".join(f"({x}, {y})" for x, y in _S3_CANDIDATES)
     print(f"integral candidates (y = 0 or y | disc): {rendered}")
-    # Every candidate has x = 0, the fiber v = 0 of the chart (transforms
-    # module docstring), so none traces back to a pair (b1, b2).
-    for x, y in candidates:
+    for x, y in _S3_CANDIDATES:
         print(f"trace back ({x}, {y}): v = 0, degenerate, no (b1, b2)")
     print("positive preimages among candidates: 0")
     brute = enumerate_solutions(spec)

@@ -1,8 +1,8 @@
 """Exact integer and rational primitives shared by every other module.
 
 Everything here is arbitrary precision: integer k-th roots, perfect-power
-detection, divisor enumeration by trial division, and decimal conversion of
-integers and rationals of any length.  No floating point is used anywhere.
+detection, and decimal conversion of integers and rationals of any length.
+No floating point is used anywhere.
 
 Numbers are read in one grammar at every length: ASCII digits with an
 optional sign, and ``p/q`` for a rational.  The forms that ``int()`` and
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "divisors",
     "format_decimal",
     "format_fraction",
     "int_nth_root",
@@ -159,20 +158,3 @@ def format_fraction(value: "Fraction | int") -> str:
     """Exact ``str(value)`` for a Fraction (or int) of any size: ``p`` or ``p/q``."""
     num = format_decimal(value.numerator)
     return num if value.denominator == 1 else f"{num}/{format_decimal(value.denominator)}"
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of ``n``, ascending, by trial division up to sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-

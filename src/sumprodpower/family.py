@@ -93,7 +93,8 @@ class FamilyParams(Value):
         if self.s < 5:
             raise ValueError("the family needs s >= 5")
         if len(self.tail) != self.s - 4:
-            raise ValueError(f"expected {self.s - 4} tail entries, got {len(self.tail)}")
+            raise ValueError(f"expected {format_decimal(self.s - 4)} tail entries, "
+                             f"got {len(self.tail)}")
         if any(e <= 0 for e in self.tail):
             raise ValueError("tail entries must be positive")
         if self.t0 <= 0:

@@ -87,7 +87,7 @@ from bisect import bisect_left, bisect_right
 from math import isqrt
 
 from ._value import Value
-from .exactmath import int_nth_root
+from .exactmath import format_decimal, int_nth_root
 from .transforms import DioSolution
 
 __all__ = ["SearchSpec", "enumerate_solutions"]
@@ -116,7 +116,7 @@ class SearchSpec(Value):
         if self.s < 3:
             raise ValueError("s must be >= 3")
         if self.n_max < self.s - 1:
-            raise ValueError(f"n_max must be at least {self.s - 1}")
+            raise ValueError(f"n_max must be at least {format_decimal(self.s - 1)}")
         if self.n_max > N_MAX_LIMIT:
             raise ValueError(f"n_max must be at most {N_MAX_LIMIT}")
         if self.a_max is not None and self.a_max < 1:

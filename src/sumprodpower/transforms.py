@@ -11,9 +11,10 @@ constraint into u^2 + u = v^3, which the substitution x = 4v, y = 8u + 4
 carries onto the Mordell curve y^2 = x^3 + 16, since
 (8u+4)^2 - (4v)^3 - 16 = 64(u^2 + u - v^3).  Its inverse b1 = u/v =
 (y - 4)/2x, b2 = 1/v = 4/x is defined off the fiber x = 0.  The s=3 report
-traces back the integral torsion candidates of that curve (elliptic); they
-are (0, 4) and (0, -4), both on the fiber, so the report states that no
-candidate gives a pair (b1, b2) and runs no inverse.  For s = 4 the fiber
+traces back the integral torsion candidates of that curve, the constant
+cli._S3_CANDIDATES that tests/certificates.py proves; they are (0, 4) and
+(0, -4), both on the fiber, so the report states that no candidate gives a
+pair (b1, b2) and runs no inverse.  For s = 4 the fiber
 through the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2; the chart
 u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
 onto y^2 = x^3 - 166779x + 26215254.  Its inverse is v = (243 - x)/32,

@@ -7,11 +7,14 @@ package's integer paths take as given:
     (``WeierstrassCurve``, with the exact membership test
     ``WeierstrassCurve.contains`` and the cubic's ``discriminant``) and
     their points in ``Fraction`` coordinates (``Point``, with the point at
-    infinity ``INFINITY``); the package's s=3 report needs only two
-    Mordell curves on integers (``sumprodpower.elliptic``);
+    infinity ``INFINITY``); the package's s=3 report checks points of
+    one Mordell curve on integers (``sumprodpower.elliptic``);
   - the chord-and-tangent group law on ``WeierstrassCurve``, and
     ``certify_infinite_order``: (235, 8) has infinite order on the s=4 curve,
     so ``gen4`` never runs dry;
+  - ``nagell_lutz_candidates``, the integral torsion candidates of
+    ``y^2 = x^3 + c`` (with ``divisors``, the trial division it runs): for
+    c = 16 they are the s=3 report's constant ``cli._S3_CANDIDATES``;
   - the s >= 5 closed form in Fraction arithmetic (``family_uvt``,
     ``positivity_value``, ``leading_triple``, ``clear_denominators`` and
     ``fraction_general_solution``), the oracle that
@@ -37,7 +40,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from sumprodpower import DioSolution, FamilyParams, SearchSpec, enumerate_solutions
-from sumprodpower.exactmath import format_fraction
+from sumprodpower.exactmath import format_fraction, int_nth_root
 
 # ---------------------------------------------------------------------------
 # Curves and points
@@ -197,6 +200,48 @@ def certify_infinite_order(curve: WeierstrassCurve, point: Point) -> bool:
             return True
         multiple = _add_unchecked(curve, multiple, point)
     return True
+
+
+# ---------------------------------------------------------------------------
+# Torsion candidates on the Mordell curves y^2 = x^3 + c
+# ---------------------------------------------------------------------------
+
+# The cubic x^3 + c has discriminant -27c^2, so every rational torsion point
+# is an integral point (x, y) with y = 0 or y | 27c^2 (Nagell-Lutz;
+# Silverman-Tate, Rational Points on Elliptic Curves, II.4).  That finite set
+# is a candidate filter, not a torsion computation: it may hold points of
+# infinite order too.  For a fixed y, x^3 = y^2 - c has at most one integer
+# root, since x -> x^3 is strictly increasing, so the candidates take one
+# signed integer cube root per divisor of 27c^2.  For c = 16 they are the
+# s=3 report's constant cli._S3_CANDIDATES.
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of ``n``, ascending, by trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def nagell_lutz_candidates(c: int) -> list[tuple[int, int]]:
+    """The integral points ``(x, y)`` of ``y^2 = x^3 + c`` with ``y == 0`` or
+    ``y`` dividing ``27c^2``, sorted (c non-zero)."""
+    points = []
+    for y in (0, *divisors(27 * c * c)):
+        rhs = y * y - c
+        x = int_nth_root(rhs, 3) if rhs >= 0 else -int_nth_root(-rhs, 3)
+        if x ** 3 == rhs:
+            points += [(x, y), (x, -y)] if y else [(x, 0)]
+    return sorted(points)
 
 
 # ---------------------------------------------------------------------------

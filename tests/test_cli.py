@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certificates import add, fraction_general_solution, positivity_value
+from certificates import add, fraction_general_solution, nagell_lutz_candidates, positivity_value
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, s4_curve, signed_solutions
 from sumprodpower import DioSolution, cli, family, search, transforms
@@ -174,6 +174,22 @@ class TestBeyondTheDigitLimit:
         code, out, err = run_cli(capsys, "gen4", "--count", count, "--max-multiple", "3")
         assert (code, len(out.splitlines())) == (3, 2)
         assert err == f"budget exhausted: found 2 of {count} solutions within 3 multiples\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--parts", "1,2"), "expected {s_minus_1} parts for s={s}, got 2"),
+            (("search", "--max-n", "10"), "--max-n must be at least {s_minus_1}"),
+            (("family", "--tail", "1", "--t0", "1"), "expected {s_minus_4} tail entries, got 1"),
+        ],
+        ids=["verify", "search", "family"],
+    )
+    def test_usage_error_names_a_long_s(self, capsys, argv, message):
+        s = "9" * 5000
+        code, out, err = run_cli(capsys, argv[0], "--s", s, *argv[1:])
+        assert (code, out) == (2, "")
+        fields = {"s": s, "s_minus_1": s[:-1] + "8", "s_minus_4": s[:-1] + "5"}
+        assert err == f"error: {message.format(**fields)}\n"
 
 
 class TestGen4:
@@ -428,8 +444,9 @@ class TestS3Report:
         assert "erratum" in out
         assert out.count("on y^2 = x^3 + 64: yes") == 5
 
-    def test_whole_report(self, capsys):
-        code, out, err = run_cli(capsys, "s3", "--brute-max", "100")
+    @pytest.mark.parametrize("bound", ["50", "100", "10000"])
+    def test_whole_report(self, capsys, bound):
+        code, out, err = run_cli(capsys, "s3", "--brute-max", bound)
         assert (code, err) == (0, "")
         assert out == (
             "curve: y^2 = x^3 + 16\n"
@@ -437,7 +454,7 @@ class TestS3Report:
             "trace back (0, -4): v = 0, degenerate, no (b1, b2)\n"
             "trace back (0, 4): v = 0, degenerate, no (b1, b2)\n"
             "positive preimages among candidates: 0\n"
-            "brute force a1 + a2 <= 100: 0 solutions\n"
+            f"brute force a1 + a2 <= {bound}: 0 solutions\n"
             "erratum: the scaling x = 4v, y = 16u + 8 does not land on y^2 = x^3 + 64"
             " ((16u+8)^2 - (4v)^3 - 64 = 192(u^2+u) is not identically 0);"
             " the consistent scaling is x = 4v, y = 8u + 4 onto y^2 = x^3 + 16\n"
@@ -447,6 +464,12 @@ class TestS3Report:
             "point (0, -8) on y^2 = x^3 + 64: yes\n"
             "point (-4, 0) on y^2 = x^3 + 64: yes\n"
         )
+
+    def test_candidates_are_the_proven_torsion_candidates(self):
+        # Nagell-Lutz on y^2 = x^3 + 16 derives the constant, and each
+        # candidate lies on the fiber x = 0 (v = 0), which has no preimage.
+        assert cli._S3_CANDIDATES == tuple(nagell_lutz_candidates(16))
+        assert all(x == 0 for x, _ in cli._S3_CANDIDATES)
 
     @pytest.mark.parametrize(
         "argv", [("s3", "--brute-max", "1"), ("search", "--s", "3", "--max-n", "1")]

@@ -13,11 +13,12 @@ from certificates import (
     add,
     certify_infinite_order,
     discriminant,
+    nagell_lutz_candidates,
     negate,
     scalar_mul,
 )
 from gen4_oracle import s4_curve
-from sumprodpower import nagell_lutz_candidates, on_curve
+from sumprodpower import on_curve
 from sumprodpower.exactmath import int_nth_root
 
 MORDELL_16 = WeierstrassCurve(0, 0, 16)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificates import Poly, poly_divrem
+from certificates import Poly, divisors, poly_divrem
 from root_oracle import oracle_nth_root
-from sumprodpower import divisors, int_nth_root, perfect_sth_power
+from sumprodpower import int_nth_root, perfect_sth_power
 from sumprodpower.exactmath import (
     _SEED_BITS,
     format_decimal,

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certificates import INFINITY, Point, clear_denominators, negate, scalar_mul
+from certificates import (
+    INFINITY,
+    Point,
+    clear_denominators,
+    nagell_lutz_candidates,
+    negate,
+    scalar_mul,
+)
 from conftest import TABLE_S5
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
 from root_oracle import oracle_nth_root
@@ -16,7 +23,6 @@ from sumprodpower import (
     DioSolution,
     FamilyParams,
     SearchSpec,
-    nagell_lutz_candidates,
     primitive_reduce,
 )
 from sumprodpower.exactmath import format_decimal
