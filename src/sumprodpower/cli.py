@@ -10,6 +10,15 @@ success, 1 mathematical failure (not a solution, or positivity violated), 2
 usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C).  A
 usage error prints the usage line of the subcommand it came from (the
 top-level one when there is no subcommand).
+
+argparse defines every flag, and writes every usage line, error and help
+text.  A well-formed argv does not run its parser, though: one scan reads
+the subcommand's tokens left to right against a table of option string ->
+Action, built once from the Actions that add_argument returned, and applies
+each Action's type, choices, const and default as argparse would.  Whatever
+the scan does not take (-h, --, an abbreviation, a repeated flag, a value
+that is missing, starts with '-' or fails its type or choices, a missing
+required flag) goes to the subcommand's parse_args unchanged.
 """
 
 import argparse
@@ -269,22 +278,90 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-_PARSERS: tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]] | None = None
+_Flags = tuple[dict[str, argparse.Action], dict[str, object], tuple[str, ...]]
+
+
+def _flag_table(command: argparse.ArgumentParser) -> "_Flags | None":
+    """(option string -> Action, default by dest, required dests) of a
+    subcommand parser, read from the Actions its add_argument calls returned;
+    None if it has an action other than -h, a one-value store or a
+    store_true, which only argparse applies."""
+    flags: dict[str, argparse.Action] = {}
+    defaults = {"func": command.get_default("func")}
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h and --help stay out of the table: argparse prints the help
+        store = type(action) is argparse._StoreAction and action.nargs is None
+        if not store and type(action) is not argparse._StoreTrueAction:
+            return None
+        if store and isinstance(action.default, str) and action.type is not None:
+            return None  # argparse converts a string default with the type
+        flags.update(dict.fromkeys(action.option_strings, action))
+        defaults[action.dest] = action.default
+    required = tuple(action.dest for action in command._actions if action.required)
+    return flags, defaults, required
+
+
+def _scan(table: _Flags, argv: "Sequence[str]") -> argparse.Namespace | None:
+    """The Namespace that argparse gives argv, when every token is an exact
+    option string of the table (`--flag value`, `--flag=value`, or a
+    store_true flag alone), no flag repeats, each value passes its type and
+    choices and every required flag is given; else None."""
+    flags, defaults, required = table
+    values: dict[str, object] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            name, eq, text = token.partition("=")
+            action = flags.get(name)
+            if not eq or action is None or action.nargs == 0:
+                return None
+        elif action.nargs == 0:
+            text = None
+        else:
+            text = next(tokens, "-")  # a missing value reads as "-"
+            if text.startswith("-"):  # argparse decides whether it is a value
+                return None
+        if action.dest in values:
+            return None
+        if text is None:
+            value = action.const
+        else:
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+    for dest in required:
+        if dest not in values:
+            return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
+_PARSERS: (tuple[argparse.ArgumentParser,
+                 dict[str, tuple[argparse.ArgumentParser, _Flags | None]]] | None) = None
 
 
 def _parse(argv: "Sequence[str]") -> argparse.Namespace:
-    """Parse argv with the parser of the subcommand that argv[0] names, in
-    one pass; the top-level parser takes every other argv (none, -h, an
-    unknown command).  The Namespace is the top-level one without its
-    `command` key."""
+    """Parse argv with the subcommand that argv[0] names: its flag scan, or
+    its parser when the scan returns None; the top-level parser takes every
+    other argv (none, -h, an unknown command).  The Namespace is the
+    top-level one without its `command` key."""
     global _PARSERS
     if _PARSERS is None:
-        _PARSERS = _build_parser()
+        parser, commands = _build_parser()
+        _PARSERS = parser, {name: (command, _flag_table(command))
+                            for name, command in commands.items()}
     parser, commands = _PARSERS
-    command = commands.get(argv[0]) if argv else None
+    command, table = commands.get(argv[0], (None, None)) if argv else (None, None)
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:])
+    rest = argv[1:]
+    args = None if table is None else _scan(table, rest)
+    return command.parse_args(rest) if args is None else args
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:

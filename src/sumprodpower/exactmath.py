@@ -103,6 +103,7 @@ _DECIMAL_CHUNK = 4000
 # The one grammar of numbers: an integer p, or a rational p/q, in ASCII
 # digits with an optional sign on p and surrounding ASCII whitespace.
 _NUMBER = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+_INTEGER = re.compile(r"\s*[-+]?[0-9]+\s*", re.ASCII)  # its integer form p
 
 
 def _digits_value(digits: str) -> int:
@@ -119,10 +120,10 @@ def parse_decimal(text: str) -> int:
     with an optional sign and surrounding ASCII whitespace.  Anything else,
     such as ``1_000``, ``1e3``, ``1.5`` or non-ASCII digits, raises
     ``ValueError``."""
-    match = _NUMBER.fullmatch(text)
-    if match is None or match[2] is not None:
+    if _INTEGER.fullmatch(text) is None:
         raise ValueError(f"invalid decimal literal of {len(text)} characters")
-    return _digits_value(match[1])
+    # int() itself strips the ASCII whitespace that the grammar allows.
+    return int(text) if len(text) <= _DECIMAL_CHUNK else _digits_value(text.strip())
 
 
 def format_decimal(value: int) -> str:

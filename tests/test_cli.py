@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -553,7 +554,8 @@ class TestEntryPoint:
 COMMANDS = ("verify", "gen4", "family", "search", "s3")
 FLAGS = ("--s", "--parts", "--format", "--count", "--max-multiple", "--primitive",
          "--from-point", "--tail", "--t0", "--t1", "--t2", "--max-n", "--max-part", "--jobs",
-         "--brute-max", "-h", "--help", "--")
+         "--brute-max", "-h", "--help", "--", "--format=tsv", "--from-point=-235,8", "--count=3",
+         "--t1=2", "--max-n=100", "--primitive=1", "--s=", "--tail=1/2,2")
 VALUES = ("4", "5", "1,2,24", "235,8", "1/2", "jsonl", "tsv", "2,3")
 MALFORMED = ("0", "-3", "1,,2", "1/0", "x", "", "xml", "1.5", "--bogus", "-", "--s=4",
              "--par", "--parts=1,2,24", "-s", "bogus", "verify")
@@ -653,6 +655,53 @@ class TestDispatch:
         assert err.endswith("\nsumprodpower: error: the following arguments are required: command\n")
         code, out, err = run_argv("--help")
         assert (code, err) == (0, "") and out.startswith("usage: sumprodpower [-h]")
+
+
+class ArgparseCalled(Exception):
+    pass
+
+
+def refuse_to_parse(*args, **kwargs):
+    raise ArgparseCalled
+
+
+# The argv shapes of the benchmark's ops: --from-point=X,Y with a negative y,
+# --format tsv with --primitive, a long --parts, and --tail/--t0.
+BENCHMARK_SHAPES = (
+    ("gen4", "--from-point=60266587/257049,-3852230624/130323843", "--primitive",
+     "--format", "tsv"),
+    ("family", "--s", "5", "--t1", "3", "--t2", "7", "--primitive", "--format", "tsv"),
+    ("verify", "--s", "4", "--parts", ",".join(str(a * (10 ** 1400 - 3)) for a in (24, 1, 2))),
+    ("family", "--s", "7", "--tail", "1/2,2,3/5", "--t0", "7/3", "--format", "tsv"),
+)
+
+
+class TestFlagScan:
+    @pytest.mark.parametrize("argv", WELL_FORMED + BENCHMARK_SHAPES)
+    def test_well_formed_argv_never_reaches_argparse(self, monkeypatch, argv):
+        expected = vars(top_level_parser().parse_args(argv))
+        assert expected.pop("command") == argv[0]
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse_to_parse)
+        assert vars(cli._parse(argv)) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-h"],
+        ["verify", "--s=x", "--parts", "1,2,24"],
+        ["verify", "--s", "4", "--s", "4", "--parts", "1,2,24"],
+        ["verify", "--s", "4", "--par", "1,2,24"],
+        ["verify", "--s", "3", "--parts", "-1,2"],
+        ["verify", "--s", "4", "--parts", "1,2,24", "--format", "xml"],
+        ["verify", "--s", "4"],
+        ["verify", "--s", "4", "--parts"],
+        ["verify", "--", "--s", "4", "--parts", "1,2,24"],
+        ["gen4", "--count", "3", "--primitive=1"],
+        ["gen4", "--primitive", "--count", "3", "--primitive"],
+        ["search", "--s", "4", "--max-n", "100", "extra"],
+    ])
+    def test_argparse_reads_every_other_argv(self, monkeypatch, argv):
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse_to_parse)
+        with pytest.raises(ArgparseCalled):
+            cli._parse(argv)
 
 
 # Bounded argv for every subcommand.  Each value flag takes a valid value
@@ -772,7 +821,9 @@ class TestInterrupt:
         if search._usable_cores() < 2:
             pytest.skip("--jobs 2 runs serially on one usable core: no workers to wait for")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "sumprodpower.cli", "search", "--s", "6", "--max-n", "500",
+            # A search of about 3 s, so that it is still running after the
+            # 0.2 s wait below on a slow host.
+            [sys.executable, "-m", "sumprodpower.cli", "search", "--s", "7", "--max-n", "600",
              "--jobs", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
         )

@@ -134,6 +134,13 @@ class TestDecimal:
         assert parse_decimal(f" -{digits}\n") == -value
         assert parse_decimal("+" + digits) == value
 
+    @pytest.mark.parametrize("pad", [3997, 3998, 3999, 4000])
+    def test_whitespace_padding_across_the_chunk(self, pad):
+        # int() reads texts of up to 4000 characters, whitespace included.
+        assert parse_decimal(" " * pad + "-12") == -12
+        assert parse_decimal("+12" + "\t" * pad) == 12
+        assert parse_decimal("\n" * pad + "9" * 4001 + " ") == 10 ** 4001 - 1
+
     def test_matches_int_and_str_below_the_limit(self, rng):
         for _ in range(200):
             value = rng.randint(-10 ** 4200, 10 ** 4200)
