@@ -11,18 +11,21 @@ usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C).  A
 usage error prints the usage line of the subcommand it came from (the
 top-level one when there is no subcommand).
 
-argparse defines every flag, and writes every usage line, error and help
-text.  A well-formed argv does not run its parser, though: one scan reads
-the subcommand's tokens left to right against a table of option string ->
-Action, built once from the Actions that add_argument returned, and applies
-each Action's type, choices, const and default as argparse would.  Whatever
-the scan does not take (-h, --, an abbreviation, a repeated flag, a value
-that is missing, starts with '-' or fails its type or choices, a missing
-required flag) goes to the subcommand's parse_args unchanged.
+One table, _COMMANDS, defines every subcommand and flag, as the keywords of
+the add_argument call that argparse would get.  A well-formed argv never
+reaches argparse: one scan reads the subcommand's tokens left to right
+against that table, with the dest names and defaults derived from it once
+at import, and applies each flag's type and choices as argparse would.
+Every other argv (no subcommand, -h, --, an abbreviation, a repeated flag,
+a value that is missing, starts with '-' or fails its type or choices, a
+missing required flag) goes to a parser that _build_parser builds from the
+same table, so argparse, and only argparse, writes every usage line, error
+and help text; it is imported for that alone.
 """
 
-import argparse
 import sys
+from functools import cache
+from types import SimpleNamespace
 
 from .elliptic import on_curve
 from .exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
@@ -37,8 +40,11 @@ from .transforms import (
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
     from collections.abc import Sequence
     from fractions import Fraction
+
+    Args = Namespace | SimpleNamespace
 
 
 def render(sol: DioSolution, source: str, fmt: str) -> str:
@@ -57,17 +63,24 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _bad_value(message: str) -> Exception:
+    """The error that argparse reports as `argument --flag: message`; only a
+    bad value, which ends in argparse's error, imports it."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _int(text: str) -> int:
     try:
         return parse_decimal(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        raise _bad_value(f"not an integer: {text!r}") from exc
 
 
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        raise _bad_value(f"must be positive: {text!r}")
     return value
 
 
@@ -75,31 +88,31 @@ def _int_list(text: str) -> list[int]:
     try:
         return [parse_decimal(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
+        raise _bad_value(f"not a comma-separated integer list: {text!r}") from exc
 
 
 def _fraction(text: str) -> "Fraction":
     try:
         return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
+        raise _bad_value(f"not a rational p/q: {text!r}") from exc
 
 
 def _fraction_list(text: str) -> "list[Fraction]":
     try:
         return [parse_fraction(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated rational list: {text!r}") from exc
+        raise _bad_value(f"not a comma-separated rational list: {text!r}") from exc
 
 
 def _point(text: str) -> "tuple[Fraction, Fraction]":
     coords = _fraction_list(text)
     if len(coords) != 2:
-        raise argparse.ArgumentTypeError(f"a point needs exactly two coordinates: {text!r}")
+        raise _bad_value(f"a point needs exactly two coordinates: {text!r}")
     return coords[0], coords[1]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: "Args") -> int:
     s, parts = args.s, args.parts
     if s < 3:
         return _usage_error("--s must be at least 3")
@@ -117,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen4(args: argparse.Namespace) -> int:
+def cmd_gen4(args: "Args") -> int:
     # --primitive changes no gen4 record: _s4_solution divides out the whole
     # common factor (transforms module docstring).
     if args.from_point is not None:
@@ -149,7 +162,7 @@ def cmd_gen4(args: argparse.Namespace) -> int:
     return 3
 
 
-def cmd_family(args: argparse.Namespace) -> int:
+def cmd_family(args: "Args") -> int:
     closed_form = args.t1 is not None or args.t2 is not None
     if closed_form:
         if args.t1 is None or args.t2 is None:
@@ -179,7 +192,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: "Args") -> int:
     try:
         spec = SearchSpec(s=args.s, n_max=args.max_n, a_max=args.max_part, jobs=args.jobs)
     except ValueError as exc:
@@ -196,7 +209,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 _S3_CANDIDATES = ((0, -4), (0, 4))
 
 
-def cmd_s3(args: argparse.Namespace) -> int:
+def cmd_s3(args: "Args") -> int:
     try:
         spec = SearchSpec(3, args.brute_max)
     except ValueError as exc:
@@ -220,90 +233,71 @@ def cmd_s3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
-        prog="sumprodpower",
-        description="Construct, generate, search and verify solutions of "
-        "n = a_1 + ... + a_{s-1} with a_1 * ... * a_{s-1} * n = b^s.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="verify one candidate solution")
-    p_verify.add_argument("--s", type=_int, required=True, help="number of terms s (>= 3)")
-    p_verify.add_argument("--parts", type=_int_list, required=True,
-                          help="comma-separated parts a_1,...,a_{s-1}")
-    p_verify.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_gen4 = sub.add_parser("gen4", help="generate s=4 solutions from curve multiples")
-    p_gen4.add_argument("--count", type=_positive_int, help="number of distinct solutions")
-    p_gen4.add_argument("--max-multiple", type=_positive_int, default=25,
-                        help="largest multiple of the seed point to try (default 25)")
-    p_gen4.add_argument("--primitive", action="store_true",
-                        help="reduce each solution by its common factor")
-    p_gen4.add_argument("--from-point", type=_point, metavar="X,Y",
-                        help="map one explicit curve point instead of walking multiples")
-    p_gen4.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p_gen4.set_defaults(func=cmd_gen4)
-
-    p_family = sub.add_parser("family", help="instantiate the s>=5 solution family")
-    p_family.add_argument("--s", type=_int, required=True, help="number of terms s (>= 5)")
-    p_family.add_argument("--tail", type=_fraction_list,
-                          help="comma-separated positive rationals b4,...,b_{s-1}")
-    p_family.add_argument("--t0", type=_fraction, help="positive rational parameter")
-    p_family.add_argument("--t1", type=_positive_int, help="closed s=5 form: first integer")
-    p_family.add_argument("--t2", type=_positive_int, help="closed s=5 form: second integer")
-    p_family.add_argument("--primitive", action="store_true",
-                          help="reduce the solution by its common factor")
-    p_family.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p_family.set_defaults(func=cmd_family)
-
-    p_search = sub.add_parser("search", help="enumerate all solutions within bounds")
-    p_search.add_argument("--s", type=_int, required=True, help="number of terms s (>= 3)")
-    p_search.add_argument("--max-n", type=_positive_int, required=True,
-                          help="largest allowed sum n")
-    p_search.add_argument("--max-part", type=_positive_int, default=None,
-                          help="largest allowed part (default: max-n)")
-    p_search.add_argument("--jobs", type=_positive_int, default=1,
-                          help="worker processes, capped at the usable cores (default 1)")
-    p_search.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
-    p_search.set_defaults(func=cmd_search)
-
-    p_s3 = sub.add_parser("s3", help="report the s=3 non-existence analysis")
-    p_s3.add_argument("--brute-max", type=_positive_int, default=10000,
-                      help="brute-force bound on a1 + a2 (default 10000)")
-    p_s3.set_defaults(func=cmd_s3)
-
-    return parser, sub.choices
+# Every subcommand: name -> (handler, help, option -> the keywords of its
+# add_argument call).  The one definition of each flag: _scan reads it, and
+# _build_parser gives it to argparse.
+_COMMANDS = {
+    "verify": (cmd_verify, "verify one candidate solution", {
+        "--s": dict(type=_int, required=True, help="number of terms s (>= 3)"),
+        "--parts": dict(type=_int_list, required=True,
+                        help="comma-separated parts a_1,...,a_{s-1}"),
+        "--format": dict(choices=("jsonl", "tsv"), default="jsonl"),
+    }),
+    "gen4": (cmd_gen4, "generate s=4 solutions from curve multiples", {
+        "--count": dict(type=_positive_int, help="number of distinct solutions"),
+        "--max-multiple": dict(type=_positive_int, default=25,
+                               help="largest multiple of the seed point to try (default 25)"),
+        "--primitive": dict(action="store_true", help="reduce each solution by its common factor"),
+        "--from-point": dict(type=_point, metavar="X,Y",
+                             help="map one explicit curve point instead of walking multiples"),
+        "--format": dict(choices=("jsonl", "tsv"), default="jsonl"),
+    }),
+    "family": (cmd_family, "instantiate the s>=5 solution family", {
+        "--s": dict(type=_int, required=True, help="number of terms s (>= 5)"),
+        "--tail": dict(type=_fraction_list,
+                       help="comma-separated positive rationals b4,...,b_{s-1}"),
+        "--t0": dict(type=_fraction, help="positive rational parameter"),
+        "--t1": dict(type=_positive_int, help="closed s=5 form: first integer"),
+        "--t2": dict(type=_positive_int, help="closed s=5 form: second integer"),
+        "--primitive": dict(action="store_true", help="reduce the solution by its common factor"),
+        "--format": dict(choices=("jsonl", "tsv"), default="jsonl"),
+    }),
+    "search": (cmd_search, "enumerate all solutions within bounds", {
+        "--s": dict(type=_int, required=True, help="number of terms s (>= 3)"),
+        "--max-n": dict(type=_positive_int, required=True, help="largest allowed sum n"),
+        "--max-part": dict(type=_positive_int, default=None,
+                           help="largest allowed part (default: max-n)"),
+        "--jobs": dict(type=_positive_int, default=1,
+                       help="worker processes, capped at the usable cores (default 1)"),
+        "--format": dict(choices=("tsv", "jsonl"), default="tsv"),
+    }),
+    "s3": (cmd_s3, "report the s=3 non-existence analysis", {
+        "--brute-max": dict(type=_positive_int, default=10000,
+                            help="brute-force bound on a1 + a2 (default 10000)"),
+    }),
+}
 
 
-_Flags = tuple[dict[str, argparse.Action], dict[str, object], tuple[str, ...]]
-
-
-def _flag_table(command: argparse.ArgumentParser) -> "_Flags | None":
-    """(option string -> Action, default by dest, required dests) of a
-    subcommand parser, read from the Actions its add_argument calls returned;
-    None if it has an action other than -h, a one-value store or a
-    store_true, which only argparse applies."""
-    flags: dict[str, argparse.Action] = {}
-    defaults = {"func": command.get_default("func")}
-    for action in command._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # -h and --help stay out of the table: argparse prints the help
-        store = type(action) is argparse._StoreAction and action.nargs is None
-        if not store and type(action) is not argparse._StoreTrueAction:
-            return None
-        if store and isinstance(action.default, str) and action.type is not None:
-            return None  # argparse converts a string default with the type
-        flags.update(dict.fromkeys(action.option_strings, action))
-        defaults[action.dest] = action.default
-    required = tuple(action.dest for action in command._actions if action.required)
+def _scan_table(handler, options):
+    """(option -> (dest, type, choices), defaults by dest, required dests) of
+    one subcommand, as argparse derives them from the add_argument keywords;
+    a store_true flag has the type None, and a flag without a type has str."""
+    flags, defaults = {}, {"func": handler}
+    for option, spec in options.items():
+        dest = option[2:].replace("-", "_")
+        store_true = spec.get("action") == "store_true"
+        flags[option] = dest, None if store_true else spec.get("type", str), spec.get("choices")
+        defaults[dest] = spec.get("default", False if store_true else None)
+    required = {flags[option][0] for option, spec in options.items() if spec.get("required")}
     return flags, defaults, required
 
 
-def _scan(table: _Flags, argv: "Sequence[str]") -> argparse.Namespace | None:
-    """The Namespace that argparse gives argv, when every token is an exact
+_SCAN_TABLES = {name: _scan_table(handler, options)
+                for name, (handler, _, options) in _COMMANDS.items()}
+
+
+def _scan(table, argv: "Sequence[str]") -> SimpleNamespace | None:
+    """The namespace that argparse gives argv, when every token is an exact
     option string of the table (`--flag value`, `--flag=value`, or a
     store_true flag alone), no flag repeats, each value passes its type and
     choices and every required flag is given; else None."""
@@ -311,57 +305,57 @@ def _scan(table: _Flags, argv: "Sequence[str]") -> argparse.Namespace | None:
     values: dict[str, object] = {}
     tokens = iter(argv)
     for token in tokens:
-        action = flags.get(token)
-        if action is None:
-            name, eq, text = token.partition("=")
-            action = flags.get(name)
-            if not eq or action is None or action.nargs == 0:
-                return None
-        elif action.nargs == 0:
-            text = None
-        else:
+        name, eq, text = token.partition("=")  # no option string holds "="
+        dest, convert, choices = flags.get(name, (None, None, None))
+        if dest is None or dest in values or eq and convert is None:
+            return None  # an unknown or repeated flag, or a store_true flag with a value
+        if not eq and convert is not None:
             text = next(tokens, "-")  # a missing value reads as "-"
             if text.startswith("-"):  # argparse decides whether it is a value
                 return None
-        if action.dest in values:
+        try:
+            value = True if convert is None else convert(text)
+        except Exception:  # a bad value: argparse converts it again and reports it
             return None
-        if text is None:
-            value = action.const
-        else:
-            try:
-                value = text if action.type is None else action.type(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-        values[action.dest] = value
-    for dest in required:
-        if dest not in values:
+        if choices is not None and value not in choices:
             return None
-    return argparse.Namespace(**{**defaults, **values})
+        values[dest] = value
+    if not values.keys() >= required:
+        return None
+    return SimpleNamespace(**{**defaults, **values})
 
 
-_PARSERS: (tuple[argparse.ArgumentParser,
-                 dict[str, tuple[argparse.ArgumentParser, _Flags | None]]] | None) = None
+@cache
+def _build_parser() -> "tuple[ArgumentParser, dict[str, ArgumentParser]]":
+    """The top-level parser and its subcommand parsers by name, built from
+    _COMMANDS."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="sumprodpower",
+        description="Construct, generate, search and verify solutions of "
+        "n = a_1 + ... + a_{s-1} with a_1 * ... * a_{s-1} * n = b^s.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, spec in options.items():
+            command.add_argument(option, **spec)
+        command.set_defaults(func=handler)
+    return parser, sub.choices
 
 
-def _parse(argv: "Sequence[str]") -> argparse.Namespace:
+def _parse(argv: "Sequence[str]") -> "Args":
     """Parse argv with the subcommand that argv[0] names: its flag scan, or
     its parser when the scan returns None; the top-level parser takes every
-    other argv (none, -h, an unknown command).  The Namespace is the
+    other argv (none, -h, an unknown command).  The namespace is the
     top-level one without its `command` key."""
-    global _PARSERS
-    if _PARSERS is None:
-        parser, commands = _build_parser()
-        _PARSERS = parser, {name: (command, _flag_table(command))
-                            for name, command in commands.items()}
-    parser, commands = _PARSERS
-    command, table = commands.get(argv[0], (None, None)) if argv else (None, None)
-    if command is None:
-        return parser.parse_args(argv)
-    rest = argv[1:]
-    args = None if table is None else _scan(table, rest)
-    return command.parse_args(rest) if args is None else args
+    if argv and argv[0] in _SCAN_TABLES:
+        args = _scan(_SCAN_TABLES[argv[0]], argv[1:])
+        if args is None:
+            args = _build_parser()[1][argv[0]].parse_args(argv[1:])
+        return args
+    return _build_parser()[0].parse_args(argv)
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:

@@ -704,6 +704,119 @@ class TestFlagScan:
             cli._parse(argv)
 
 
+# The help text of the top-level parser and of each subcommand at 80 columns,
+# as argparse writes it from cli's flag table on Python 3.10 to 3.13.  The
+# usage text is its first paragraph.  TestDispatch and TestFlagScan compare
+# the scan with a parser built from the same table, so a metavar, a flag's
+# place, a default or an order of choices that drifts shows only in
+# TestFlagTable.
+HELP_TEXT = {
+    None: """\
+usage: sumprodpower [-h] {verify,gen4,family,search,s3} ...
+
+Construct, generate, search and verify solutions of n = a_1 + ... + a_{s-1}
+with a_1 * ... * a_{s-1} * n = b^s.
+
+positional arguments:
+  {verify,gen4,family,search,s3}
+    verify              verify one candidate solution
+    gen4                generate s=4 solutions from curve multiples
+    family              instantiate the s>=5 solution family
+    search              enumerate all solutions within bounds
+    s3                  report the s=3 non-existence analysis
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify": """\
+usage: sumprodpower verify [-h] --s S --parts PARTS [--format {jsonl,tsv}]
+
+options:
+  -h, --help            show this help message and exit
+  --s S                 number of terms s (>= 3)
+  --parts PARTS         comma-separated parts a_1,...,a_{s-1}
+  --format {jsonl,tsv}
+""",
+    "gen4": """\
+usage: sumprodpower gen4 [-h] [--count COUNT] [--max-multiple MAX_MULTIPLE]
+                         [--primitive] [--from-point X,Y]
+                         [--format {jsonl,tsv}]
+
+options:
+  -h, --help            show this help message and exit
+  --count COUNT         number of distinct solutions
+  --max-multiple MAX_MULTIPLE
+                        largest multiple of the seed point to try (default 25)
+  --primitive           reduce each solution by its common factor
+  --from-point X,Y      map one explicit curve point instead of walking
+                        multiples
+  --format {jsonl,tsv}
+""",
+    "family": """\
+usage: sumprodpower family [-h] --s S [--tail TAIL] [--t0 T0] [--t1 T1]
+                           [--t2 T2] [--primitive] [--format {jsonl,tsv}]
+
+options:
+  -h, --help            show this help message and exit
+  --s S                 number of terms s (>= 5)
+  --tail TAIL           comma-separated positive rationals b4,...,b_{s-1}
+  --t0 T0               positive rational parameter
+  --t1 T1               closed s=5 form: first integer
+  --t2 T2               closed s=5 form: second integer
+  --primitive           reduce the solution by its common factor
+  --format {jsonl,tsv}
+""",
+    "search": """\
+usage: sumprodpower search [-h] --s S --max-n MAX_N [--max-part MAX_PART]
+                           [--jobs JOBS] [--format {tsv,jsonl}]
+
+options:
+  -h, --help            show this help message and exit
+  --s S                 number of terms s (>= 3)
+  --max-n MAX_N         largest allowed sum n
+  --max-part MAX_PART   largest allowed part (default: max-n)
+  --jobs JOBS           worker processes, capped at the usable cores (default
+                        1)
+  --format {tsv,jsonl}
+""",
+    "s3": """\
+usage: sumprodpower s3 [-h] [--brute-max BRUTE_MAX]
+
+options:
+  -h, --help            show this help message and exit
+  --brute-max BRUTE_MAX
+                        brute-force bound on a1 + a2 (default 10000)
+""",
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("name", HELP_TEXT, ids=str)
+    def test_help_text_is_pinned(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, commands = cli._build_parser()
+        command = parser if name is None else commands[name]
+        usage = HELP_TEXT[name].partition("\n\n")[0] + "\n"
+        assert (command.format_usage(), command.format_help()) == (usage, HELP_TEXT[name])
+
+    # Each subcommand's namespace with only its required flags: the defaults
+    # of the flag table, which no help text shows.
+    @pytest.mark.parametrize(("argv", "expected"), [
+        (["verify", "--s", "4", "--parts", "1,2,24"], dict(s=4, parts=[1, 2, 24], format="jsonl")),
+        (["gen4"],
+         dict(count=None, max_multiple=25, primitive=False, from_point=None, format="jsonl")),
+        (["family", "--s", "5"],
+         dict(s=5, tail=None, t0=None, t1=None, t2=None, primitive=False, format="jsonl")),
+        (["search", "--s", "4", "--max-n", "9"],
+         dict(s=4, max_n=9, max_part=None, jobs=1, format="tsv")),
+        (["s3"], dict(brute_max=10000)),
+    ], ids=COMMANDS)
+    def test_defaults_are_pinned(self, argv, expected):
+        args = vars(cli._parse(argv))
+        assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+        assert args == expected
+
+
 # Bounded argv for every subcommand.  Each value flag takes a valid value
 # from a small range or, in about one argv in four, one malformed token.
 BAD_TOKENS = ("1e1000000", "1_0", "1.5", "\u0661", "1/0", "", "1,,2")

@@ -8,7 +8,8 @@ source's syntax tree.
 
 A command-line run is mostly interpreter start-up, so a module that the
 package loads but the command does not need (dataclasses with inspect,
-fractions with decimal, signal, typing) is most of what the package adds to
+fractions with decimal, signal, typing, and argparse for a well-formed argv,
+which cli's flag scan reads without it) is most of what the package adds to
 it.  Checked in fresh interpreters, against the modules that the standard
 library needs for the same work.
 """
@@ -81,9 +82,10 @@ before = set(sys.modules)
 {body}
 print(" ".join(sorted(set(sys.modules) - before)))
 """
-# argparse loads more modules when a parser is built and run than on import
-# (shutil for the help width and locale for gettext, which vary by version),
-# so the budget runs one parser too, on a valid and an invalid argv.
+# The budget holds argparse with what it loads when a parser is built and
+# reports an error (shutil for the help width and locale for gettext, which
+# vary by version), because an argv that the flag scan does not take ends in
+# argparse; a well-formed argv loads none of it (ARGPARSE_MODULES).
 STDLIB_BUDGET = """\
 import argparse, bisect, math, os, re
 parser = argparse.ArgumentParser(prog="probe")
@@ -137,6 +139,24 @@ def test_cold_command_loads_only_its_budget(stdlib_budget, argv):
     _, _, loaded = cold_run(RUN_CLI, *argv)
     assert beyond_budget(loaded, stdlib_budget) == set()
     assert "sumprodpower.cli" in loaded
+
+
+ARGPARSE_MODULES = {"argparse", "gettext", "locale", "shutil"}
+
+
+@pytest.mark.parametrize("argv", INTEGER_COMMANDS[:-1], ids=" ".join)  # all but verify --bogus
+def test_well_formed_command_loads_no_argparse(argv):
+    _, _, loaded = cold_run(RUN_CLI, *argv)
+    assert loaded & ARGPARSE_MODULES == set()
+
+
+def test_argparse_loads_for_a_bad_argv():
+    lines, err, loaded = cold_run(RUN_CLI, "verify", "--bogus")
+    assert "argparse" in loaded
+    assert lines == ["2"]
+    assert err.startswith("usage: sumprodpower verify [-h] --s S --parts PARTS")
+    assert err.endswith("\nsumprodpower verify: error: the following arguments are required: "
+                        "--s, --parts\n")
 
 
 def test_cold_verify_prints_the_record():
