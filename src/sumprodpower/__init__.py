@@ -1,8 +1,10 @@
 """Exact solvers and generators for the Diophantine system
 n = a_1 + ... + a_{s-1} with a_1 * a_2 * ... * a_{s-1} * n = b^s.
 
-All arithmetic is exact (Python integers and fractions.Fraction); there is no
-floating point in the mathematical core.
+All arithmetic is exact and runs on Python integers; there is no floating
+point in the mathematical core.  fractions.Fraction only carries the
+rationals that --tail, --t0 and --from-point read, and the value in family's
+D <= 0 message.
 """
 
 from .elliptic import on_curve

@@ -53,9 +53,7 @@ class TestVerify:
 
     def test_not_a_solution(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2,25")
-        assert code == 1
-        assert out == ""
-        assert "1400" in err and "4-th power" in err
+        assert (code, out, err) == (1, "", "not a solution: 1400 is not a perfect 4-th power\n")
 
     def test_accepted_verify_evaluates_the_identity_once(self, capsys, monkeypatch):
         # from_parts tests prod(parts) * n == b**s from the root alone; the
@@ -220,6 +218,17 @@ class TestGen4:
             assert code == 0
             (check,) = parse_jsonl(out2)
             assert check["b"] == record["b"] and check["n"] == record["n"]
+        # The last record of a 40-record walk, whose parts run past Python's
+        # 4300-digit int/str limit, goes back through verify as tsv.
+        code, out, _ = run_cli(capsys, "gen4", "--count", "40", "--max-multiple", "80",
+                               "--format", "tsv")
+        assert code == 0
+        *parts, b, _ = out.splitlines()[-1].split("\t")
+        assert len(",".join(parts)) > 13000
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", ",".join(parts),
+                                 "--format", "tsv")
+        assert (code, err) == (0, "")
+        assert out.rstrip("\n").split("\t")[3] == b
 
     def test_from_point_inside_region(self, capsys):
         code, out, _ = run_cli(
@@ -228,6 +237,9 @@ class TestGen4:
         assert code == 0
         (record,) = parse_jsonl(out)
         assert record["parts"] == sorted([781943058, 138991832, 18609625])
+        # 3P is the walk's second record, byte for byte.
+        code, walk, _ = run_cli(capsys, "gen4", "--count", "2")
+        assert (code, walk.splitlines(keepends=True)[-1]) == (0, out)
 
     def test_from_point_outside_region(self, capsys):
         code, out, err = run_cli(capsys, "gen4", "--from-point", "30507/121,-584592/1331")
@@ -236,9 +248,8 @@ class TestGen4:
         assert "outside the positive region" in err
 
     def test_from_point_off_curve(self, capsys):
-        code, _, err = run_cli(capsys, "gen4", "--from-point", "1,1")
-        assert code == 1
-        assert "not on the s=4 curve" in err
+        code, out, err = run_cli(capsys, "gen4", "--from-point", "1,1")
+        assert (code, out, err) == (1, "", "point (1, 1) is not on the s=4 curve\n")
 
     def test_budget_exhausted(self, capsys):
         code, out, err = run_cli(capsys, "gen4", "--count", "5", "--max-multiple", "1")
@@ -282,10 +293,10 @@ class TestFamily:
         assert record["source"] == "family"
 
     def test_positivity_failure_names_the_value(self, capsys):
-        code, out, err = run_cli(capsys, "family", "--s", "5", "--t1", "1", "--t2", "3")
-        assert code == 1
-        assert out == ""
-        assert "D = -11" in err
+        for argv, d in ((("--s", "5", "--t1", "1", "--t2", "3"), "-11"),
+                        (("--s", "6", "--tail", "1,3", "--t0", "2"), "-44")):
+            code, out, err = run_cli(capsys, "family", *argv)
+            assert (code, out, err) == (1, "", f"positivity quadratic is not positive: D = {d}\n")
 
     def test_one_tail_op_runs_no_fraction_arithmetic(self, capsys, monkeypatch):
         # The closed form runs in integers: one FamilyParams, one DioSolution
@@ -319,14 +330,15 @@ class TestFamily:
     def test_lenient_number_is_a_prompt_usage_error(self, capsys):
         # Fraction("1e1000000") would be 10**1000000, and the record that
         # follows from it takes minutes to compute and print.
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "family", "--s", "5", "--tail", "1", "--t0", "1e1000000")
-        elapsed = time.perf_counter() - start
-        assert (code, out) == (2, "")
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            "sumprodpower family: error: argument --t0: not a rational p/q: '1e1000000'"
-        ]
-        assert elapsed < 1.0
+        for t0 in ("1e3", "1e1000000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "family", "--s", "5", "--tail", "1", "--t0", t0)
+            elapsed = time.perf_counter() - start
+            assert (code, out) == (2, "")
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"sumprodpower family: error: argument --t0: not a rational p/q: '{t0}'"
+            ]
+            assert elapsed < 1.0
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "family", "--s", "5", "--t1", "1")[0] == 2
@@ -361,6 +373,10 @@ class TestSearch:
         }
         assert table_rows_36 <= set(lines)
         assert "2\t2\t6\t8\t9\t6\t27" in lines
+        # Up to 100, --jobs 2 prints the serial run's bytes.
+        serial = run_cli(capsys, "search", "--s", "6", "--max-n", "100")
+        assert serial[0] == 0 and serial[1]
+        assert run_cli(capsys, "search", "--s", "6", "--max-n", "100", "--jobs", "2") == serial
 
     @pytest.mark.parametrize("s, max_n, jobs", [("1000", "999", "1"), ("300", "598", "2")])
     def test_large_s_runs_to_the_end(self, capsys, s, max_n, jobs):
@@ -500,13 +516,18 @@ def readme_examples() -> list[tuple[str, str]]:
     return examples
 
 
+# The README's verify example in --flag=value spelling prints the same line.
+SPELLINGS = [("sumprodpower verify --s=4 --parts=1,2,24",
+              dict(readme_examples())["sumprodpower verify --s 4 --parts 1,2,24"])]
+
+
 class TestReadmeExamples:
     def test_examples_are_found(self):
         assert [cmd.split()[1] for cmd, _ in readme_examples()] == [
             "verify", "family", "family", "search"
         ]
 
-    @pytest.mark.parametrize("command, output", readme_examples())
+    @pytest.mark.parametrize("command, output", readme_examples() + SPELLINGS)
     def test_output_matches_the_comment(self, capsys, command, output):
         code, out, err = run_cli(capsys, *shlex.split(command)[1:])
         assert (code, out, err) == (0, output, "")
@@ -529,12 +550,18 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
-        # No subcommand: main reads sys.argv and falls back to the top-level parser.
-        for argv, code in (([], 2), (["bogus"], 2), (["--help"], 0)):
+        # No subcommand: main reads sys.argv and falls back to the top-level
+        # parser.  Help goes to stdout, a usage error only to stderr.
+        for argv, code, usage in (
+            ([], 2, ""),
+            (["bogus"], 2, ""),
+            (["--help"], 0, "usage: sumprodpower [-h]"),
+            (["verify", "-h"], 0, "usage: sumprodpower verify [-h] --s S --parts PARTS"),
+        ):
             proc = subprocess.run([sys.executable, "-m", "sumprodpower.cli", *argv],
                                   capture_output=True, text=True)
             assert proc.returncode == code, argv
-            assert proc.stdout.startswith("usage: sumprodpower ") == (code == 0), argv
+            assert proc.stdout.startswith(usage) and bool(proc.stdout) == (code == 0), argv
 
     def test_import_leaves_multiprocessing_out(self):
         # search imports it only for a --jobs run.
@@ -640,6 +667,14 @@ class TestDispatch:
         assert (code, out) == (2, "")
         assert err.startswith("usage: sumprodpower verify [-h] --s S --parts PARTS")
         assert err.endswith("\nsumprodpower verify: error: unrecognized arguments: --bogus\n")
+        # So does an unknown choice, whose wording after "invalid choice: "
+        # differs between Python versions.
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2,24",
+                                 "--format", "xml")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sumprodpower verify [-h] --s S --parts PARTS")
+        assert err.splitlines()[-1].startswith(
+            "sumprodpower verify: error: argument --format: invalid choice: ")
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         def run_argv(*argv):
