@@ -3,8 +3,9 @@ n = a_1 + ... + a_{s-1} with a_1 * a_2 * ... * a_{s-1} * n = b^s.
 
 All arithmetic is exact and runs on Python integers; there is no floating
 point in the mathematical core.  fractions.Fraction only carries the
-rationals that --tail, --t0 and --from-point read, and the value in family's
-D <= 0 message.
+rationals that --tail and --t0 read, the value in family's D <= 0 message
+and the point in gen4 --from-point's rejection line; --from-point reads its
+point as (numerator, denominator) integer pairs.
 """
 
 from .elliptic import on_curve

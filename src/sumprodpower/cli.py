@@ -28,7 +28,13 @@ from functools import cache
 from types import SimpleNamespace
 
 from .elliptic import on_curve
-from .exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
+from .exactmath import (
+    format_decimal,
+    format_fraction,
+    parse_decimal,
+    parse_fraction,
+    parse_rational,
+)
 from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
 from .transforms import (
@@ -41,7 +47,7 @@ from .transforms import (
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
-    from collections.abc import Sequence
+    from collections.abc import Callable, Sequence
     from fractions import Fraction
 
     Args = Namespace | SimpleNamespace
@@ -98,15 +104,21 @@ def _fraction(text: str) -> "Fraction":
         raise _bad_value(f"not a rational p/q: {text!r}") from exc
 
 
-def _fraction_list(text: str) -> "list[Fraction]":
+def _rational_list(text: str, parse: "Callable[[str], object]") -> list:
     try:
-        return [parse_fraction(tok) for tok in text.split(",")]
+        return [parse(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_value(f"not a comma-separated rational list: {text!r}") from exc
 
 
-def _point(text: str) -> "tuple[Fraction, Fraction]":
-    coords = _fraction_list(text)
+def _fraction_list(text: str) -> "list[Fraction]":
+    return _rational_list(text, parse_fraction)
+
+
+def _point(text: str) -> "tuple[tuple[int, int], tuple[int, int]]":
+    """The two coordinates, each as the pair (p, q) it was written as: a
+    well-formed point builds no Fraction (s4_point_solution)."""
+    coords = _rational_list(text, parse_rational)
     if len(coords) != 2:
         raise _bad_value(f"a point needs exactly two coordinates: {text!r}")
     return coords[0], coords[1]
@@ -134,6 +146,8 @@ def cmd_gen4(args: "Args") -> int:
     # --primitive changes no gen4 record: _s4_solution divides out the whole
     # common factor (transforms module docstring).
     if args.from_point is not None:
+        if args.count is not None:
+            return _usage_error("--count and --from-point are mutually exclusive")
         x, y = args.from_point
         try:
             sol = s4_point_solution(x, y)
@@ -142,7 +156,10 @@ def cmd_gen4(args: "Args") -> int:
         else:
             reason = "is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
         if sol is None:
-            print(f"point ({format_fraction(x)}, {format_fraction(y)}) {reason}", file=sys.stderr)
+            from fractions import Fraction  # the message prints the point in lowest terms
+
+            point = f"{format_fraction(Fraction(*x))}, {format_fraction(Fraction(*y))}"
+            print(f"point ({point}) {reason}", file=sys.stderr)
             return 1
         print(render(sol, "gen4", args.format))
         return 0

@@ -34,6 +34,7 @@ __all__ = [
     "int_nth_root",
     "parse_decimal",
     "parse_fraction",
+    "parse_rational",
     "perfect_sth_power",
 ]
 
@@ -138,11 +139,12 @@ def format_decimal(value: int) -> str:
     return format_decimal(high) + format_decimal(rest).zfill(low)
 
 
-def parse_fraction(text: str) -> "Fraction":
-    """The rational ``p`` or ``p/q`` that ``text`` writes, at any length, in
-    the grammar of parse_decimal with an optional ``/q`` of unsigned ASCII
-    digits.  Anything else raises ``ValueError``; a zero ``q`` raises
-    ``ZeroDivisionError``."""
+def parse_rational(text: str) -> tuple[int, int]:
+    """The rational ``p`` or ``p/q`` that ``text`` writes, as the pair
+    ``(p, q)`` it was written as (``q = 1`` for ``p``, and no reduction), at
+    any length, in the grammar of parse_decimal with an optional ``/q`` of
+    unsigned ASCII digits.  Anything else raises ``ValueError``; a zero
+    ``q`` raises ``ZeroDivisionError``."""
     match = _NUMBER.fullmatch(text)
     if match is None:
         raise ValueError(f"invalid rational literal of {len(text)} characters")
@@ -150,9 +152,16 @@ def parse_fraction(text: str) -> "Fraction":
     q = 1 if den is None else _digits_value(den)
     if q == 0:  # Fraction's own message would print the numerator
         raise ZeroDivisionError(f"zero denominator in a rational of {len(text)} characters")
+    return _digits_value(num), q
+
+
+def parse_fraction(text: str) -> "Fraction":
+    """``Fraction(p, q)`` of the pair ``(p, q)`` that parse_rational reads
+    from ``text``, with its errors."""
+    pair = parse_rational(text)
     import fractions  # on first use: fractions loads decimal, which no integer path needs
 
-    return fractions.Fraction(_digits_value(num), q)
+    return fractions.Fraction(*pair)
 
 
 def format_fraction(value: "Fraction | int") -> str:

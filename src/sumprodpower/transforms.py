@@ -38,8 +38,13 @@ N3 = 6369e^3 - 27Xe - Y.  Clearing denominators divides (N1, N2, N3, den)
 by g = gcd(N1, N2, N3, den), and g divides 384: a prime dividing e and g
 would divide N2, hence Y, and gcd(Y, e) = 1; so g is prime to e and
 divides N1 = 384e^3.  Hence g = gcd(384, N2, N3, den), and the cleared
-record has no common factor left: gen4 records are primitive.  The walk
-behind s4_solutions reads kP off the division polynomials of P, with no
+record has no common factor left: gen4 records are primitive.  Each record
+gets one exact test.  A point from outside the program (gen4 --from-point,
+s4_point_solution) gets the curve equation on (X, Y, e), before the region
+test, and in the region that settles its record's identity too (the 8192
+identity).  The walk's points are on the curve by construction, so each of
+its records gets DioSolution's test of prod(parts) * n == b^4 instead.  The
+walk behind s4_solutions reads kP off the division polynomials of P, with no
 gcd: only 2 can divide both the numerator and the denominator of x(kP), and
 one shift strips it (_s4_odd_multiples has the reason).  It runs them
 scaled by 2^(1 - k^2), as the division polynomials psi'_k of the 2-minimal
@@ -57,7 +62,6 @@ from .exactmath import format_decimal, perfect_sth_power
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Iterator
-    from fractions import Fraction
 
 __all__ = [
     "DioSolution",
@@ -72,10 +76,12 @@ class DioSolution(Value):
     """Verified positive integer solution: parts a_1 .. a_{s-1} and b with
     prod(parts) * n == b**s, where s = len(parts) + 1 and n = sum(parts).
 
-    The constructor tests that identity in __post_init__.  from_parts runs
-    the one test itself, from the root: perfect_sth_power's
-    b**s == prod(parts) * sum(parts), so it skips __post_init__ and keeps
-    only the constructor's checks of count and sign."""
+    The constructor tests that identity in __post_init__.  The two callers
+    that have settled it already build through _proven, which skips
+    __post_init__ and keeps only the constructor's checks of count and
+    sign: from_parts, whose perfect_sth_power tests b**s == prod(parts) *
+    sum(parts) from the root, and s4_point_solution, whose curve test
+    implies it (the 8192 identity, module docstring)."""
 
     __slots__ = ("parts", "b")
     parts: tuple[int, ...]
@@ -98,6 +104,15 @@ class DioSolution(Value):
             raise ValueError("parts and b must be positive")
 
     @classmethod
+    def _proven(cls, parts: tuple[int, ...] | list[int], b: int) -> "DioSolution":
+        # The caller has proven prod(parts) * n == b**s; see the class docstring.
+        sol = object.__new__(cls)
+        object.__setattr__(sol, "parts", tuple(parts))
+        object.__setattr__(sol, "b", b)
+        sol._check_positive()
+        return sol
+
+    @classmethod
     def from_parts(cls, parts: tuple[int, ...] | list[int]) -> "DioSolution":
         """Build a solution from parts alone, computing b; raises if
         prod(parts) * sum(parts) is not a perfect s-th power."""
@@ -106,11 +121,7 @@ class DioSolution(Value):
         b = perfect_sth_power(value, s)
         if b is None:
             raise ValueError(f"{format_decimal(value)} is not a perfect {s}-th power")
-        sol = object.__new__(cls)
-        object.__setattr__(sol, "parts", tuple(parts))
-        object.__setattr__(sol, "b", b)
-        sol._check_positive()
-        return sol
+        return cls._proven(parts, b)
 
     @property
     def s(self) -> int:
@@ -158,46 +169,65 @@ def _s4_chart(X: int, Y: int, e: int) -> tuple[int, int, int, int]:
     return 384 * e3, mid + Y, mid - Y, 12 * e * (243 * e2 - X)
 
 
-def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
-    """The solution of the chart preimage of the point P = (X/e^2, Y/e^3)
-    in lowest terms (e >= 1), with its denominators cleared, in integers
-    only; None when P is outside the positive region (x = 243 included).
+def _s4_cleared(X: int, Y: int, e: int) -> tuple[tuple[int, int, int], int] | None:
+    """(parts, b) of the chart preimage of the point P = (X/e^2, Y/e^3) in
+    lowest terms (e >= 1), with its denominators cleared, in integers only;
+    None when P is outside the positive region (x = 243 included).
 
     All three b_i are positive iff N1, N2, N3 and den of _s4_chart are
     (N1 = 384e^3 > 0 already).  Their gcd g divides 384 (module docstring),
     so the clearing costs no big gcd.  Curve membership is not tested here:
     the chart's entries sum to 9/2 at every (X, Y, e), and their product is
     2/9 exactly on the curve (the 8192 identity, module docstring), so for a
-    triple in the region DioSolution's prod(parts) * n == b^4 holds iff P is
-    on the curve, and it raises ValueError otherwise.
+    triple in the region prod(parts) * n == b^4 holds iff P is on the curve.
     """
     n1, n2, n3, den = _s4_chart(X, Y, e)
     if n2 <= 0 or n3 <= 0 or den <= 0:
         return None
     g = gcd(384, n2, n3, den)
-    parts = (n1 // g, n2 // g, n3 // g)
-    return DioSolution(parts, den // g)
+    return (n1 // g, n2 // g, n3 // g), den // g
 
 
-def s4_point_solution(x: "Fraction", y: "Fraction") -> DioSolution | None:
+def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
+    """The solution of _s4_cleared(X, Y, e), None outside the positive
+    region.  The walk's points are on the curve by construction, so no
+    curve test runs: DioSolution's one test of prod(parts) * n == b^4
+    checks each record, and raises ValueError for a triple in the region
+    that is off the curve."""
+    cleared = _s4_cleared(X, Y, e)
+    return None if cleared is None else DioSolution(*cleared)
+
+
+def s4_point_solution(x: tuple[int, int], y: tuple[int, int]) -> DioSolution | None:
     """The cleared chart preimage of the point (x, y) in the positive
-    region, None for one outside it; ValueError when the point is
-    not on the curve.  The point comes from outside the program, so its
-    form (X/e^2, Y/e^3) is tested first.  Then _s4_solution runs the region
-    test and the clearing, and its DioSolution rejects an off-curve point
-    in the region (the 8192 identity).  Only a point outside the region
-    gets the membership test, on the integers (X, Y, e)."""
-    X, Y, e = x.numerator, y.numerator, isqrt(x.denominator)
-    e2 = e * e
-    if e2 != x.denominator or y.denominator != e2 * e:  # see module docstring
+    region, None for one outside it; ValueError when the point is not on
+    the curve.  Each coordinate is a pair (numerator, denominator > 0) in
+    any terms, as the command line wrote it.
+
+    The point comes from outside the program, so its form (X/e^2, Y/e^3)
+    in lowest terms is tested first (module docstring).  Written as X/e^2
+    with gcd(X, e) = 1 and Y/e^3, x is in lowest terms, and so is y once
+    the point is on the curve: a prime dividing e and Y would divide X^3.
+    That costs one gcd of X and e; any other spelling is reduced by gcd
+    first.  Then every point gets the one curve test,
+    Y^2 = X^3 - 166779 X e^4 + 26215254 e^6, before the region test.  In
+    the region it decides the record's identity too (the 8192 identity,
+    _s4_cleared), so the record is built with no test of its own."""
+    (X, d), (Y, t) = x, y
+    if d < 1 or t < 1:
+        raise ValueError("a denominator of the point is not positive")
+    e = isqrt(d)
+    if e * e != d or t != d * e or gcd(X, e) != 1:
+        g, h = gcd(X, d), gcd(Y, t)
+        X, d, Y, t = X // g, d // g, Y // h, t // h
+        e = isqrt(d)
+        if e * e != d or t != d * e:  # see module docstring
+            raise ValueError("point is not on the s=4 curve")
+    e4 = d * d
+    if Y * Y != X * X * X + _S4_B * X * e4 + _S4_C * e4 * d:
         raise ValueError("point is not on the s=4 curve")
-    try:
-        sol = _s4_solution(X, Y, e)
-    except ValueError as exc:
-        raise ValueError("point is not on the s=4 curve") from exc
-    if sol is None and Y * Y != X * X * X + _S4_B * X * e2 * e2 + _S4_C * e2 * e2 * e2:
-        raise ValueError("point is not on the s=4 curve")
-    return sol
+    cleared = _s4_cleared(X, Y, e)
+    return None if cleared is None else DioSolution._proven(*cleared)
 
 
 # psi'_0 .. psi'_4 of the 2-minimal model at P' = (74, -28) (_s4_extend_psi).

@@ -262,6 +262,15 @@ class TestGen4:
         assert code == 2
         assert "--count" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--from-point=235,8", "--count", "5"),
+        ("--count=1", "--from-point", "235,8"),
+        ("--from-point=1,1", "--count", "1"),  # refused before the point is mapped
+    ])
+    def test_count_and_from_point_are_mutually_exclusive(self, capsys, argv):
+        assert run_cli(capsys, "gen4", *argv) == (
+            2, "", "error: --count and --from-point are mutually exclusive\n")
+
 
 class TestFamily:
     def test_closed_form_unit(self, capsys):

@@ -14,6 +14,7 @@ from sumprodpower.exactmath import (
     format_fraction,
     parse_decimal,
     parse_fraction,
+    parse_rational,
 )
 
 
@@ -192,6 +193,24 @@ class TestFraction:
     def test_zero_denominator(self, text):
         with pytest.raises(ZeroDivisionError):
             parse_fraction(text)
+
+    def test_rational_is_the_pair_as_written(self):
+        # parse_fraction is Fraction(*parse_rational(text)); the pair is not reduced.
+        for text, pair in [("3", (3, 1)), (" -2/6\n", (-2, 6)), ("+07/021", (7, 21)),
+                           ("0/5", (0, 5))]:
+            assert parse_rational(text) == pair
+            assert parse_fraction(text) == Fraction(*pair)
+        long = "4" * 5000
+        assert parse_rational(f"-{long}/{long}") == (-parse_decimal(long), parse_decimal(long))
+
+    @pytest.mark.parametrize("text, error", [
+        ("1/", ValueError), ("1" * 4001 + "/-2", ValueError), ("1_000/3", ValueError),
+        ("1/0", ZeroDivisionError), ("1" * 5000 + "/0", ZeroDivisionError),
+    ])
+    def test_rational_raises_what_parse_fraction_raises(self, text, error):
+        for parse in (parse_rational, parse_fraction):
+            with pytest.raises(error):
+                parse(text)
 
 
 # Forms that int() or Fraction() accept but the grammar does not, short and

@@ -41,7 +41,7 @@ from gen4_oracle import (
     signed_solutions,
 )
 from sumprodpower import cli
-from sumprodpower.exactmath import format_fraction, parse_decimal
+from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal
 from sumprodpower.transforms import (
     _S4_PSI_SEED,
     _s4_chart,
@@ -184,6 +184,12 @@ class TestWalkAgainstOracle:
 INTEGRAL_POINTS = [(51, 4224), (147, 2208), (235, 8), (243, 192), (4291, 279856)]
 
 
+def pairs(point) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The coordinates of a Fraction point as the (numerator, denominator)
+    pairs that s4_point_solution takes."""
+    return point.x.as_integer_ratio(), point.y.as_integer_ratio()
+
+
 def weighted(point) -> tuple[int, int, int]:
     """(X, Y, e) of a curve point in lowest terms: x = X/e^2, y = Y/e^3."""
     e = isqrt(point.x.denominator)
@@ -195,14 +201,14 @@ class TestIntegerKernel:
     def test_kernel_is_the_fraction_chart_and_clearing(self):
         # Both signs of every k <= 81; the even k check the None branch.
         for k, point, sol in signed_solutions(ORACLE_MAX_MULTIPLE):
-            assert s4_point_solution(point.x, point.y) == sol, k
+            assert s4_point_solution(*pairs(point)) == sol, k
         # The integral points with x < 4300, where 3 divides the clearing gcd
         # when it divides y.
         for x, y in INTEGRAL_POINTS:
             for point in (Point(x, y), Point(x, -y)):
                 sol = (clear_denominators(s4_inverse(point))
                        if s4_in_positive_region(point) else None)
-                assert s4_point_solution(point.x, point.y) == sol, point
+                assert s4_point_solution(*pairs(point)) == sol, point
 
     def test_clearing_gcd_divides_384(self):
         gcds = set()
@@ -221,7 +227,7 @@ class TestIntegerKernel:
             assert gcd(*sol.parts, sol.b) == 1, 2 * k + 1
         points = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE) if k % 2]
         points += [Point(x, sign * y) for x, y in INTEGRAL_POINTS for sign in (1, -1)]
-        records = [s4_point_solution(point.x, point.y) for point in points]
+        records = [s4_point_solution(*pairs(point)) for point in points]
         assert {sol.parts[1] > sol.parts[2] for sol in records if sol} == {True, False}
         for point, sol in zip(points, records):
             assert sol is None or gcd(*sol.parts, sol.b) == 1, point
@@ -350,24 +356,102 @@ class TestIntegerKernel:
         assert err == f"point ({text.replace(',', ', ')}) {reason}\n"
 
     def test_from_point_off_the_curve_in_the_region_next_to_on_it_outside(self, capsys):
-        # In the region DioSolution rejects an off-curve point, before any
-        # membership test; outside it the membership test decides, so the
-        # on-curve (243, 192) still reads "outside the positive region".
+        # The curve test runs on every point, before the region test: in the
+        # region it rejects an off-curve point before any record is built,
+        # and the on-curve (243, 192) passes it and reads "outside the
+        # positive region".
         off = [Point(235, 7), Point(235, -9), Point(0, 0), Point(-400, 1),
                Point(Fraction(1, 4), Fraction(1, 8))]
         for point in off:
             assert point.x < 243 and abs(point.y) < 6369 - 27 * point.x
             assert not s4_curve().contains(point)
             with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
-                s4_point_solution(point.x, point.y)
+                s4_point_solution(*pairs(point))
         outside = Point(243, 192)
-        assert s4_curve().contains(outside) and s4_point_solution(outside.x, outside.y) is None
+        assert s4_curve().contains(outside) and s4_point_solution(*pairs(outside)) is None
         for point in [*off, outside]:
             text = f"{format_fraction(point.x)},{format_fraction(point.y)}"
             reason = ("is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
                       if point is outside else "is not on the s=4 curve")
             code, out, err = run_gen4(capsys, f"--from-point={text}")
             assert (code, out, err) == (1, "", f"point ({text.replace(',', ', ')}) {reason}\n")
+
+
+def signed_text(value: int) -> str:
+    """value with leading zeros and an explicit sign."""
+    return f"+00{format_decimal(value)}" if value >= 0 else f"-00{format_decimal(-value)}"
+
+
+def respellings(point, m: int) -> list[str]:
+    """--from-point texts of point that are not its lowest-terms text: x
+    scaled by m^2/m^2, y by m^3/m^3, both, x alone by m/m, y alone by m/m,
+    and the lowest terms with leading zeros and '+'."""
+    (X, d), (Y, t) = x, y = pairs(point)
+    x2, y3 = (X * m * m, d * m * m), (Y * m ** 3, t * m ** 3)
+    x1, y1 = (X * m, d * m), (Y * m, t * m)
+    texts = [",".join(f"{format_decimal(p)}/{format_decimal(q)}" for p, q in coords)
+             for coords in ((x2, y), (x, y3), (x2, y3), (x1, y), (x, y1))]
+    texts.append(",".join(f"{signed_text(p)}/00{format_decimal(q)}" for p, q in (x, y)))
+    return texts
+
+
+class TestFromPoint:
+    """gen4 --from-point reads the point as the pairs it was written as and
+    tests it once, by the curve equation, before the region test."""
+
+    def test_every_spelling_gives_the_lowest_terms_output(self, capsys):
+        # Written in lowest terms with gcd(X, e) = 1, a point takes
+        # s4_point_solution's one-gcd path; every other spelling is reduced
+        # first, and must print the same bytes.
+        # Both signs of each odd k <= 81 share one m, and m runs through
+        # 2..9 along k, so each m, square or not, meets both signs.
+        points = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE) if k % 2]
+        assert len(points) == 82
+        for i, point in enumerate(points):
+            lowest = f"{format_fraction(point.x)},{format_fraction(point.y)}"
+            expected = run_gen4(capsys, f"--from-point={lowest}")
+            assert expected[0] == 0 and expected[1].count("\n") == 1, lowest
+            for text in respellings(point, 2 + i // 2 % 8):
+                assert run_gen4(capsys, f"--from-point={text}") == expected, text
+
+    @pytest.mark.parametrize("text, shown", [
+        ("4/16,8/64", "1/4, 1/8"),  # reduced by gcd, then off the curve
+        ("1/4,2/8", "1/4, 1/4"),  # x in lowest terms, y not: off the curve
+    ])
+    def test_unreduced_spellings_print_the_reduced_point(self, capsys, text, shown):
+        code, out, err = run_gen4(capsys, f"--from-point={text}")
+        assert (code, out, err) == (1, "", f"point ({shown}) is not on the s=4 curve\n")
+
+    @pytest.mark.parametrize("x, y", [((1, 0), (1, 0)), ((235, -1), (8, 1)), ((235, 1), (-8, -1)),
+                                      ((235, 1), (8, 0))])
+    def test_a_denominator_below_one_is_refused(self, x, y):
+        # The command line writes no such pair; (1/0, 1/0) would pass the
+        # curve test with e = 0 and read as outside the region.
+        with pytest.raises(ValueError, match="^a denominator of the point is not positive$"):
+            s4_point_solution(x, y)
+
+    def test_the_curve_test_alone_rejects_a_point_next_to_a_multiple(self, capsys):
+        # +-kP with Y moved by -1, +1 or +2 stays in the region, so only the
+        # curve test stands between these points and a record: no record
+        # that s4_point_solution builds is tested again.
+        rejected = 0
+        for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE):
+            if k % 2 == 0:
+                continue
+            X, Y, e = weighted(point)
+            for dy in (-1, 1, 2):
+                _, n2, n3, den = _s4_chart(X, Y + dy, e)
+                if min(n2, n3, den) <= 0:
+                    continue
+                x, y = point.x, Fraction(Y + dy, e ** 3)  # y may be unreduced as written
+                with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
+                    s4_point_solution((X, e * e), (Y + dy, e ** 3))
+                text = f"{format_fraction(x)},{format_decimal(Y + dy)}/{format_decimal(e ** 3)}"
+                shown = f"{format_fraction(x)}, {format_fraction(y)}"
+                assert run_gen4(capsys, f"--from-point={text}") == (
+                    1, "", f"point ({shown}) is not on the s=4 curve\n"), text
+                rejected += 1
+        assert rejected == 3 * 82
 
 
 class TestProperties:
@@ -396,7 +480,7 @@ class TestProperties:
            sign=st.sampled_from((1, -1)), primitive=st.booleans())
     def test_chart_round_trips(self, k, sign, primitive):
         _, point, _ = signed_solutions(k)[2 * k - 1 if sign < 0 else 2 * k - 2]
-        sol = s4_point_solution(point.x, point.y)
+        sol = s4_point_solution(*pairs(point))
         if primitive:
             sol = primitive_reduce(sol)
         assert s4_forward(BVector.from_solution(sol)) == point

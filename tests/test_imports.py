@@ -130,6 +130,8 @@ INTEGER_COMMANDS = [
     ("verify", "--s", "4", "--parts", "1,2,24"),
     ("verify", "--s", "4", "--parts", "1,2,25"),
     ("gen4", "--count", "2"),
+    ("gen4", "--from-point=235,8"),
+    ("gen4", "--from-point", "60266587/257049,3852230624/130323843"),  # README's 3P
     ("family", "--s", "5", "--t1", "2", "--t2", "1", "--primitive"),
     ("search", "--s", "5", "--max-n", "50"),
     ("s3", "--brute-max", "100"),
