@@ -30,7 +30,7 @@ from types import SimpleNamespace
 from .elliptic import on_curve
 from .exactmath import (
     format_decimal,
-    format_fraction,
+    format_rational,
     parse_decimal,
     parse_fraction,
     parse_rational,
@@ -116,8 +116,9 @@ def _fraction_list(text: str) -> "list[Fraction]":
 
 
 def _point(text: str) -> "tuple[tuple[int, int], tuple[int, int]]":
-    """The two coordinates, each as the pair (p, q) it was written as: a
-    well-formed point builds no Fraction (s4_point_solution)."""
+    """The two coordinates, each as the pair (p, q) it was written as: no
+    point builds a Fraction (s4_point_solution, and format_rational for the
+    rejection line)."""
     coords = _rational_list(text, parse_rational)
     if len(coords) != 2:
         raise _bad_value(f"a point needs exactly two coordinates: {text!r}")
@@ -143,8 +144,9 @@ def cmd_verify(args: "Args") -> int:
 
 
 def cmd_gen4(args: "Args") -> int:
-    # --primitive changes no gen4 record: _s4_solution divides out the whole
-    # common factor (transforms module docstring).
+    # --primitive changes no gen4 record: the walk and --from-point both build
+    # through _s4_solution, whose clearing divides out the whole common factor
+    # (transforms module docstring).
     if args.from_point is not None:
         if args.count is not None:
             return _usage_error("--count and --from-point are mutually exclusive")
@@ -155,11 +157,9 @@ def cmd_gen4(args: "Args") -> int:
             sol, reason = None, "is not on the s=4 curve"
         else:
             reason = "is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
-        if sol is None:
-            from fractions import Fraction  # the message prints the point in lowest terms
-
-            point = f"{format_fraction(Fraction(*x))}, {format_fraction(Fraction(*y))}"
-            print(f"point ({point}) {reason}", file=sys.stderr)
+        if sol is None:  # the message prints the point in lowest terms
+            print(f"point ({format_rational(*x)}, {format_rational(*y)}) {reason}",
+                  file=sys.stderr)
             return 1
         print(render(sol, "gen4", args.format))
         return 0

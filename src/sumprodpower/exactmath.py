@@ -22,7 +22,7 @@ Zimmermann, Modern Computer Arithmetic, 1.5.2).
 """
 
 import re
-from math import isqrt
+from math import gcd, isqrt
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 __all__ = [
     "format_decimal",
     "format_fraction",
+    "format_rational",
     "int_nth_root",
     "parse_decimal",
     "parse_fraction",
@@ -164,7 +165,14 @@ def parse_fraction(text: str) -> "Fraction":
     return fractions.Fraction(*pair)
 
 
+def format_rational(p: int, q: int) -> str:
+    """Exact ``str(Fraction(p, q))`` for ``q >= 1``, at any size, with no
+    Fraction: the pair reduced by gcd, as ``p`` or ``p/q``, with the sign
+    on ``p``."""
+    g = gcd(p, q)
+    return format_decimal(p // g) + ("" if q == g else f"/{format_decimal(q // g)}")
+
+
 def format_fraction(value: "Fraction | int") -> str:
     """Exact ``str(value)`` for a Fraction (or int) of any size: ``p`` or ``p/q``."""
-    num = format_decimal(value.numerator)
-    return num if value.denominator == 1 else f"{num}/{format_decimal(value.denominator)}"
+    return format_rational(value.numerator, value.denominator)

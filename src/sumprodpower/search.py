@@ -67,12 +67,16 @@ product P * a and sum t, and m parts still to choose.
 A prefix with r(P * a)**s * m**m > P * a * (n_max - t)**m * n_max therefore
 has no completion, and its subtree is skipped.
 
-The tables take memory in proportion to n_max.  Measured with tracemalloc at
-n_max = 10**4 and 10**5, their peak is under 40 bytes per unit of n_max for
-every s: while the sieve is built it holds an int object (28 bytes) and a list
-slot (8 bytes) per entry.  SearchSpec refuses an n_max above N_MAX_LIMIT =
-10**7, so at 48 bytes per unit, with room to spare, one run's tables stay
-under about 480 MB.  Each --jobs worker builds its own tables.
+The tables take memory in proportion to n_max.  Resident memory (the growth
+of ru_maxrss across _tables, each in a fresh process, at n_max = 10**6 on
+CPython 3.11, x86-64 Linux) grows by 77.7 bytes per unit of n_max for s = 3
+and 52.3 for s = 7.  That is more than tracemalloc's peak of 40 bytes per
+unit, which counts live objects only: the sieve holds an int object and a
+list slot per entry while it is built, and for small s the powers list is
+long (about 0.63 n_max big ints at s = 3).  SearchSpec refuses an n_max above
+N_MAX_LIMIT = 10**7, where at these figures one run's tables take about
+780 MB resident for s = 3 and 520 MB for s = 7.  Each --jobs worker builds
+its own tables.
 
 Parallel runs split the leading part into blocks of consecutive values for at
 most one worker per usable core; each worker builds the sieve and the power

@@ -39,19 +39,21 @@ by g = gcd(N1, N2, N3, den), and g divides 384: a prime dividing e and g
 would divide N2, hence Y, and gcd(Y, e) = 1; so g is prime to e and
 divides N1 = 384e^3.  Hence g = gcd(384, N2, N3, den), and the cleared
 record has no common factor left: gen4 records are primitive.  Each record
-gets one exact test.  A point from outside the program (gen4 --from-point,
-s4_point_solution) gets the curve equation on (X, Y, e), before the region
-test, and in the region that settles its record's identity too (the 8192
-identity).  The walk's points are on the curve by construction, so each of
-its records gets DioSolution's test of prod(parts) * n == b^4 instead.  The
-walk behind s4_solutions reads kP off the division polynomials of P, with no
-gcd: only 2 can divide both the numerator and the denominator of x(kP), and
-one shift strips it (_s4_odd_multiples has the reason).  It runs them
-scaled by 2^(1 - k^2), as the division polynomials psi'_k of the 2-minimal
-model [1, -46, -16, -9718, 564964] at P' = (74, -28), which x = 4x' - 61,
-y = 8y' + 4x' - 64 carries onto the curve and P (_s4_extend_psi).  The
-scaling changes only the power of 2 that the shift strips, so the walk
-yields the same triples (X, Y, e) on numbers about 40% shorter.
+gets one exact test, and it is the same for every point: _s4_solution runs
+the curve equation on (X, Y, e), before the region test, and in the region
+that settles the record's identity too (the 8192 identity), so the record is
+built with no test of its own.  A walk point and a point from outside the
+program (gen4 --from-point, s4_point_solution, after its lowest-terms test)
+take that one path.  The curve test runs on numbers about half as long as
+the record's prod(parts) * n == b^4.  The walk behind s4_solutions reads kP
+off the division polynomials of P, with no gcd: only 2 can divide both the
+numerator and the denominator of x(kP), and one shift strips it
+(_s4_odd_multiples has the reason).  It runs them scaled by 2^(1 - k^2), as
+the division polynomials psi'_k of the 2-minimal model [1, -46, -16, -9718,
+564964] at P' = (74, -28), which x = 4x' - 61, y = 8y' + 4x' - 64 carries
+onto the curve and P (_s4_extend_psi).  The scaling changes only the power
+of 2 that the shift strips, so the walk yields the same triples (X, Y, e) on
+numbers about 40% shorter.
 """
 
 from math import gcd, isqrt, prod
@@ -76,12 +78,13 @@ class DioSolution(Value):
     """Verified positive integer solution: parts a_1 .. a_{s-1} and b with
     prod(parts) * n == b**s, where s = len(parts) + 1 and n = sum(parts).
 
-    The constructor tests that identity in __post_init__.  The two callers
+    The constructor tests that identity in __post_init__.  The callers
     that have settled it already build through _proven, which skips
     __post_init__ and keeps only the constructor's checks of count and
     sign: from_parts, whose perfect_sth_power tests b**s == prod(parts) *
-    sum(parts) from the root, and s4_point_solution, whose curve test
-    implies it (the 8192 identity, module docstring)."""
+    sum(parts) from the root, and _s4_solution, behind both the s=4 walk
+    (s4_solutions) and s4_point_solution, whose curve test implies it (the
+    8192 identity, module docstring)."""
 
     __slots__ = ("parts", "b")
     parts: tuple[int, ...]
@@ -176,10 +179,11 @@ def _s4_cleared(X: int, Y: int, e: int) -> tuple[tuple[int, int, int], int] | No
 
     All three b_i are positive iff N1, N2, N3 and den of _s4_chart are
     (N1 = 384e^3 > 0 already).  Their gcd g divides 384 (module docstring),
-    so the clearing costs no big gcd.  Curve membership is not tested here:
-    the chart's entries sum to 9/2 at every (X, Y, e), and their product is
-    2/9 exactly on the curve (the 8192 identity, module docstring), so for a
-    triple in the region prod(parts) * n == b^4 holds iff P is on the curve.
+    so the clearing costs no big gcd.  Curve membership is not tested here
+    but by its one caller, _s4_solution: the chart's entries sum to 9/2 at
+    every (X, Y, e), and their product is 2/9 exactly on the curve (the 8192
+    identity, module docstring), so for a triple in the region
+    prod(parts) * n == b^4 holds iff P is on the curve.
     """
     n1, n2, n3, den = _s4_chart(X, Y, e)
     if n2 <= 0 or n3 <= 0 or den <= 0:
@@ -189,13 +193,21 @@ def _s4_cleared(X: int, Y: int, e: int) -> tuple[tuple[int, int, int], int] | No
 
 
 def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
-    """The solution of _s4_cleared(X, Y, e), None outside the positive
-    region.  The walk's points are on the curve by construction, so no
-    curve test runs: DioSolution's one test of prod(parts) * n == b^4
-    checks each record, and raises ValueError for a triple in the region
-    that is off the curve."""
+    """The solution of _s4_cleared(X, Y, e) for the point (X/e^2, Y/e^3) in
+    lowest terms (e >= 1), None outside the positive region; ValueError
+    when the point is not on the curve.
+
+    This is the one path from a point to a record, and its one exact test
+    is the curve equation Y^2 = X^3 - 166779 X e^4 + 26215254 e^6, run
+    before the region test, in Horner form X^3 + d^2 (-166779 X +
+    26215254 d) with d = e^2.  In the region it decides the record's
+    identity too (the 8192 identity, _s4_cleared), so the record is built
+    with no test of its own."""
+    d = e * e
+    if Y * Y != X * X * X + d * d * (_S4_B * X + _S4_C * d):
+        raise ValueError("point is not on the s=4 curve")
     cleared = _s4_cleared(X, Y, e)
-    return None if cleared is None else DioSolution(*cleared)
+    return None if cleared is None else DioSolution._proven(*cleared)
 
 
 def s4_point_solution(x: tuple[int, int], y: tuple[int, int]) -> DioSolution | None:
@@ -209,10 +221,7 @@ def s4_point_solution(x: tuple[int, int], y: tuple[int, int]) -> DioSolution | N
     with gcd(X, e) = 1 and Y/e^3, x is in lowest terms, and so is y once
     the point is on the curve: a prime dividing e and Y would divide X^3.
     That costs one gcd of X and e; any other spelling is reduced by gcd
-    first.  Then every point gets the one curve test,
-    Y^2 = X^3 - 166779 X e^4 + 26215254 e^6, before the region test.  In
-    the region it decides the record's identity too (the 8192 identity,
-    _s4_cleared), so the record is built with no test of its own."""
+    first.  Then _s4_solution runs the curve test and builds the record."""
     (X, d), (Y, t) = x, y
     if d < 1 or t < 1:
         raise ValueError("a denominator of the point is not positive")
@@ -223,11 +232,7 @@ def s4_point_solution(x: tuple[int, int], y: tuple[int, int]) -> DioSolution | N
         e = isqrt(d)
         if e * e != d or t != d * e:  # see module docstring
             raise ValueError("point is not on the s=4 curve")
-    e4 = d * d
-    if Y * Y != X * X * X + _S4_B * X * e4 + _S4_C * e4 * d:
-        raise ValueError("point is not on the s=4 curve")
-    cleared = _s4_cleared(X, Y, e)
-    return None if cleared is None else DioSolution._proven(*cleared)
+    return _s4_solution(X, Y, e)
 
 
 # psi'_0 .. psi'_4 of the 2-minimal model at P' = (74, -28) (_s4_extend_psi).
@@ -318,9 +323,9 @@ def s4_solutions(max_multiple: int) -> "Iterator[DioSolution]":
     Everything runs on integers.  The walk yields kP in lowest terms as
     (X/e^2, Y/e^3), read off the division polynomials psi_k of P with a
     shift by a power of 2 in place of a gcd (_s4_odd_multiples);
-    _s4_solution clears the chart's denominators by a gcd that divides 384
-    (module docstring).  Each multiple is on the curve by construction, so
-    its record's equation is tested once, by DioSolution.
+    _s4_solution tests each multiple on the curve, which in the region
+    settles its record's equation (the 8192 identity), and clears the
+    chart's denominators by a gcd that divides 384 (module docstring).
     """
     for X, Y, e in _s4_odd_multiples(max_multiple):
         sol = _s4_solution(X, Y, e)

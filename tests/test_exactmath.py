@@ -12,6 +12,7 @@ from sumprodpower.exactmath import (
     _SEED_BITS,
     format_decimal,
     format_fraction,
+    format_rational,
     parse_decimal,
     parse_fraction,
     parse_rational,
@@ -180,6 +181,15 @@ class TestFraction:
             assert parse_fraction(str(value)) == value
         for text in [" 3/4 ", "-2/6", "+07/21"]:
             assert parse_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("length", TestDecimal.LENGTHS)
+    def test_format_rational_is_the_reduced_fraction(self, rng, length):
+        # Unreduced pairs of each sign, at every length the decimals test.
+        for _ in range(5):
+            m = rng.randint(1, 10 ** length)
+            p, q = rng.randint(-10 ** length, 10 ** length), rng.randint(1, 10 ** length)
+            assert format_rational(p * m, q * m) == format_fraction(Fraction(p, q))
+        assert format_rational(0, 7) == "0" and format_rational(-12, 4) == "-3"
 
     @pytest.mark.parametrize("text", [
         "", "x", "1/", "/2", "1/-2", "1 /2", "1//2", "1" * 4001 + ".5", "1" * 4001 + "/-2",

@@ -44,6 +44,7 @@ from sumprodpower import cli
 from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal
 from sumprodpower.transforms import (
     _S4_PSI_SEED,
+    DioSolution,
     _s4_chart,
     _s4_extend_psi,
     _s4_odd_multiples,
@@ -298,9 +299,10 @@ class TestIntegerKernel:
         assert signs == {True, False}
 
     def test_in_region_triple_gives_a_record_iff_on_the_curve(self):
-        # _s4_solution tests no membership: in the region DioSolution's
-        # equation holds exactly on the curve.  The odd multiples and their
-        # perturbations in Y that the chart still maps into the region.
+        # _s4_solution's curve test is the record's one exact test: in the
+        # region DioSolution's equation holds exactly on the curve.  The odd
+        # multiples and their perturbations in Y that the chart still maps
+        # into the region.
         on, off = 0, 0
         for X, Y, e in _s4_odd_multiples(41):
             for dy in (0, -1, 1, 2):
@@ -312,10 +314,19 @@ class TestIntegerKernel:
                     assert _s4_solution(X, Y + dy, e) is not None, (X, Y + dy, e)
                     on += 1
                 else:
-                    with pytest.raises(ValueError, match="is not b\\*\\*s"):
+                    with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
                         _s4_solution(X, Y + dy, e)
                     off += 1
         assert (on, off) == (21, 3 * 21)
+
+    def test_walk_records_pass_the_record_tests_they_skip(self):
+        # The walk builds each record with no test of prod(parts) * n == b^4,
+        # which its curve test implies; both checking constructors agree.
+        walk = list(s4_solutions(ORACLE_MAX_MULTIPLE))
+        assert len(walk) == (ORACLE_MAX_MULTIPLE + 1) // 2
+        for sol in walk:
+            assert DioSolution(sol.parts, sol.b) == sol, sol.parts
+            assert DioSolution.from_parts(sol.parts) == sol, sol.parts
 
     def test_walk_is_the_mixed_addition_walk(self):
         assert list(_s4_odd_multiples(LONG_WALK)) == list(mixed_addition_walk(LONG_WALK))
@@ -339,6 +350,16 @@ class TestIntegerKernel:
         walk = s4_solutions(3)
         assert next(walk).sorted_parts == (1, 2, 24)
         with pytest.raises(ArithmeticError):
+            next(walk)
+
+    def test_off_curve_point_in_the_walk_is_loud(self, monkeypatch):
+        # (235, 9) is in the region next to P: only the walk's curve test
+        # keeps it from giving a record.
+        monkeypatch.setattr("sumprodpower.transforms._s4_odd_multiples",
+                            lambda m: iter([(235, 8, 1), (235, 9, 1)]))
+        walk = s4_solutions(3)
+        assert next(walk).sorted_parts == (1, 2, 24)
+        with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
             next(walk)
 
     @pytest.mark.parametrize("text, reason", [

@@ -172,6 +172,14 @@ def test_cold_verify_prints_the_record():
     assert (lines, err) == ([record, "0"], "")
 
 
+@pytest.mark.parametrize("point, shown", [("1,1", "1, 1"), ("4/16,8/64", "1/4, 1/8")])
+def test_rejected_point_loads_no_fractions(point, shown):
+    # The rejection line prints the point in lowest terms from its int pairs.
+    lines, err, loaded = cold_run(RUN_CLI, "gen4", f"--from-point={point}")
+    assert (lines, err) == (["1"], f"point ({shown}) is not on the s=4 curve\n")
+    assert loaded & {"fractions", "decimal"} == set()
+
+
 @pytest.mark.parametrize("tail", ["1/2,3", "1/2,1/3"])
 def test_fractions_loads_when_a_rational_is_read(stdlib_budget, tail):
     # Beyond the budget only what fractions needs loads, and fractions does.
