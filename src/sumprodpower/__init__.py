@@ -2,10 +2,10 @@
 n = a_1 + ... + a_{s-1} with a_1 * a_2 * ... * a_{s-1} * n = b^s.
 
 All arithmetic is exact and runs on Python integers; there is no floating
-point in the mathematical core.  fractions.Fraction only carries the
-rationals that --tail and --t0 read and the value in family's D <= 0
-message; gen4 --from-point reads its point as (numerator, denominator)
-integer pairs and prints its rejection line from them.
+point in the mathematical core.  A rational (a --tail entry, --t0, a
+--from-point coordinate, family's D) is a pair (numerator, denominator) of
+ints; the package builds no fractions.Fraction, which only the tests'
+oracles use.
 """
 
 from .elliptic import on_curve

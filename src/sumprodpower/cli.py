@@ -32,7 +32,6 @@ from .exactmath import (
     format_decimal,
     format_rational,
     parse_decimal,
-    parse_fraction,
     parse_rational,
 )
 from .family import FamilyParams, general_solution, s5_polynomial_family
@@ -47,8 +46,7 @@ from .transforms import (
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
-    from collections.abc import Callable, Sequence
-    from fractions import Fraction
+    from collections.abc import Sequence
 
     Args = Namespace | SimpleNamespace
 
@@ -97,29 +95,25 @@ def _int_list(text: str) -> list[int]:
         raise _bad_value(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def _fraction(text: str) -> "Fraction":
+def _rational(text: str) -> "tuple[int, int]":
     try:
-        return parse_fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_value(f"not a rational p/q: {text!r}") from exc
 
 
-def _rational_list(text: str, parse: "Callable[[str], object]") -> list:
+def _rational_list(text: str) -> "list[tuple[int, int]]":
     try:
-        return [parse(tok) for tok in text.split(",")]
+        return [parse_rational(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_value(f"not a comma-separated rational list: {text!r}") from exc
 
 
-def _fraction_list(text: str) -> "list[Fraction]":
-    return _rational_list(text, parse_fraction)
-
-
 def _point(text: str) -> "tuple[tuple[int, int], tuple[int, int]]":
-    """The two coordinates, each as the pair (p, q) it was written as: no
-    point builds a Fraction (s4_point_solution, and format_rational for the
-    rejection line)."""
-    coords = _rational_list(text, parse_rational)
+    """The two coordinates, each as the pair (p, q) it was written as
+    (s4_point_solution reads any terms, and format_rational prints the
+    rejection line in lowest terms)."""
+    coords = _rational_list(text)
     if len(coords) != 2:
         raise _bad_value(f"a point needs exactly two coordinates: {text!r}")
     return coords[0], coords[1]
@@ -271,9 +265,9 @@ _COMMANDS = {
     }),
     "family": (cmd_family, "instantiate the s>=5 solution family", {
         "--s": dict(type=_int, required=True, help="number of terms s (>= 5)"),
-        "--tail": dict(type=_fraction_list,
+        "--tail": dict(type=_rational_list,
                        help="comma-separated positive rationals b4,...,b_{s-1}"),
-        "--t0": dict(type=_fraction, help="positive rational parameter"),
+        "--t0": dict(type=_rational, help="positive rational parameter"),
         "--t1": dict(type=_positive_int, help="closed s=5 form: first integer"),
         "--t2": dict(type=_positive_int, help="closed s=5 form: second integer"),
         "--primitive": dict(action="store_true", help="reduce the solution by its common factor"),

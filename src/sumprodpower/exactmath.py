@@ -24,17 +24,11 @@ Zimmermann, Modern Computer Arithmetic, 1.5.2).
 import re
 from math import gcd, isqrt
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "format_decimal",
-    "format_fraction",
     "format_rational",
     "int_nth_root",
     "parse_decimal",
-    "parse_fraction",
     "parse_rational",
     "perfect_sth_power",
 ]
@@ -151,18 +145,9 @@ def parse_rational(text: str) -> tuple[int, int]:
         raise ValueError(f"invalid rational literal of {len(text)} characters")
     num, den = match.groups()
     q = 1 if den is None else _digits_value(den)
-    if q == 0:  # Fraction's own message would print the numerator
+    if q == 0:  # as Fraction(p, 0) would, but without printing p
         raise ZeroDivisionError(f"zero denominator in a rational of {len(text)} characters")
     return _digits_value(num), q
-
-
-def parse_fraction(text: str) -> "Fraction":
-    """``Fraction(p, q)`` of the pair ``(p, q)`` that parse_rational reads
-    from ``text``, with its errors."""
-    pair = parse_rational(text)
-    import fractions  # on first use: fractions loads decimal, which no integer path needs
-
-    return fractions.Fraction(*pair)
 
 
 def format_rational(p: int, q: int) -> str:
@@ -171,8 +156,3 @@ def format_rational(p: int, q: int) -> str:
     on ``p``."""
     g = gcd(p, q)
     return format_decimal(p // g) + ("" if q == g else f"/{format_decimal(q // g)}")
-
-
-def format_fraction(value: "Fraction | int") -> str:
-    """Exact ``str(value)`` for a Fraction (or int) of any size: ``p`` or ``p/q``."""
-    return format_rational(value.numerator, value.denominator)

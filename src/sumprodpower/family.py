@@ -39,10 +39,12 @@ x_i = gcd(M, N_i), and
     lcm(M / x_1, ..., M / x_k) = M / gcd(x_1, ..., x_k) = M / gcd(M, N_1, ..., N_k),
 
 since at each prime p both sides have v_p(M) - min v_p(x_i).  So the parts
-and b are the integers that clearing the Fraction entries by their least
+and b are the integers that clearing the rational entries by their least
 common denominator gives: part_i = N_i / g and b = M / g with
 g = gcd(M, N_1, ..., N_k), which share no factor; a --tail record is
-already primitive.
+already primitive.  That needs the tail entries in lowest terms, and
+FamilyParams stores every rational so: as a pair (p, q) of ints, reduced
+by gcd, with q >= 1, however it was written.
 
 The chain that derives the triple (quartic, model, base, doubled and
 quadrupled points, the maps between them, the remainder certificate and the
@@ -54,13 +56,12 @@ in tests/certificates.py.
 from math import gcd, lcm, prod
 
 from ._value import Value
-from .exactmath import format_decimal, format_fraction
+from .exactmath import format_decimal, format_rational
 from .transforms import DioSolution
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Iterable
-    from fractions import Fraction
 
 __all__ = [
     "FamilyParams",
@@ -69,24 +70,34 @@ __all__ = [
 ]
 
 
+def _lowest(rational: "tuple[int, int]") -> "tuple[int, int]":
+    """The pair (p, q) reduced by gcd; ValueError for q < 1."""
+    p, q = rational
+    if q < 1:
+        raise ValueError("a denominator is not positive")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 class FamilyParams(Value):
     """Parameters (s, tail, t0) of one member of the s >= 5 family.
 
     tail holds the freely chosen positive values b4 .. b_{s-1}, as a tuple;
     t0 is the positive parameter of the specialized slope t = u * t0**2.
-    Both are kept as given (Fractions or ints): general_solution reads only
-    their numerators and denominators.
+    Each rational is given as a pair (p, q) of ints with q >= 1, in any
+    terms, and kept in lowest terms, so that two spellings of one member
+    are equal and hash alike.
     """
 
     __slots__ = ("s", "tail", "t0")
     s: int
-    tail: "tuple[Fraction, ...]"
-    t0: "Fraction"
+    tail: "tuple[tuple[int, int], ...]"
+    t0: "tuple[int, int]"
 
-    def __init__(self, s: int, tail: "Iterable[Fraction]", t0: "Fraction") -> None:
+    def __init__(self, s: int, tail: "Iterable[tuple[int, int]]", t0: "tuple[int, int]") -> None:
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "tail", tuple(tail))
-        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "tail", tuple(map(_lowest, tail)))
+        object.__setattr__(self, "t0", _lowest(t0))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -95,9 +106,9 @@ class FamilyParams(Value):
         if len(self.tail) != self.s - 4:
             raise ValueError(f"expected {format_decimal(self.s - 4)} tail entries, "
                              f"got {len(self.tail)}")
-        if any(e <= 0 for e in self.tail):
+        if any(p <= 0 for p, _ in self.tail):
             raise ValueError("tail entries must be positive")
-        if self.t0 <= 0:
+        if self.t0[0] <= 0:
             raise ValueError("t0 must be positive")
 
 
@@ -110,24 +121,19 @@ def general_solution(params: FamilyParams) -> DioSolution:
     DioSolution's test of the cleared integers is the only one.
     """
     tail = params.tail
-    W = prod(e.denominator for e in tail)
-    U = prod(e.numerator for e in tail)
-    V = sum(e.numerator * (W // e.denominator) for e in tail)
-    a, c = params.t0.numerator, params.t0.denominator
+    W = prod(q for _, q in tail)
+    U = prod(p for p, _ in tail)
+    V = sum(p * (W // q) for p, q in tail)
+    a, c = params.t0
     K = U * a * a + W * c * c
     uvvac = U * V * V * a * c
     dn = 4 * W * W * K - uvvac
     if dn <= 0:
-        import fractions  # only this branch builds a Fraction
-
-        d = fractions.Fraction(dn, W * W * W * c * c)
-        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
+        raise ValueError("positivity quadratic is not positive: "
+                         f"D = {format_rational(dn, W * W * W * c * c)}")
     VK = V * K
-    entries = [(uvvac * V, 2 * W * dn), (dn * c, 2 * U * a * VK), (dn * a, 2 * W * c * VK)]
-    for i, (num, den) in enumerate(entries):
-        g = gcd(num, den)
-        entries[i] = (num // g, den // g)
-    entries += ((e.numerator, e.denominator) for e in tail)
+    triple = (uvvac * V, 2 * W * dn), (dn * c, 2 * U * a * VK), (dn * a, 2 * W * c * VK)
+    entries = [*map(_lowest, triple), *tail]
     b = lcm(*(den for _, den in entries))
     parts = tuple(num * (b // den) for num, den in entries)
     return DioSolution(parts, b)

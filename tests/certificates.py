@@ -18,7 +18,9 @@ package's integer paths take as given:
   - the s >= 5 closed form in Fraction arithmetic (``family_uvt``,
     ``positivity_value``, ``leading_triple``, ``clear_denominators`` and
     ``fraction_general_solution``), the oracle that
-    ``family.general_solution``'s integer form is tested against;
+    ``family.general_solution``'s integer form is tested against, with
+    ``family_params``, which builds a FamilyParams from Fractions and ints,
+    and ``fraction``, which reads one of its (p, q) pairs back;
   - the s >= 5 chain behind ``leading_triple``: the quartic, its
     Weierstrass model, the base point with its closed-form double and
     quadruple, the maps between quartic and model and the roots b1 of the
@@ -35,12 +37,13 @@ All arithmetic is exact: Python integers and ``Fraction``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from sumprodpower import DioSolution, FamilyParams, SearchSpec, enumerate_solutions
-from sumprodpower.exactmath import format_fraction, int_nth_root
+from sumprodpower.exactmath import format_rational, int_nth_root
 
 # ---------------------------------------------------------------------------
 # Curves and points
@@ -320,17 +323,32 @@ def poly_divrem(numer: Poly, denom: Poly) -> tuple[Poly, Poly]:
 
 # family.general_solution evaluates the closed form in integers; these take
 # the same steps on Fraction values, and the tests compare the two.
+# FamilyParams holds each rational as a pair (p, q) of ints: family_params
+# builds one from Fractions and ints, and the oracles read each pair back
+# through fraction.
+
+
+def family_params(s: int, tail: Iterable[Fraction | int], t0: Fraction | int) -> FamilyParams:
+    """FamilyParams(s, tail, t0) with each Fraction or int passed as its
+    pair (numerator, denominator)."""
+    return FamilyParams(s, (e.as_integer_ratio() for e in tail), t0.as_integer_ratio())
+
+
+def fraction(pair: tuple[int, int]) -> Fraction:
+    """The Fraction p/q of a FamilyParams pair (p, q)."""
+    return Fraction(*pair)
 
 
 def family_uvt(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
     """u = prod(tail), v = sum(tail) and the specialized slope t = u * t0**2."""
-    u = prod(params.tail, start=Fraction(1))
-    return u, sum(params.tail, start=Fraction(0)), u * params.t0 ** 2
+    tail = [fraction(e) for e in params.tail]
+    u = prod(tail, start=Fraction(1))
+    return u, sum(tail, start=Fraction(0)), u * fraction(params.t0) ** 2
 
 
 def positivity_value(params: FamilyParams) -> Fraction:
     """The quadratic D = 4*u*t0^2 - u*v^2*t0 + 4 gating positive solutions."""
-    (u, v, _), t0 = family_uvt(params), params.t0
+    (u, v, _), t0 = family_uvt(params), fraction(params.t0)
     return 4 * u * t0 ** 2 - u * v * v * t0 + 4
 
 
@@ -343,7 +361,7 @@ def leading_triple(params: FamilyParams) -> tuple[Fraction, Fraction, Fraction]:
     All three are positive exactly when D > 0, and they satisfy
     b1*b2*b3*u*(b1+b2+b3+v) = 1 (a property test pins this).
     """
-    (u, v, _), t0, d = family_uvt(params), params.t0, positivity_value(params)
+    (u, v, _), t0, d = family_uvt(params), fraction(params.t0), positivity_value(params)
     if d == 0:
         raise ValueError("degenerate parameters: positivity quadratic vanishes")
     k = u * t0 ** 2 + 1
@@ -370,8 +388,9 @@ def fraction_general_solution(params: FamilyParams) -> DioSolution:
     the same ValueError when D is not positive."""
     d = positivity_value(params)
     if d <= 0:
-        raise ValueError(f"positivity quadratic is not positive: D = {format_fraction(d)}")
-    return clear_denominators((*leading_triple(params), *params.tail))
+        raise ValueError("positivity quadratic is not positive: "
+                         f"D = {format_rational(d.numerator, d.denominator)}")
+    return clear_denominators((*leading_triple(params), *map(fraction, params.tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +445,7 @@ def quartic_curve(params: FamilyParams) -> QuarticCurve:
 
 def weierstrass_model(params: FamilyParams) -> WeierstrassCurve:
     """Weierstrass model at t = u*t0^2: Y^2 = X^3 + u^4 v^2 t0^4 X^2 - 16 u^6 t0^6 (u t0^2 + 1)^2 X."""
-    (u, v, _), t0 = family_uvt(params), params.t0
+    (u, v, _), t0 = family_uvt(params), fraction(params.t0)
     return WeierstrassCurve(
         a=u ** 4 * v ** 2 * t0 ** 4,
         b=-16 * u ** 6 * t0 ** 6 * (u * t0 ** 2 + 1) ** 2,
@@ -436,14 +455,14 @@ def weierstrass_model(params: FamilyParams) -> WeierstrassCurve:
 
 def base_point(params: FamilyParams) -> Point:
     """The rational point (4u^3 t0^3 (u t0^2 + 1), 4v u^5 t0^5 (u t0^2 + 1))."""
-    (u, v, _), t0 = family_uvt(params), params.t0
+    (u, v, _), t0 = family_uvt(params), fraction(params.t0)
     k = u * t0 ** 2 + 1
     return Point(4 * u ** 3 * t0 ** 3 * k, 4 * v * u ** 5 * t0 ** 5 * k)
 
 
 def doubled_point(params: FamilyParams) -> Point:
     """Closed form of twice the base point."""
-    (u, v, _), t0 = family_uvt(params), params.t0
+    (u, v, _), t0 = family_uvt(params), fraction(params.t0)
     k = u * t0 ** 2 + 1
     return Point(
         16 * u ** 2 * t0 ** 2 * k ** 2 / v ** 2,
@@ -454,7 +473,7 @@ def doubled_point(params: FamilyParams) -> Point:
 def quadrupled_point(params: FamilyParams) -> Point:
     """Closed form of four times the base point; its X-coordinate carries the
     non-polynomiality certificate (see remainder_certificate)."""
-    (u, v, _), t0 = family_uvt(params), params.t0
+    (u, v, _), t0 = family_uvt(params), fraction(params.t0)
     k = u * t0 ** 2 + 1
     s = 16 * u ** 2 * t0 ** 4 + (32 * u + v ** 4 * u ** 2) * t0 ** 2 + 16
     big = (

@@ -20,6 +20,7 @@ from certificates import (
     check_table_membership,
     clear_denominators,
     doubled_point,
+    family_params,
     family_uvt,
     negate,
     quadrupled_point,
@@ -31,7 +32,7 @@ from certificates import (
 )
 from conftest import TABLE_S5, TABLE_S6, random_positive_fraction, table_rows
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
-from sumprodpower import DioSolution, FamilyParams, SearchSpec, general_solution, primitive_reduce
+from sumprodpower import DioSolution, SearchSpec, general_solution, primitive_reduce
 from sumprodpower.cli import main
 
 # The two worked s=4 points: the non-integral infinite-order witness and the
@@ -168,7 +169,7 @@ def test_criterion_07_closed_forms_match_group_law():
     for _ in range(10):
         s = rng.randint(5, 8)
         tail = tuple(random_positive_fraction(rng) for _ in range(s - 4))
-        params = FamilyParams(s, tail, random_positive_fraction(rng))
+        params = family_params(s, tail, random_positive_fraction(rng))
         curve = weierstrass_model(params)
         p = base_point(params)
         p2, p4 = doubled_point(params), quadrupled_point(params)
@@ -227,7 +228,7 @@ def test_criterion_10_structural_identities():
         s = rng.randint(5, 9)
         tail = tuple(random_positive_fraction(rng, upper=5) for _ in range(s - 4))
         t0 = random_positive_fraction(rng, upper=5)
-        params = FamilyParams(s, tail, t0)
+        params = family_params(s, tail, t0)
         u, v, _ = family_uvt(params)
         if 4 * u * t0 ** 2 - u * v ** 2 * t0 + 4 <= 0:
             continue
@@ -249,7 +250,7 @@ def test_criterion_10_structural_identities():
     for _ in range(10):
         s = rng.randint(5, 7)
         tail = tuple(random_positive_fraction(rng) for _ in range(s - 4))
-        params = FamilyParams(s, tail, random_positive_fraction(rng))
+        params = family_params(s, tail, random_positive_fraction(rng))
         curve = weierstrass_model(params)
         q = scalar_mul(curve, rng.choice([1, 2, 3, -2]), base_point(params))
         if q.is_infinity or q.x == 0:

@@ -17,13 +17,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certificates import add, fraction_general_solution, nagell_lutz_candidates, positivity_value
+from certificates import (
+    add,
+    family_params,
+    fraction_general_solution,
+    nagell_lutz_candidates,
+    positivity_value,
+)
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, s4_curve, signed_solutions
 from sumprodpower import DioSolution, cli, family, search, transforms
 from sumprodpower.cli import main
-from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal, parse_fraction
-from sumprodpower.family import FamilyParams
+from sumprodpower.exactmath import format_decimal, format_rational, parse_decimal
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -151,7 +156,7 @@ class TestBeyondTheDigitLimit:
         code, out, err = run_cli(capsys, "gen4", "--count", "43", "--max-multiple", "85")
         assert (code, err) == (0, "")
         last = out.splitlines(keepends=True)[-1]
-        text = f"{format_fraction(point.x)},{format_fraction(point.y)}"
+        text = ",".join(format_rational(*c.as_integer_ratio()) for c in (point.x, point.y))
         assert run_cli(capsys, "gen4", "--from-point", text) == (0, last, "")
 
     @pytest.mark.parametrize("x", ["1" * 5000, "1/" + "3" * 5000])
@@ -164,9 +169,10 @@ class TestBeyondTheDigitLimit:
         tail = "1" * 5000
         code, out, err = run_cli(capsys, "family", "--s", "5", "--tail", tail, "--t0", "1")
         assert (code, out) == (1, "")
-        d = positivity_value(FamilyParams(5, (parse_fraction(tail),), 1))
-        assert d < 0 and len(format_fraction(d)) > 4300
-        assert err == f"positivity quadratic is not positive: D = {format_fraction(d)}\n"
+        d = positivity_value(family_params(5, (parse_decimal(tail),), 1))
+        shown = format_rational(*d.as_integer_ratio())
+        assert d < 0 and len(shown) > 4300
+        assert err == f"positivity quadratic is not positive: D = {shown}\n"
 
     def test_gen4_names_a_long_count(self, capsys):
         count = "9" * 5000
@@ -307,11 +313,24 @@ class TestFamily:
             code, out, err = run_cli(capsys, "family", *argv)
             assert (code, out, err) == (1, "", f"positivity quadratic is not positive: D = {d}\n")
 
+    @pytest.mark.parametrize("spelled, lowest, code", [
+        (("--s", "6", "--tail", "2/4,6/2", "--t0", "14/6"),  # D = -149/24
+         ("--s", "6", "--tail", "1/2,3", "--t0", "7/3"), 1),
+        (("--s", "6", "--tail", "2/2,+6/2", "--t0", "8/4"),  # D = -44
+         ("--s", "6", "--tail", "1,3", "--t0", "2"), 1),
+        (("--s", "7", "--tail", "3/6,+4/2,06/10", "--t0", "14/6", "--format", "tsv"),
+         ("--s", "7", "--tail", "1/2,2,3/5", "--t0", "7/3", "--format", "tsv"), 0),
+    ])
+    def test_any_spelling_of_a_member_gives_its_bytes(self, capsys, spelled, lowest, code):
+        expected = run_cli(capsys, "family", *lowest)
+        assert expected[0] == code
+        assert run_cli(capsys, "family", *spelled) == expected
+
     def test_one_tail_op_runs_no_fraction_arithmetic(self, capsys, monkeypatch):
         # The closed form runs in integers: one FamilyParams, one DioSolution
         # and no Fraction operator, while the record is the Fraction chain's.
         argv = ("--s", "7", "--tail", "1/2,2,3/5", "--t0", "7/3")
-        params = FamilyParams(7, (Fraction(1, 2), Fraction(2), Fraction(3, 5)), Fraction(7, 3))
+        params = family_params(7, (Fraction(1, 2), Fraction(2), Fraction(3, 5)), Fraction(7, 3))
         expected = cli.render(fraction_general_solution(params), "family", "jsonl") + "\n"
         calls = {"FamilyParams": 0, "DioSolution": 0}
 

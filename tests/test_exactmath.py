@@ -11,12 +11,21 @@ from sumprodpower import int_nth_root, perfect_sth_power
 from sumprodpower.exactmath import (
     _SEED_BITS,
     format_decimal,
-    format_fraction,
     format_rational,
     parse_decimal,
-    parse_fraction,
     parse_rational,
 )
+
+
+# The package reads and prints a rational only as its pair (p, q); these
+# build the Fraction of that pair here, so that TestFraction holds the pair
+# functions to Fraction's own reading and printing.
+def parse_fraction(text: str) -> Fraction:
+    return Fraction(*parse_rational(text))
+
+
+def format_fraction(value: Fraction | int) -> str:
+    return format_rational(value.numerator, value.denominator)
 
 
 class TestIntNthRoot:

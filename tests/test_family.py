@@ -12,6 +12,7 @@ from certificates import (
     b1_roots,
     base_point,
     doubled_point,
+    family_params,
     family_uvt,
     fraction_general_solution,
     leading_triple,
@@ -38,7 +39,7 @@ from sumprodpower import (
     s5_polynomial_family,
 )
 
-UNIT = FamilyParams(5, (Fraction(1),), Fraction(1))
+UNIT = family_params(5, (Fraction(1),), Fraction(1))
 
 SMALL_POSITIVE = st.builds(Fraction, st.integers(1, 40), st.integers(1, 10))
 ENTRY = SMALL_POSITIVE | st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
@@ -62,29 +63,29 @@ def family_members(draw) -> FamilyParams:
     """Members with D > 0, D < 0 (t0 = v^2 / 8 for large u v^4) and D = 0,
     now and then with one tail entry past 4300 digits."""
     if draw(st.integers(0, 9)) == 0:
-        return FamilyParams(*draw(st.sampled_from(DEGENERATE)))
+        return family_params(*draw(st.sampled_from(DEGENERATE)))
     s = draw(st.integers(5, 9))
     if draw(st.integers(0, 19)) == 0:  # small neighbours keep the record short
         tail = draw(st.lists(SMALL_POSITIVE, min_size=s - 5, max_size=s - 5))
         tail.insert(draw(st.integers(0, s - 5)), draw(HUGE_ENTRY))
-        return FamilyParams(s, tuple(tail), draw(SMALL_POSITIVE))
+        return family_params(s, tuple(tail), draw(SMALL_POSITIVE))
     tail = draw(st.lists(ENTRY, min_size=s - 4, max_size=s - 4))
     # D = u t0 (4 t0 - v^2) + 4 is smallest, 4 - u v^4 / 16, at t0 = v^2 / 8
     # and positive for every t0 > v^2 / 4.
     v = sum(tail)
     t0 = draw(ENTRY | st.just(v * v / 8) | ENTRY.map(lambda e: v * v / 4 + e))
-    return FamilyParams(s, tuple(tail), t0)
+    return family_params(s, tuple(tail), t0)
 
 
 def random_params(rng, s: int | None = None) -> FamilyParams:
     s = s or rng.randint(5, 9)
     tail = tuple(random_positive_fraction(rng) for _ in range(s - 4))
-    return FamilyParams(s, tail, random_positive_fraction(rng))
+    return family_params(s, tail, random_positive_fraction(rng))
 
 
 class TestFamilyParams:
     def test_derived_values(self):
-        params = FamilyParams(6, (Fraction(2), Fraction(3, 2)), Fraction(1, 2))
+        params = family_params(6, (Fraction(2), Fraction(3, 2)), Fraction(1, 2))
         assert family_uvt(params) == (3, Fraction(7, 2), 3 * Fraction(1, 4))
         assert positivity_value(params) == (
             4 * 3 * Fraction(1, 4) - 3 * Fraction(7, 2) ** 2 * Fraction(1, 2) + 4
@@ -93,21 +94,26 @@ class TestFamilyParams:
     @pytest.mark.parametrize(
         "args",
         [
-            (4, (Fraction(1),), Fraction(1)),  # s too small
-            (5, (), Fraction(1)),  # wrong tail arity
-            (5, (Fraction(-1),), Fraction(1)),  # non-positive tail
-            (5, (Fraction(1),), Fraction(0)),  # non-positive t0
+            (4, ((1, 1),), (1, 1)),  # s too small
+            (5, (), (1, 1)),  # wrong tail arity
+            (5, ((-1, 1),), (1, 1)),  # non-positive tail
+            (5, ((0, 1),), (1, 1)),  # zero tail
+            (5, ((1, 1),), (0, 1)),  # non-positive t0
+            (5, ((1, 0),), (1, 1)),  # zero denominator
+            (5, ((1, 1),), (1, -1)),  # negative denominator
         ],
     )
     def test_invalid_rejected(self, args):
         with pytest.raises(ValueError):
             FamilyParams(*args)
 
-    def test_keeps_the_rationals_it_is_given(self):
-        tail, t0 = (Fraction(1, 2), Fraction(2), Fraction(3, 5)), Fraction(7, 3)
-        params = FamilyParams(7, tail, t0)
-        assert all(params.tail[i] is tail[i] for i in range(len(tail)))
-        assert params.t0 is t0
+    def test_keeps_its_rationals_in_lowest_terms(self):
+        # general_solution's clearing needs the tail in lowest terms (module
+        # docstring); two spellings of one member are one value.
+        params = FamilyParams(6, ((2, 4), (6, 2)), (14, 6))
+        lowest = FamilyParams(6, ((1, 2), (3, 1)), (7, 3))
+        assert params == lowest and hash(params) == hash(lowest)
+        assert (params.tail, params.t0) == (((1, 2), (3, 1)), (7, 3))
 
 
 class TestQuarticCurve:
@@ -121,7 +127,7 @@ class TestQuarticCurve:
 
     def test_discriminant_formula_at_unit_uv(self):
         for t0 in (Fraction(1), Fraction(2), Fraction(1, 3)):
-            params = FamilyParams(5, (Fraction(1),), t0)
+            params = family_params(5, (Fraction(1),), t0)
             _, _, t = family_uvt(params)
             expected = 256 * (t + 1) ** 4 * (64 * t * t + 129 * t + 64) * t ** 9
             assert quartic_discriminant_t(params) == expected
@@ -274,7 +280,7 @@ class TestLeadingTriple:
         )
 
     def test_t0_two(self):
-        params = FamilyParams(5, (Fraction(1),), Fraction(2))
+        params = family_params(5, (Fraction(1),), Fraction(2))
         assert leading_triple(params) == (
             Fraction(1, 18),
             Fraction(9, 10),
@@ -303,7 +309,7 @@ class TestLeadingTriple:
         t0 = data.draw(
             SMALL_POSITIVE | st.just(v * v / 8) | SMALL_POSITIVE.map(lambda e: v * v / 4 + e)
         )
-        params = FamilyParams(s, tail, t0)
+        params = family_params(s, tail, t0)
         assume(positivity_value(params) * sign > 0)
         b1, b2, b3 = leading_triple(params)
         u, v, _ = family_uvt(params)
@@ -312,7 +318,7 @@ class TestLeadingTriple:
     def test_degenerate_rejected(self):
         # tail (2, 1) gives u = 2, v = 3, whose delta = 196 is a square, so
         # the quadratic has the rational root t0 = 2: D = 32 - 36 + 4 = 0.
-        params = FamilyParams(6, (2, 1), 2)
+        params = family_params(6, (2, 1), 2)
         assert positivity_value(params) == 0
         with pytest.raises(ValueError):
             leading_triple(params)
@@ -328,10 +334,10 @@ class TestPositivity:
 
     def test_value_both_signs(self):
         # tail (1, 3): u = 3, v = 4, D(t0) = 12 t0^2 - 48 t0 + 4
-        assert positivity_value(FamilyParams(6, (1, 3), 2)) == -44
-        assert positivity_value(FamilyParams(6, (1, 3), 4)) == 4
-        assert not positivity_value(FamilyParams(6, (1, 3), 2)) > 0
-        assert positivity_value(FamilyParams(6, (1, 3), 4)) > 0
+        assert positivity_value(family_params(6, (1, 3), 2)) == -44
+        assert positivity_value(family_params(6, (1, 3), 4)) == 4
+        assert not positivity_value(family_params(6, (1, 3), 2)) > 0
+        assert positivity_value(family_params(6, (1, 3), 4)) > 0
 
     def test_interval_branch_u1_v4(self):
         # tail (1, 1, 1, 4): u = 4, v = 7 is awkward; use direct classify calls
@@ -380,7 +386,7 @@ class TestPositivity:
             assert (positivity_value(params) > 0) == all_positive
             checked_negative = checked_negative or not all_positive
         # make sure the negative branch is exercised at least once
-        params = FamilyParams(8, (1, 1, 1, 4), 2)  # u = 4, v = 7, D = -324
+        params = family_params(8, (1, 1, 1, 4), 2)  # u = 4, v = 7, D = -324
         assert positivity_value(params) < 0
         assert leading_triple(params)[0] < 0
 
@@ -402,29 +408,29 @@ class TestSqrtBounds:
 
 class TestGeneralSolution:
     def test_s5_unit(self):
-        sol = general_solution(FamilyParams(5, (1,), 1))
+        sol = general_solution(family_params(5, (1,), 1))
         assert (sol.parts, sol.b, sol.n) == ((2, 49, 49, 28), 28, 128)
 
     def test_s5_t0_two_clears_directly_to_reduced_form(self):
-        sol = general_solution(FamilyParams(5, (1,), 2))
+        sol = general_solution(family_params(5, (1,), 2))
         assert (sol.parts, sol.b, sol.n) == ((5, 81, 324, 90), 90, 500)
         assert primitive_reduce(sol) == sol
 
     def test_s6_unit_tail(self):
-        sol = general_solution(FamilyParams(6, (1, 1), 1))
+        sol = general_solution(family_params(6, (1, 1), 1))
         assert sol.sorted_parts == (1, 1, 2, 2, 2)
         assert (sol.b, sol.n) == (2, 8)
 
     def test_positivity_error(self):
         with pytest.raises(ValueError, match="positivity"):
-            general_solution(FamilyParams(5, (4,), 2))  # u = v = 4: D = 64 - 128 + 4 < 0
+            general_solution(family_params(5, (4,), 2))  # u = v = 4: D = 64 - 128 + 4 < 0
 
     def test_identity_random(self, rng):
         for _ in range(40):
             s = rng.randint(5, 9)
             tail = tuple(random_positive_fraction(rng, upper=4) for _ in range(s - 4))
             t0 = random_positive_fraction(rng, upper=4)
-            params = FamilyParams(s, tail, t0)
+            params = family_params(s, tail, t0)
             if positivity_value(params) <= 0:
                 continue
             sol = general_solution(params)
@@ -433,8 +439,8 @@ class TestGeneralSolution:
 
     @settings(max_examples=300, deadline=None)
     @given(params=family_members())
-    @example(params=FamilyParams(*DEGENERATE[0]))
-    @example(params=FamilyParams(6, (1, 3), 2))  # D = -44
+    @example(params=family_params(*DEGENERATE[0]))
+    @example(params=family_params(6, (1, 3), 2))  # D = -44
     def test_matches_the_fraction_oracle(self, params):
         # The integer closed form gives the Fraction chain's record, or its
         # ValueError text; the record is primitive (module docstring).
@@ -456,7 +462,7 @@ class TestGeneralSolution:
         # D = u t0 (4 t0 - v^2) + 4, so every t0 > v^2 / 4 has D > 0.
         v = sum(tail)
         t0 = data.draw(SMALL_POSITIVE | SMALL_POSITIVE.map(lambda e: v * v / 4 + e))
-        params = FamilyParams(s, tuple(tail), t0)
+        params = family_params(s, tuple(tail), t0)
         assume(positivity_value(params) > 0)
         sol = general_solution(params)
         assert DioSolution.from_parts(sol.parts).b == sol.b
@@ -490,7 +496,7 @@ class TestS5PolynomialFamily:
         # The closed form clears by a specific common denominator, the general
         # pipeline by the least one; they agree up to primitive reduction.
         family = s5_polynomial_family(t1, t2)
-        general = general_solution(FamilyParams(5, (t2,), t1))
+        general = general_solution(family_params(5, (t2,), t1))
         assert primitive_reduce(family).sorted_parts == primitive_reduce(general).sorted_parts
         assert primitive_reduce(family).b == primitive_reduce(general).b
 

@@ -41,7 +41,7 @@ from gen4_oracle import (
     signed_solutions,
 )
 from sumprodpower import cli
-from sumprodpower.exactmath import format_decimal, format_fraction, parse_decimal
+from sumprodpower.exactmath import format_decimal, format_rational, parse_decimal
 from sumprodpower.transforms import (
     _S4_PSI_SEED,
     DioSolution,
@@ -391,7 +391,7 @@ class TestIntegerKernel:
         outside = Point(243, 192)
         assert s4_curve().contains(outside) and s4_point_solution(*pairs(outside)) is None
         for point in [*off, outside]:
-            text = f"{format_fraction(point.x)},{format_fraction(point.y)}"
+            text = ",".join(format_rational(*c) for c in pairs(point))
             reason = ("is outside the positive region (needs x < 243 and |y| < 6369 - 27x)"
                       if point is outside else "is not on the s=4 curve")
             code, out, err = run_gen4(capsys, f"--from-point={text}")
@@ -429,7 +429,7 @@ class TestFromPoint:
         points = [point for k, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE) if k % 2]
         assert len(points) == 82
         for i, point in enumerate(points):
-            lowest = f"{format_fraction(point.x)},{format_fraction(point.y)}"
+            lowest = ",".join(format_rational(*c) for c in pairs(point))
             expected = run_gen4(capsys, f"--from-point={lowest}")
             assert expected[0] == 0 and expected[1].count("\n") == 1, lowest
             for text in respellings(point, 2 + i // 2 % 8):
@@ -467,8 +467,9 @@ class TestFromPoint:
                 x, y = point.x, Fraction(Y + dy, e ** 3)  # y may be unreduced as written
                 with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
                     s4_point_solution((X, e * e), (Y + dy, e ** 3))
-                text = f"{format_fraction(x)},{format_decimal(Y + dy)}/{format_decimal(e ** 3)}"
-                shown = f"{format_fraction(x)}, {format_fraction(y)}"
+                x, y = (format_rational(*c.as_integer_ratio()) for c in (x, y))
+                text = f"{x},{format_decimal(Y + dy)}/{format_decimal(e ** 3)}"
+                shown = f"{x}, {y}"
                 assert run_gen4(capsys, f"--from-point={text}") == (
                     1, "", f"point ({shown}) is not on the s=4 curve\n"), text
                 rejected += 1

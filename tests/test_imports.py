@@ -1,5 +1,5 @@
-"""The package imports only the standard library and itself, and a cold
-command imports little of that.
+"""The package imports only the standard library and itself, never
+fractions, and a cold command imports little of the standard library.
 
 The tests run with tests/ on sys.path, so a package module that imported a
 test reference (say `from certificates import add`) would pass them and
@@ -23,20 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from certificates import fraction_general_solution
+from certificates import family_params, fraction_general_solution
 from sumprodpower import cli
-from sumprodpower.exactmath import parse_fraction
-from sumprodpower.family import FamilyParams
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sumprodpower"
 # The directory the tests import sumprodpower from: src/, or site-packages.
 IMPORTED_FROM = Path(cli.__file__).resolve().parent.parent
 
 
-def foreign_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) for each absolute import of a module that is neither in
-    the standard library nor in sumprodpower; relative imports are the
-    package's own."""
+def imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each absolute import anywhere in source: at module
+    level, in a function or under `if TYPE_CHECKING:`; relative imports are
+    the package's own."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -45,14 +43,45 @@ def foreign_imports(source: str) -> list[tuple[int, str]]:
             names = [node.module]
         else:
             continue
-        found.extend((node.lineno, name) for name in names
-                     if name.partition(".")[0] not in {*sys.stdlib_module_names, "sumprodpower"})
+        found.extend((node.lineno, name) for name in names)
     return sorted(found)
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """The imports of modules that are neither in the standard library nor
+    in sumprodpower."""
+    return [(line, name) for line, name in imports(source)
+            if name.partition(".")[0] not in {*sys.stdlib_module_names, "sumprodpower"}]
+
+
+def fractions_imports(source: str) -> list[tuple[int, str]]:
+    """The imports of fractions: a rational is a pair (p, q) of ints in the
+    package, and Fraction arithmetic belongs to the tests' oracles."""
+    return [(line, name) for line, name in imports(source)
+            if name.partition(".")[0] == "fractions"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library_and_its_package(path):
     assert foreign_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_fractions(path):
+    assert fractions_imports(path.read_text()) == []
+
+
+def test_checker_sees_every_fractions_import():
+    source = "\n".join([
+        "import os, fractions",
+        "from .fractions import x",
+        "TYPE_CHECKING = False",
+        "if TYPE_CHECKING:",
+        "    from fractions import Fraction",
+        "def f():",
+        "    import fractions as f",
+    ])
+    assert fractions_imports(source) == [(1, "fractions"), (5, "fractions"), (7, "fractions")]
 
 
 def test_checker_sees_every_foreign_import():
@@ -181,15 +210,14 @@ def test_rejected_point_loads_no_fractions(point, shown):
 
 
 @pytest.mark.parametrize("tail", ["1/2,3", "1/2,1/3"])
-def test_fractions_loads_when_a_rational_is_read(stdlib_budget, tail):
-    # Beyond the budget only what fractions needs loads, and fractions does.
-    # D <= 0 at the tail 1/2,3, which builds a Fraction of its own for the
-    # message; the record or the message is the Fraction oracle's.
-    fractions_budget = stdlib_budget | cold_run("import fractions")[2]
+def test_cold_tail_loads_no_fractions(stdlib_budget, tail):
+    # The tail and t0 are read as (p, q) pairs: a record at the tail 1/2,1/3,
+    # and D <= 0 at 1/2,3, whose message prints D from its pair.  Either is
+    # the Fraction oracle's.
     lines, err, loaded = cold_run(RUN_CLI, "family", "--s", "6", "--tail", tail, "--t0", "1")
-    assert beyond_budget(loaded, fractions_budget) == set()
-    assert "fractions" in loaded
-    params = FamilyParams(6, map(parse_fraction, tail.split(",")), Fraction(1))
+    assert beyond_budget(loaded, stdlib_budget) == set()
+    assert loaded & {"fractions", "decimal"} == set()
+    params = family_params(6, map(Fraction, tail.split(",")), Fraction(1))
     try:
         expected = [cli.render(fraction_general_solution(params), "family", "jsonl"), "0"], ""
     except ValueError as exc:

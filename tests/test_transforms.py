@@ -12,6 +12,7 @@ from certificates import (
     INFINITY,
     Point,
     clear_denominators,
+    family_params,
     nagell_lutz_candidates,
     negate,
     scalar_mul,
@@ -21,7 +22,6 @@ from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4
 from root_oracle import oracle_nth_root
 from sumprodpower import (
     DioSolution,
-    FamilyParams,
     SearchSpec,
     primitive_reduce,
 )
@@ -127,8 +127,8 @@ VALUES = [
                  id="SearchSpec-defaults"),
     pytest.param(SearchSpec(5, 800, 30, jobs=2), "SearchSpec(s=5, n_max=800, a_max=30, jobs=2)",
                  id="SearchSpec"),
-    pytest.param(FamilyParams(6, [Fraction(1, 2), 3], Fraction(7, 3)),
-                 "FamilyParams(s=6, tail=(Fraction(1, 2), 3), t0=Fraction(7, 3))",
+    pytest.param(family_params(6, [Fraction(1, 2), 3], Fraction(7, 3)),
+                 "FamilyParams(s=6, tail=((1, 2), (3, 1)), t0=(7, 3))",
                  id="FamilyParams"),
 ]
 CLONES = {
@@ -142,7 +142,7 @@ CLONES = {
 TAMPERED = [
     pytest.param(DioSolution((1, 2, 24), 6), b"I6\n", b"I7\n", id="DioSolution-b"),
     pytest.param(SearchSpec(4, 100), b"I4\n", b"I2\n", id="SearchSpec-s"),
-    pytest.param(FamilyParams(6, (Fraction(1, 2), 3), Fraction(7, 3)), b"I6\n", b"I5\n",
+    pytest.param(family_params(6, (Fraction(1, 2), 3), Fraction(7, 3)), b"I6\n", b"I5\n",
                  id="FamilyParams-s"),
 ]
 
@@ -184,9 +184,9 @@ class TestValueSemantics:
 
 
 def test_family_params_keeps_its_tail_as_a_tuple():
-    params = FamilyParams(6, iter([Fraction(1, 2), 3]), Fraction(1))
-    assert params.tail == (Fraction(1, 2), 3)
-    assert params == FamilyParams(6, (Fraction(1, 2), 3), Fraction(1))
+    params = family_params(6, iter([Fraction(1, 2), 3]), Fraction(1))
+    assert params.tail == ((1, 2), (3, 1))
+    assert params == family_params(6, (Fraction(1, 2), 3), Fraction(1))
 
 
 @pytest.mark.parametrize("value, field, refused", TAMPERED)
