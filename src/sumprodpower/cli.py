@@ -8,8 +8,13 @@ length with an optional sign, rationals the same or p/q; any other form
 (1_000, 1e3, 1.5, non-ASCII digits) is a usage error.  Exit codes: 0
 success, 1 mathematical failure (not a solution, or positivity violated), 2
 usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C).  A
-usage error prints the usage line of the subcommand it came from (the
-top-level one when there is no subcommand).
+usage error takes one of two forms on stderr.  A flag that argparse refuses
+(unknown, missing, repeated, or a value that fails its type or choices)
+prints the usage line of the subcommand it came from (the top-level one
+when there is no subcommand), then `sumprodpower <command>: error: ...`.  A
+check across flags or on their values that the subcommand makes itself
+(verify's part count, gen4 and family's flag combinations, the bounds of
+search and s3) prints one line, `error: ...`.
 
 One table, _COMMANDS, defines every subcommand and flag, as the keywords of
 the add_argument call that argparse would get.  A well-formed argv never
@@ -46,7 +51,7 @@ from .transforms import (
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
-    from collections.abc import Sequence
+    from collections.abc import Callable, Sequence
 
     Args = Namespace | SimpleNamespace
 
@@ -74,11 +79,26 @@ def _bad_value(message: str) -> Exception:
     return argparse.ArgumentTypeError(message)
 
 
-def _int(text: str) -> int:
-    try:
-        return parse_decimal(text)
-    except ValueError as exc:
-        raise _bad_value(f"not an integer: {text!r}") from exc
+def _typed(parse: "Callable[[str], object]", what: str) -> "Callable[[str], object]":
+    """The flag type that reads a value with parse and reports one that
+    parse refuses as `not {what}: 'text'`."""
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _bad_value(f"not {what}: {text!r}") from exc
+    return convert
+
+
+def _each(parse: "Callable[[str], object]") -> "Callable[[str], list]":
+    """parse applied to each comma-separated token, as a list."""
+    return lambda text: [parse(tok) for tok in text.split(",")]
+
+
+_int = _typed(parse_decimal, "an integer")
+_int_list = _typed(_each(parse_decimal), "a comma-separated integer list")
+_rational = _typed(parse_rational, "a rational p/q")
+_rational_list = _typed(_each(parse_rational), "a comma-separated rational list")
 
 
 def _positive_int(text: str) -> int:
@@ -86,27 +106,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise _bad_value(f"must be positive: {text!r}")
     return value
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [parse_decimal(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise _bad_value(f"not a comma-separated integer list: {text!r}") from exc
-
-
-def _rational(text: str) -> "tuple[int, int]":
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _bad_value(f"not a rational p/q: {text!r}") from exc
-
-
-def _rational_list(text: str) -> "list[tuple[int, int]]":
-    try:
-        return [parse_rational(tok) for tok in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _bad_value(f"not a comma-separated rational list: {text!r}") from exc
 
 
 def _point(text: str) -> "tuple[tuple[int, int], tuple[int, int]]":

@@ -1,7 +1,8 @@
 """Exact integer and rational primitives shared by every other module.
 
 Everything here is arbitrary precision: integer k-th roots, perfect-power
-detection, and decimal conversion of integers and rationals of any length.
+detection, decimal conversion of integers and rationals of any length, and
+lowest_terms, the package's one reduction of a rational pair (p, q) by gcd.
 No floating point is used anywhere.
 
 Numbers are read in one grammar at every length: ASCII digits with an
@@ -28,6 +29,7 @@ __all__ = [
     "format_decimal",
     "format_rational",
     "int_nth_root",
+    "lowest_terms",
     "parse_decimal",
     "parse_rational",
     "perfect_sth_power",
@@ -150,9 +152,19 @@ def parse_rational(text: str) -> tuple[int, int]:
     return _digits_value(num), q
 
 
+def lowest_terms(rational: "tuple[int, int]") -> "tuple[int, int]":
+    """The pair ``(p, q)`` reduced by gcd, the one place a rational is put
+    in lowest terms; ``ValueError`` for ``q < 1``."""
+    p, q = rational
+    if q < 1:
+        raise ValueError("a denominator is not positive")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 def format_rational(p: int, q: int) -> str:
     """Exact ``str(Fraction(p, q))`` for ``q >= 1``, at any size, with no
-    Fraction: the pair reduced by gcd, as ``p`` or ``p/q``, with the sign
-    on ``p``."""
-    g = gcd(p, q)
-    return format_decimal(p // g) + ("" if q == g else f"/{format_decimal(q // g)}")
+    Fraction: the pair in lowest terms, as ``p`` or ``p/q``, with the sign
+    on ``p``; ``ValueError`` for ``q < 1``."""
+    p, q = lowest_terms((p, q))
+    return format_decimal(p) + ("" if q == 1 else f"/{format_decimal(q)}")

@@ -43,8 +43,9 @@ and b are the integers that clearing the rational entries by their least
 common denominator gives: part_i = N_i / g and b = M / g with
 g = gcd(M, N_1, ..., N_k), which share no factor; a --tail record is
 already primitive.  That needs the tail entries in lowest terms, and
-FamilyParams stores every rational so: as a pair (p, q) of ints, reduced
-by gcd, with q >= 1, however it was written.
+FamilyParams stores every rational so: as a pair (p, q) of ints, with
+q >= 1, however it was written.  Lowest terms come from one place,
+exactmath.lowest_terms, for the tail, t0 and each b_i alike.
 
 The chain that derives the triple (quartic, model, base, doubled and
 quadrupled points, the maps between them, the remainder certificate and the
@@ -53,10 +54,10 @@ arithmetic, which general_solution is tested against, are test references
 in tests/certificates.py.
 """
 
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from ._value import Value
-from .exactmath import format_decimal, format_rational
+from .exactmath import format_decimal, format_rational, lowest_terms
 from .transforms import DioSolution
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -68,15 +69,6 @@ __all__ = [
     "general_solution",
     "s5_polynomial_family",
 ]
-
-
-def _lowest(rational: "tuple[int, int]") -> "tuple[int, int]":
-    """The pair (p, q) reduced by gcd; ValueError for q < 1."""
-    p, q = rational
-    if q < 1:
-        raise ValueError("a denominator is not positive")
-    g = gcd(p, q)
-    return p // g, q // g
 
 
 class FamilyParams(Value):
@@ -96,8 +88,8 @@ class FamilyParams(Value):
 
     def __init__(self, s: int, tail: "Iterable[tuple[int, int]]", t0: "tuple[int, int]") -> None:
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "tail", tuple(map(_lowest, tail)))
-        object.__setattr__(self, "t0", _lowest(t0))
+        object.__setattr__(self, "tail", tuple(map(lowest_terms, tail)))
+        object.__setattr__(self, "t0", lowest_terms(t0))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -133,7 +125,7 @@ def general_solution(params: FamilyParams) -> DioSolution:
                          f"D = {format_rational(dn, W * W * W * c * c)}")
     VK = V * K
     triple = (uvvac * V, 2 * W * dn), (dn * c, 2 * U * a * VK), (dn * a, 2 * W * c * VK)
-    entries = [*map(_lowest, triple), *tail]
+    entries = [*map(lowest_terms, triple), *tail]
     b = lcm(*(den for _, den in entries))
     parts = tuple(num * (b // den) for num, den in entries)
     return DioSolution(parts, b)

@@ -38,11 +38,13 @@ N3 = 6369e^3 - 27Xe - Y.  Clearing denominators divides (N1, N2, N3, den)
 by g = gcd(N1, N2, N3, den), and g divides 384: a prime dividing e and g
 would divide N2, hence Y, and gcd(Y, e) = 1; so g is prime to e and
 divides N1 = 384e^3.  Hence g = gcd(384, N2, N3, den), and the cleared
-record has no common factor left: gen4 records are primitive.  Each record
-gets one exact test, and it is the same for every point: _s4_solution runs
-the curve equation on (X, Y, e), before the region test, and in the region
-that settles the record's identity too (the 8192 identity), so the record is
-built with no test of its own.  A walk point and a point from outside the
+record has no common factor left: gen4 records are primitive.  One
+function, _s4_solution, takes (X, Y, e) to its record: the curve test, the
+chart numerators, the region test and the clearing.  So each record gets one
+exact test, and it is the same for every point: the curve equation on
+(X, Y, e), before the region test, and in the region that settles the
+record's identity too (the 8192 identity), so the record is built with no
+test of its own.  A walk point and a point from outside the
 program (gen4 --from-point, s4_point_solution, after its lowest-terms test)
 take that one path.  The curve test runs on numbers about half as long as
 the record's prod(parts) * n == b^4.  The walk behind s4_solutions reads kP
@@ -59,7 +61,7 @@ numbers about 40% shorter.
 from math import gcd, isqrt, prod
 
 from ._value import Value
-from .exactmath import format_decimal, perfect_sth_power
+from .exactmath import format_decimal, lowest_terms, perfect_sth_power
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -161,53 +163,36 @@ _S4_B, _S4_C = -166779, 26215254
 S4_SEED_POINT = (235, 8)
 
 
-def _s4_chart(X: int, Y: int, e: int) -> tuple[int, int, int, int]:
-    """Chart numerators (N1, N2, N3) and common denominator of the point
-    (X/e^2, Y/e^3): b_i = N_i / den with den = 12e(243e^2 - X), N1 = 384e^3
-    and N2, N3 = 6369e^3 - 27Xe +- Y (the chart's inverse b_i with
-    x = X/e^2, y = Y/e^3, numerator and denominator times e^3)."""
-    e2 = e * e
-    e3 = e2 * e
-    mid = 6369 * e3 - 27 * X * e
-    return 384 * e3, mid + Y, mid - Y, 12 * e * (243 * e2 - X)
-
-
-def _s4_cleared(X: int, Y: int, e: int) -> tuple[tuple[int, int, int], int] | None:
-    """(parts, b) of the chart preimage of the point P = (X/e^2, Y/e^3) in
-    lowest terms (e >= 1), with its denominators cleared, in integers only;
-    None when P is outside the positive region (x = 243 included).
-
-    All three b_i are positive iff N1, N2, N3 and den of _s4_chart are
-    (N1 = 384e^3 > 0 already).  Their gcd g divides 384 (module docstring),
-    so the clearing costs no big gcd.  Curve membership is not tested here
-    but by its one caller, _s4_solution: the chart's entries sum to 9/2 at
-    every (X, Y, e), and their product is 2/9 exactly on the curve (the 8192
-    identity, module docstring), so for a triple in the region
-    prod(parts) * n == b^4 holds iff P is on the curve.
-    """
-    n1, n2, n3, den = _s4_chart(X, Y, e)
-    if n2 <= 0 or n3 <= 0 or den <= 0:
-        return None
-    g = gcd(384, n2, n3, den)
-    return (n1 // g, n2 // g, n3 // g), den // g
-
-
 def _s4_solution(X: int, Y: int, e: int) -> DioSolution | None:
-    """The solution of _s4_cleared(X, Y, e) for the point (X/e^2, Y/e^3) in
-    lowest terms (e >= 1), None outside the positive region; ValueError
-    when the point is not on the curve.
+    """The cleared chart preimage of the point P = (X/e^2, Y/e^3) in lowest
+    terms (e >= 1), in integers only; None when P is outside the positive
+    region (x = 243 included), ValueError when P is not on the curve.
 
     This is the one path from a point to a record, and its one exact test
     is the curve equation Y^2 = X^3 - 166779 X e^4 + 26215254 e^6, run
-    before the region test, in Horner form X^3 + d^2 (-166779 X +
-    26215254 d) with d = e^2.  In the region it decides the record's
-    identity too (the 8192 identity, _s4_cleared), so the record is built
-    with no test of its own."""
-    d = e * e
-    if Y * Y != X * X * X + d * d * (_S4_B * X + _S4_C * d):
+    before the region test, in Horner form X^3 + e2^2 (-166779 X +
+    26215254 e2) with e2 = e^2.  The chart's inverse at x = X/e^2, y = Y/e^3,
+    numerator and denominator times e^3, is b_i = N_i / den with
+    den = 12e(243e^2 - X), N1 = 384e^3 and N2, N3 = 6369e^3 - 27Xe +- Y.
+    All three b_i are positive iff N2, N3 and den are (N1 > 0 already);
+    on the curve N2 N3 = (243e^2 - X)^3, so den > 0 follows from the other
+    two, and its test only keeps the region's definition whole.
+    The b_i sum to 9/2 at every (X, Y, e), and their product is 2/9
+    exactly on the curve (the 8192 identity, module docstring), so in the
+    region the curve test settles prod(parts) * n == b^4 too, and the
+    record is built with no test of its own.  The gcd g of the numerators
+    and den divides 384 (module docstring), so the clearing costs no big
+    gcd and leaves the record primitive."""
+    e2 = e * e
+    if Y * Y != X * X * X + e2 * e2 * (_S4_B * X + _S4_C * e2):
         raise ValueError("point is not on the s=4 curve")
-    cleared = _s4_cleared(X, Y, e)
-    return None if cleared is None else DioSolution._proven(*cleared)
+    e3 = e2 * e
+    mid = 6369 * e3 - 27 * X * e
+    n2, n3, den = mid + Y, mid - Y, 12 * e * (243 * e2 - X)
+    if n2 <= 0 or n3 <= 0 or den <= 0:
+        return None
+    g = gcd(384, n2, n3, den)
+    return DioSolution._proven((384 * e3 // g, n2 // g, n3 // g), den // g)
 
 
 def s4_point_solution(x: tuple[int, int], y: tuple[int, int]) -> DioSolution | None:
@@ -220,15 +205,14 @@ def s4_point_solution(x: tuple[int, int], y: tuple[int, int]) -> DioSolution | N
     in lowest terms is tested first (module docstring).  Written as X/e^2
     with gcd(X, e) = 1 and Y/e^3, x is in lowest terms, and so is y once
     the point is on the curve: a prime dividing e and Y would divide X^3.
-    That costs one gcd of X and e; any other spelling is reduced by gcd
-    first.  Then _s4_solution runs the curve test and builds the record."""
+    That costs one gcd of X and e; any other spelling is put in lowest
+    terms first (exactmath.lowest_terms).  Then _s4_solution runs the curve test and builds the record."""
     (X, d), (Y, t) = x, y
     if d < 1 or t < 1:
         raise ValueError("a denominator of the point is not positive")
     e = isqrt(d)
     if e * e != d or t != d * e or gcd(X, e) != 1:
-        g, h = gcd(X, d), gcd(Y, t)
-        X, d, Y, t = X // g, d // g, Y // h, t // h
+        (X, d), (Y, t) = lowest_terms(x), lowest_terms(y)
         e = isqrt(d)
         if e * e != d or t != d * e:  # see module docstring
             raise ValueError("point is not on the s=4 curve")

@@ -6,7 +6,7 @@ chart on Fraction points, derived from its own formulas: the fiber through
 the seed solution (1, 2, 24) has prod = 2/9 and sum = 9/2, and the chart
 u = b2/b1, v = 1/b1 with x = -32v + 243, y = 384u - 864v + 192 carries it
 onto y^2 = x^3 - 166779x + 26215254.  The package's integer chart
-(transforms._s4_chart over (X/e^2, Y/e^3)) is tested against them.
+(transforms._s4_solution over (X/e^2, Y/e^3)) is tested against them.
 
 signed_multiples and oracle_walk are the walk as the CLI ran it before
 transforms.s4_solutions.  It walks every multiple kP of the seed point with

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import os
@@ -878,6 +879,54 @@ class TestFlagTable:
         args = vars(cli._parse(argv))
         assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
         assert args == expected
+
+
+# One argv for each of cli's _usage_error sites: a check that a subcommand
+# makes on well-formed flags, reported as one `error: ...` line.
+USAGE_ERRORS = [
+    ("verify --s 2 --parts 1", "--s must be at least 3"),
+    ("verify --s 4 --parts 1,2", "expected 3 parts for s=4, got 2"),
+    ("verify --s 4 --parts 1,0,24", "parts must be positive integers"),
+    ("gen4 --count 1 --from-point 235,8", "--count and --from-point are mutually exclusive"),
+    ("gen4", "--count is required unless --from-point is given"),
+    ("family --t1 1 --s 5", "--t1 and --t2 must be given together"),
+    ("family --s 5 --t1 1 --t2 1 --t0 1", "--t1/--t2 and --tail/--t0 are mutually exclusive"),
+    ("family --s 6 --t1 1 --t2 1", "the closed form --t1/--t2 is only defined for --s 5"),
+    ("family --s 5 --tail 1", "either --t1/--t2 or --tail/--t0 must be given"),
+    ("family --s 5 --tail 1,2 --t0 1", "expected 1 tail entries, got 2"),
+    ("search --s 4 --max-n 10000001", "--max-n must be at most 10000000"),
+    ("s3 --brute-max 10000001", "--brute-max must be at most 10000000"),
+]
+
+# One bad value for each flag type: argparse reports it after the usage line.
+BAD_VALUES = [
+    ("verify --s x --parts 1", "argument --s: not an integer: 'x'"),
+    ("verify --s 4 --parts 1,x", "argument --parts: not a comma-separated integer list: '1,x'"),
+    ("family --s 5 --tail 1 --t0 x", "argument --t0: not a rational p/q: 'x'"),
+    ("family --s 5 --tail 1 --t0 1/0", "argument --t0: not a rational p/q: '1/0'"),
+    ("family --s 5 --tail 1,1/0 --t0 1",
+     "argument --tail: not a comma-separated rational list: '1,1/0'"),
+    ("gen4 --from-point 1,2,3",
+     "argument --from-point: a point needs exactly two coordinates: '1,2,3'"),
+]
+
+
+class TestUsageErrorForms:
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[a for a, _ in USAGE_ERRORS])
+    def test_a_subcommand_check_prints_one_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_every_usage_error_site_has_a_case(self):
+        assert inspect.getsource(cli).count("return _usage_error(") == len(USAGE_ERRORS)
+
+    @pytest.mark.parametrize("argv, message", BAD_VALUES, ids=[a for a, _ in BAD_VALUES])
+    def test_a_bad_value_prints_the_usage_then_one_error(self, capsys, argv, message):
+        command = argv.split()[0]
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: sumprodpower {command} [-h]")
+        assert err.endswith(f"\nsumprodpower {command}: error: {message}\n")
+        assert err.count("error:") == 1
 
 
 # Bounded argv for every subcommand.  Each value flag takes a valid value

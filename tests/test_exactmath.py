@@ -12,6 +12,7 @@ from sumprodpower.exactmath import (
     _SEED_BITS,
     format_decimal,
     format_rational,
+    lowest_terms,
     parse_decimal,
     parse_rational,
 )
@@ -199,6 +200,21 @@ class TestFraction:
             p, q = rng.randint(-10 ** length, 10 ** length), rng.randint(1, 10 ** length)
             assert format_rational(p * m, q * m) == format_fraction(Fraction(p, q))
         assert format_rational(0, 7) == "0" and format_rational(-12, 4) == "-3"
+
+    @pytest.mark.parametrize("pair, lowest", [
+        ((6, 4), (3, 2)), ((-6, 4), (-3, 2)), ((0, 5), (0, 1)), ((0, 1), (0, 1)),
+        ((7, 1), (7, 1)), ((10 ** 5000 * 3, 10 ** 5000 * 9), (1, 3)),
+    ])
+    def test_lowest_terms_is_the_fraction(self, pair, lowest):
+        assert lowest_terms(pair) == lowest == Fraction(*pair).as_integer_ratio()
+
+    @pytest.mark.parametrize("pair", [(1, 0), (0, 0), (1, -2), (-3, -1)])
+    def test_a_denominator_below_one_is_refused(self, pair):
+        # Every pair the package builds has q >= 1; Fraction would move a
+        # negative q's sign to p, lowest_terms refuses it.
+        for reduce in (lowest_terms, lambda pair: format_rational(*pair)):
+            with pytest.raises(ValueError, match="^a denominator is not positive$"):
+                reduce(pair)
 
     @pytest.mark.parametrize("text", [
         "", "x", "1/", "/2", "1/-2", "1 /2", "1//2", "1" * 4001 + ".5", "1" * 4001 + "/-2",

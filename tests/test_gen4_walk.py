@@ -45,7 +45,6 @@ from sumprodpower.exactmath import format_decimal, format_rational, parse_decima
 from sumprodpower.transforms import (
     _S4_PSI_SEED,
     DioSolution,
-    _s4_chart,
     _s4_extend_psi,
     _s4_odd_multiples,
     _s4_solution,
@@ -198,6 +197,13 @@ def weighted(point) -> tuple[int, int, int]:
     return point.x.numerator, point.y.numerator, e
 
 
+def in_region(X: int, Y: int, e: int) -> bool:
+    """Whether (X/e^2, Y/e^3), on the curve or not, satisfies the positive
+    region's definition x < 243 and |y| < 6369 - 27x."""
+    x, y = Fraction(X, e * e), Fraction(Y, e ** 3)
+    return x < 243 and abs(y) < 6369 - 27 * x
+
+
 class TestIntegerKernel:
     def test_kernel_is_the_fraction_chart_and_clearing(self):
         # Both signs of every k <= 81; the even k check the None branch.
@@ -212,14 +218,31 @@ class TestIntegerKernel:
                 assert s4_point_solution(*pairs(point)) == sol, point
 
     def test_clearing_gcd_divides_384(self):
+        # The chart numerators over den = 12e(243e^2 - X), from the oracle's
+        # Fraction chart (transforms module docstring); x = 243 has none.
         gcds = set()
         points = [point for _, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE)]
         for point in points + [Point(x, y) for x, y in INTEGRAL_POINTS]:
-            n1, n2, n3, den = _s4_chart(*weighted(point))
-            g = gcd(n1, n2, n3, den)
+            if point.x == 243:
+                continue
+            X, _, e = weighted(point)
+            den = 12 * e * (243 * e * e - X)
+            numerators = [b * den for b in s4_inverse(point)]
+            assert all(n.denominator == 1 for n in numerators), point
+            g = gcd(*(n.numerator for n in numerators), den)
             assert 384 % g == 0, point
             gcds.add(g)
         assert 384 in gcds and len(gcds) > 2
+
+    def test_numerators_of_a_curve_point_fix_the_sign_of_den(self):
+        # N2 N3 = (243e^2 - X)^3 on the curve, so N2, N3 > 0 imply den > 0:
+        # _s4_solution without its den test gives the same records.
+        points = [point for _, point, _ in signed_solutions(ORACLE_MAX_MULTIPLE)]
+        for point in points + [Point(x, y) for x, y in INTEGRAL_POINTS if x != 243]:
+            X, _, e = weighted(point)
+            den = 12 * e * (243 * e * e - X)
+            _, b2, b3 = s4_inverse(point)
+            assert b2 * den * b3 * den == (243 * e * e - X) ** 3, point
 
     def test_records_are_primitive(self):
         # _s4_solution divides by the whole common factor (transforms module
@@ -306,8 +329,7 @@ class TestIntegerKernel:
         on, off = 0, 0
         for X, Y, e in _s4_odd_multiples(41):
             for dy in (0, -1, 1, 2):
-                _, n2, n3, den = _s4_chart(X, Y + dy, e)
-                if min(n2, n3, den) <= 0:
+                if not in_region(X, Y + dy, e):
                     continue
                 point = Point(Fraction(X, e * e), Fraction(Y + dy, e ** 3))
                 if s4_curve().contains(point):
@@ -461,8 +483,7 @@ class TestFromPoint:
                 continue
             X, Y, e = weighted(point)
             for dy in (-1, 1, 2):
-                _, n2, n3, den = _s4_chart(X, Y + dy, e)
-                if min(n2, n3, den) <= 0:
+                if not in_region(X, Y + dy, e):
                     continue
                 x, y = point.x, Fraction(Y + dy, e ** 3)  # y may be unreduced as written
                 with pytest.raises(ValueError, match="^point is not on the s=4 curve$"):
