@@ -7,8 +7,9 @@ go to stderr.  Integers on the command line are ASCII decimals of any
 length with an optional sign, rationals the same or p/q; any other form
 (1_000, 1e3, 1.5, non-ASCII digits) is a usage error.  Exit codes: 0
 success, 1 mathematical failure (not a solution, or positivity violated), 2
-usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C).  A
-usage error takes one of two forms on stderr.  A flag that argparse refuses
+usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C), 141
+stdout closed by its reader (as by `| head`; nothing on stderr).  A usage
+error takes one of two forms on stderr.  A flag that argparse refuses
 (unknown, missing, repeated, or a value that fails its type or choices)
 prints the usage line of the subcommand it came from (the top-level one
 when there is no subcommand), then `sumprodpower <command>: error: ...`.  A
@@ -28,6 +29,7 @@ same table, so argparse, and only argparse, writes every usage line, error
 and help text; it is imported for that alone.
 """
 
+import os
 import sys
 from functools import cache
 from types import SimpleNamespace
@@ -379,9 +381,15 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 def run() -> None:
     try:
         code = main()
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         code = 130
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  What is still buffered goes
+        # to devnull, so that the flush at exit stays silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
     raise SystemExit(code)
 
 

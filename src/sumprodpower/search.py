@@ -51,11 +51,19 @@ and in it only the multiples of r(P) are visited.  For each such b:
     t**2 + 4 * Q / a must be a perfect square root**2, and root = t (mod 2)
     since root**2 = t**2 (mod 4), so x = (root - t) / 2 is an integer.  The
     pair is kept when a <= x <= a_max and t + x <= n_max.
-For s = 3 the prefix is empty, every b up to about 0.63 * n_max is a
-multiple of r(1) = 1, and Q = b**3 has many divisors; so the last level
-loops over a instead.  For each a it bisects the b range that the smallest
-and largest allowed x give, visits only the multiples of r(a) in it, and
-recovers x from the same quadratic with T = 0.
+There are two last levels, one per arity: _divisor_walk for s >= 4 and
+_s3_last_level for s = 3.  For s = 3 the prefix is empty, every b up to
+about 0.63 * n_max is a multiple of r(1) = 1, and Q = b**3 has many
+divisors, so walking b is slow: at s = 3 the divisor walk ran 4 to 5 times
+slower than a loop over the first part a, which is what _s3_last_level
+does.  With an empty prefix, r(a) = prod p**ceil(f/3) over a's prime powers
+p**f needs no exponent map.  Each step takes the smallest prime p of m,
+what is left of a, and divides m by gcd(m, p**3), that is by up to three
+factors p; so p is taken ceil(f/3) times, and their product is r(a).
+With x in [a, top], top = min(a_max, n_max - a), the kernel bisects the b
+range from b**3 >= 2 * a**3 (x = a) to b**3 <= a * top * (a + top)
+(x = top), visits only the multiples of r(a) in it, and recovers x from
+the same quadratic with T = 0: disc = a**2 + 4 * b**3 / a.
 
 Whole prefixes are cut at the upper levels by the same r.  Take a prefix with
 product P * a and sum t, and m parts still to choose.
@@ -88,7 +96,7 @@ other subcommand start without them.
 
 import os
 from bisect import bisect_left, bisect_right
-from math import isqrt
+from math import gcd, isqrt
 
 from ._value import Value
 from .exactmath import format_decimal, int_nth_root
@@ -162,7 +170,7 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
     s, n_max, a_max, spf, powers = tables
     out: list[tuple[tuple[int, ...], int, int]] = []
     if s == 3:  # the prefix is empty, so the first part is the last level's
-        _last_slot(tables, (), 0, 1, 1, {}, lo, hi, out)
+        _s3_last_level(tables, lo, hi, out)
         return out
     s1 = s - 1
     # The upper levels (module docstring).  In a prefix state the next part
@@ -206,49 +214,32 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
     return out
 
 
-def _last_slot(
-    tables: _Tables,
-    parts: tuple[int, ...],
-    total: int,
-    product: int,
-    r: int,
-    exps: dict[int, int],
-    lo: int,
-    hi: int,
-    out: list[tuple[tuple[int, ...], int, int]],
+def _s3_last_level(
+    tables: _Tables, lo: int, hi: int, out: list[tuple[tuple[int, ...], int, int]]
 ) -> None:
-    # The last level by its second-to-last part a: `parts + (a,)` is the
-    # whole prefix, with product pp and sum t.  The last part x in [a, top]
-    # needs pp * x * (t + x) = b**s, and pp divides b**s exactly when
-    # ra = r(pp) divides b.
+    # The last level for s = 3 by its first part a (module docstring).  The
+    # second part x in [a, top] needs a * x * (a + x) = b**3, and a divides
+    # b**3 exactly when r(a) divides b.
     s, n_max, a_max, spf, powers = tables
-    s1 = s - 1
     for a in range(lo, hi + 1):
-        ra = r
+        ra = 1
         m = a
-        while m > 1:  # a's prime powers p**f from the sieve
+        while m > 1:  # ra = r(a) when m reaches 1 (module docstring)
             p = spf[m]
-            m //= p
-            f = 1
-            while spf[m] == p:
-                m //= p
-                f += 1
-            e = exps.get(p, 0)
-            ra *= p ** ((e + f + s1) // s - (e + s1) // s)
-        t = total + a
-        pp = product * a
-        top = n_max - t
+            ra *= p
+            m //= gcd(m, p * p * p)
+        top = n_max - a
         if top > a_max:
             top = a_max
-        b_lo = -(-bisect_left(powers, pp * a * (t + a)) // ra) * ra
-        b_end = bisect_right(powers, pp * top * (t + top))
+        b_lo = -(-bisect_left(powers, 2 * a * a * a) // ra) * ra
+        b_end = bisect_right(powers, a * top * (a + top))
         for b in range(b_lo, b_end, ra):
-            # x * (t + x) = b**s / pp.  root**2 = disc = t**2 (mod 4) forces
-            # root = t (mod 2), so x = (root - t) / 2 is an integer.
-            disc = t * t + 4 * (powers[b] // pp)
+            # x * (a + x) = b**3 / a.  root**2 = disc = a**2 (mod 4) forces
+            # root = a (mod 2), so x = (root - a) / 2 is an integer.
+            disc = a * a + 4 * (powers[b] // a)
             root = isqrt(disc)
             if root * root == disc:
-                out.append((parts + (a, (root - t) >> 1), (root + t) >> 1, b))
+                out.append(((a, (root - a) >> 1), (root + a) >> 1, b))
 
 
 def _b_range(tables: _Tables, total: int, product: int, r: int, lo: int, hi: int) -> range:

@@ -6,8 +6,13 @@
   good reference for the divisibility-stepped kernel.
 - recursive_search: the upper levels as one recursive call per prefix, with
   one prime-exponent map that is changed on the way down and restored on the
-  way back.  It hands every last-level prefix to search._divisor_walk or
-  search._last_slot, as the explicit-stack walk in search._search does.
+  way back.  It hands every last-level prefix to search._divisor_walk, or
+  the empty prefix of s = 3 to search._s3_last_level, as the explicit-stack
+  walk in search._search does.
+- last_two_parts: the last level of one prefix by brute force.  It scans
+  every pair of last parts and looks the product up in a dict of s-th
+  powers, with no r(P) and no divisors, which makes it the reference for
+  search._divisor_walk.
 - uncapped_divisor_walk: the last level's walk over the divisors of b**s / P
   with the divisors generated up to hi and not up to the per-b cap.
 """
@@ -110,7 +115,7 @@ def _extend(tables, parts, total, product, r, exps, lo, hi, out) -> None:
     if parts:
         search._divisor_walk(tables, parts, total, product, r, exps, lo, hi, out)
     else:
-        search._last_slot(tables, parts, total, product, r, exps, lo, hi, out)
+        search._s3_last_level(tables, lo, hi, out)
 
 
 def recursive_search(tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
@@ -118,6 +123,24 @@ def recursive_search(tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
     in [lo, hi], with the same last-level calls."""
     out: list[tuple[tuple[int, ...], int, int]] = []
     _extend(tables, (), 0, 1, 1, {}, lo, hi, out)
+    return out
+
+
+def last_two_parts(tables, parts, total, product, r, exps, lo, hi):
+    """The (parts, n, b) rows of a last-level prefix with product P = product
+    and sum T = total, by a scan: every second-to-last part a in [lo, hi] and
+    last part x in [a, min(a_max, n_max - T - a)] whose P * a * x * (T + a + x)
+    is an s-th power.  r and exps are not read; they keep the signature of
+    search._divisor_walk."""
+    s, n_max, a_max, spf, powers = tables
+    get = {power: b for b, power in enumerate(powers)}.get
+    out = []
+    for a in range(lo, hi + 1):
+        pa = product * a
+        for x in range(a, min(a_max, n_max - total - a) + 1):
+            b = get(pa * x * (total + a + x))
+            if b is not None:
+                out.append((parts + (a, x), total + a + x, b))
     return out
 
 

@@ -606,6 +606,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
 
+    def test_closed_pipe_exits_141_with_nothing_on_stderr(self, tmp_path):
+        # About 405 KB of records, more than a pipe buffer holds, so the
+        # writer meets the closed pipe while it still has records to print.
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sumprodpower.cli", "gen4", "--count", "40",
+                 "--max-multiple", "80"],
+                stdout=subprocess.PIPE, stderr=err,
+            )
+            try:
+                assert proc.stdout.read(10) == b'{"s": 4, "'
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert (code, (tmp_path / "stderr").read_bytes()) == (141, b"")
+
 
 COMMANDS = ("verify", "gen4", "family", "search", "s3")
 FLAGS = ("--s", "--parts", "--format", "--count", "--max-multiple", "--primitive",

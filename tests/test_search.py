@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from certificates import check_table_membership
 from conftest import table_rows
-from search_oracle import oracle_solutions, recursive_search, uncapped_divisor_walk
+from search_oracle import (
+    last_two_parts, oracle_solutions, recursive_search, uncapped_divisor_walk)
 from sumprodpower import DioSolution, SearchSpec, enumerate_solutions
 from sumprodpower import search
 from sumprodpower.search import _tables
@@ -305,18 +306,20 @@ class TestPrefixCut:
 
 def stub_last_level(monkeypatch) -> list[tuple]:
     """Swap both last-level kernels for stubs that only record the prefix
-    state they are handed: (kernel, parts, total, product, r, exps, lo, hi),
-    with exps as the sorted tuple of its nonzero entries."""
+    state they are handed: ("walk", parts, total, product, r, exps, lo, hi),
+    with exps as the sorted tuple of its nonzero entries, for
+    search._divisor_walk, and ("s3", lo, hi) for search._s3_last_level."""
     calls: list[tuple] = []
 
-    def stub(kernel: str):
-        def record(tables, parts, total, product, r, exps, lo, hi, out):
-            entries = tuple(sorted((p, e) for p, e in exps.items() if e))
-            calls.append((kernel, parts, total, product, r, entries, lo, hi))
-        return record
+    def walk(tables, parts, total, product, r, exps, lo, hi, out):
+        entries = tuple(sorted((p, e) for p, e in exps.items() if e))
+        calls.append(("walk", parts, total, product, r, entries, lo, hi))
 
-    monkeypatch.setattr(search, "_divisor_walk", stub("walk"))
-    monkeypatch.setattr(search, "_last_slot", stub("slot"))
+    def s3(tables, lo, hi, out):
+        calls.append(("s3", lo, hi))
+
+    monkeypatch.setattr(search, "_divisor_walk", walk)
+    monkeypatch.setattr(search, "_s3_last_level", s3)
     return calls
 
 
@@ -377,13 +380,13 @@ def walk_bounds(call: tuple) -> list[tuple[int, int]]:
     [a, a] for each solution (a, x) of the prefix.  For a solution with
     a = x the last range makes the per-b cap exactly a."""
     tables, parts, total, product, r, exps, lo, hi = call
-    found = last_level(search._last_slot, *call)
+    found = last_two_parts(*call)
     return [(lo, hi), (hi + 1, hi)] + [(row[0][-2],) * 2 for row in found]
 
 
 class TestDivisorWalk:
-    """The last level's walk over the divisors of b**s / P against the loop
-    over the second-to-last part, prefix by prefix."""
+    """The last level's walk over the divisors of b**s / P against a scan of
+    the last two parts (search_oracle.last_two_parts), prefix by prefix."""
 
     @pytest.mark.parametrize("a_max", DIVISOR_WALK_A_MAX)
     @pytest.mark.parametrize("s, n_max", DIVISOR_WALK_GRID)
@@ -394,8 +397,8 @@ class TestDivisorWalk:
         for call in calls:
             for bounds in walk_bounds(call):
                 args = (*call[:-2], *bounds)
-                assert last_level(search._divisor_walk, *args) == last_level(
-                    search._last_slot, *args)
+                assert last_level(search._divisor_walk, *args) == sorted(
+                    last_two_parts(*args))
 
     @pytest.mark.parametrize("a_max", DIVISOR_WALK_A_MAX)
     @pytest.mark.parametrize("s, n_max", DIVISOR_WALK_GRID)
@@ -417,6 +420,76 @@ class TestDivisorWalk:
         assert any(hi == 18 for *_, hi in calls)
         found = [row for call in calls for row in last_level(search._divisor_walk, *call)]
         assert ((1, 2, 12, 12), 27, 6) in found
+
+
+def s3_discriminants(n_max: int, a_max: int, lo: int, hi: int) -> Counter:
+    """The discriminants a**2 + 4 * b**3 / a that the s = 3 last level must
+    test, by brute force: every first part a in [lo, hi] and every b >= 1
+    with 2 * a**3 <= b**3 <= a * top * (a + top), top = min(a_max, n_max - a),
+    and a | b**3.  These are the b of a <= x <= top, since a * x * (a + x)
+    rises in x."""
+    found: Counter = Counter()
+    for a in range(lo, hi + 1):
+        top = min(a_max, n_max - a)
+        b = 1
+        while b ** 3 <= a * top * (a + top):
+            if b ** 3 >= 2 * a ** 3 and b ** 3 % a == 0:
+                found[a * a + 4 * b ** 3 // a] += 1
+            b += 1
+    return found
+
+
+class TestS3LastLevel:
+    """s = 3 has no solutions, so its output cannot show a kernel that skips
+    candidates: the discriminants the kernel tests must be the brute-force
+    ones, each as often."""
+
+    @staticmethod
+    def check(n_max: int, a_max: int | None, lo: int, hi: int) -> None:
+        spec = SearchSpec(3, n_max, a_max)
+        tables = _tables(3, spec.sum_bound, spec.part_bound)
+        tested: Counter = Counter()
+
+        def recording(m: int) -> int:
+            tested[m] += 1
+            return isqrt(m)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(search, "isqrt", recording)
+            out: list[tuple[tuple[int, ...], int, int]] = []
+            search._s3_last_level(tables, lo, hi, out)
+        assert out == []
+        assert tested == s3_discriminants(spec.sum_bound, spec.part_bound, lo, hi)
+
+    @pytest.mark.parametrize(
+        "n_max, a_max, lo, hi", [(300, 300, 1, 150), (300, 40, 1, 40), (500, 500, 7, 90),
+                                 (2, 2, 1, 1)])
+    def test_grid(self, n_max, a_max, lo, hi):
+        self.check(n_max, a_max, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(2, 400), a_max=st.none() | st.integers(1, 400), data=st.data())
+    def test_property(self, n_max, a_max, data):
+        # Any block [lo, hi] of first parts, as a --jobs worker gets one, or
+        # an empty one.
+        lead_hi = min(n_max if a_max is None else a_max, n_max // 2)
+        lo = data.draw(st.integers(1, lead_hi + 1))
+        self.check(n_max, a_max, lo, data.draw(st.integers(lo - 1, lead_hi)))
+
+    @pytest.mark.parametrize("a, n_max, a_max", [(1, 40, 40), (8, 100, 100), (12, 100, 60),
+                                                 (16, 50, 50)])
+    def test_rows_of_made_up_powers(self, a, n_max, a_max):
+        # With powers[b] = a * b * (a + b) in place of b**3, every b the
+        # kernel visits solves its quadratic with x = b, so each is a row.
+        # The visited b are those in [a, top] with a | b**3.
+        s, n_max, a_max, spf, _ = _tables(3, n_max, a_max)
+        powers = [a * b * (a + b) for b in range(n_max + 1)]
+        out: list[tuple[tuple[int, ...], int, int]] = []
+        search._s3_last_level((s, n_max, a_max, spf, powers), a, a, out)
+        top = min(a_max, n_max - a)
+        expected = [((a, x), a + x, x) for x in range(a, top + 1) if x ** 3 % a == 0]
+        assert len(expected) > 1
+        assert out == expected
 
 
 class TestWalkInsideSieve:
