@@ -12,6 +12,6 @@ from .elliptic import on_curve
 from .exactmath import int_nth_root, perfect_sth_power
 from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
-from .transforms import DioSolution, primitive_reduce
+from .transforms import DioSolution
 
 __version__ = "0.1.0"

@@ -45,7 +45,6 @@ from .family import FamilyParams, general_solution, s5_polynomial_family
 from .search import SearchSpec, enumerate_solutions
 from .transforms import (
     DioSolution,
-    primitive_reduce,
     s4_point_solution,
     s4_solutions,
 )
@@ -139,9 +138,9 @@ def cmd_verify(args: "Args") -> int:
 
 
 def cmd_gen4(args: "Args") -> int:
-    # --primitive changes no gen4 record: the walk and --from-point both build
-    # through _s4_solution, whose clearing divides out the whole common factor
-    # (transforms module docstring).
+    # --primitive computes nothing here: the walk and --from-point both build
+    # through _s4_solution, whose clearing divides out the whole common factor,
+    # so every gen4 record is primitive already (transforms module docstring).
     if args.from_point is not None:
         if args.count is not None:
             return _usage_error("--count and --from-point are mutually exclusive")
@@ -191,15 +190,15 @@ def cmd_family(args: "Args") -> int:
         except ValueError as exc:
             return _usage_error(str(exc))
     try:
-        if closed_form:
-            sol = s5_polynomial_family(args.t1, args.t2)
-        else:
+        if not closed_form:
             sol = general_solution(params)
+        elif args.primitive:  # the general form's record is primitive (family docstring)
+            sol = general_solution(FamilyParams(5, ((args.t2, 1),), (args.t1, 1)))
+        else:
+            sol = s5_polynomial_family(args.t1, args.t2)
     except ValueError as exc:  # the positivity quadratic D is not positive
         print(exc, file=sys.stderr)
         return 1
-    if args.primitive and closed_form:  # a --tail record is primitive (family docstring)
-        sol = primitive_reduce(sol)
     print(render(sol, "family", args.format))
     return 0
 

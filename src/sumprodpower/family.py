@@ -47,6 +47,15 @@ FamilyParams stores every rational so: as a pair (p, q) of ints, with
 q >= 1, however it was written.  Lowest terms come from one place,
 exactmath.lowest_terms, for the tail, t0 and each b_i alike.
 
+s5_polynomial_family(t1, t2) clears the same vector as general_solution
+at tail (t2,) and t0 = t1, so u = v = t2, but by the common denominator
+b = 2 t1 t2^2 (t1^2 t2 + 1) D, not the least one; only general_solution's
+clearing is primitive (at t1 = 2, t2 = 1 the polynomial's b is 360, the
+general form's 90).  Divided by the gcd of its parts and b, the
+polynomial record is general_solution's, parts in order and b alike
+(tests/test_family.py proves it), so `family --t1/--t2 --primitive`
+prints general_solution's record and takes no gcd.
+
 The chain that derives the triple (quartic, model, base, doubled and
 quadrupled points, the maps between them, the remainder certificate and the
 classification of D's sign) and the same closed form in Fraction

@@ -70,7 +70,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DioSolution",
     "S4_SEED_POINT",
-    "primitive_reduce",
     "s4_point_solution",
     "s4_solutions",
 ]
@@ -92,17 +91,19 @@ class DioSolution(Value):
     parts: tuple[int, ...]
     b: int
 
-    def __init__(self, parts: tuple[int, ...], b: int) -> None:
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "b", b)
+    def __init__(self, parts: tuple[int, ...] | list[int], b: int) -> None:
+        self._set_fields(parts, b)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        self._check_positive()
         if prod(self.parts) * self.n != self.b ** self.s:
             raise ValueError("prod(parts) * n is not b**s")
 
-    def _check_positive(self) -> None:
+    def _set_fields(self, parts: tuple[int, ...] | list[int], b: int) -> None:
+        # The one store of the fields, parts as a tuple, with the checks of
+        # count and sign that every construction runs.
+        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "b", b)
         if len(self.parts) < 2:
             raise ValueError("need at least two parts (s >= 3)")
         if any(a < 1 for a in self.parts) or self.b < 1:
@@ -112,9 +113,7 @@ class DioSolution(Value):
     def _proven(cls, parts: tuple[int, ...] | list[int], b: int) -> "DioSolution":
         # The caller has proven prod(parts) * n == b**s; see the class docstring.
         sol = object.__new__(cls)
-        object.__setattr__(sol, "parts", tuple(parts))
-        object.__setattr__(sol, "b", b)
-        sol._check_positive()
+        sol._set_fields(parts, b)
         return sol
 
     @classmethod
@@ -139,19 +138,6 @@ class DioSolution(Value):
     @property
     def sorted_parts(self) -> tuple[int, ...]:
         return tuple(sorted(self.parts))
-
-
-def primitive_reduce(sol: DioSolution) -> DioSolution:
-    """Divide out the largest common factor d with d | gcd(parts) and d | b.
-
-    Scaling every part by 1/d scales prod * sum by d**(-s) and b**s by the
-    same factor, so the reduced tuple is again a solution.
-    """
-    d = gcd(gcd(*sol.parts), sol.b)
-    if d == 1:
-        return sol
-    parts = tuple(a // d for a in sol.parts)
-    return DioSolution(parts, sol.b // d)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ package's integer paths take as given:
     ``family.general_solution``'s integer form is tested against, with
     ``family_params``, which builds a FamilyParams from Fractions and ints,
     and ``fraction``, which reads one of its (p, q) pairs back;
+  - ``primitive_reduce``, which divides a record by the gcd of its parts
+    and b: the tests prove with it that the records the package clears
+    (gen4's, and family's general form) are primitive, and that the s = 5
+    polynomial reduces to the general form's record;
   - the s >= 5 chain behind ``leading_triple``: the quartic, its
     Weierstrass model, the base point with its closed-form double and
     quadruple, the maps between quartic and model and the roots b1 of the
@@ -40,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from sumprodpower import DioSolution, FamilyParams, SearchSpec, enumerate_solutions
 from sumprodpower.exactmath import format_rational, int_nth_root
@@ -381,6 +385,19 @@ def clear_denominators(entries: tuple[Fraction, ...]) -> DioSolution:
     scale = lcm(*(e.denominator for e in entries))
     parts = tuple(int(e * scale) for e in entries)
     return DioSolution(parts, scale)
+
+
+def primitive_reduce(sol: DioSolution) -> DioSolution:
+    """Divide out the largest common factor d with d | gcd(parts) and d | b.
+
+    Scaling every part by 1/d scales prod * sum by d**(-s) and b**s by the
+    same factor, so the reduced tuple is again a solution.
+    """
+    d = gcd(gcd(*sol.parts), sol.b)
+    if d == 1:
+        return sol
+    parts = tuple(a // d for a in sol.parts)
+    return DioSolution(parts, sol.b // d)
 
 
 def fraction_general_solution(params: FamilyParams) -> DioSolution:

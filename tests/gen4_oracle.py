@@ -34,8 +34,8 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterator
 
-from certificates import Point, WeierstrassCurve, add, clear_denominators, negate
-from sumprodpower import DioSolution, primitive_reduce
+from certificates import Point, WeierstrassCurve, add, clear_denominators, negate, primitive_reduce
+from sumprodpower import DioSolution
 
 # The s=4 analysis works on the fiber through the seed solution (1, 2, 24).
 S4_FIBER_PRODUCT = Fraction(2, 9)

@@ -23,6 +23,7 @@ from certificates import (
     family_params,
     family_uvt,
     negate,
+    primitive_reduce,
     quadrupled_point,
     quartic_to_weierstrass,
     remainder_certificate,
@@ -32,7 +33,7 @@ from certificates import (
 )
 from conftest import TABLE_S5, TABLE_S6, random_positive_fraction, table_rows
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
-from sumprodpower import DioSolution, SearchSpec, general_solution, primitive_reduce
+from sumprodpower import DioSolution, SearchSpec, general_solution
 from sumprodpower.cli import main
 
 # The two worked s=4 points: the non-integral infinite-order witness and the

@@ -314,6 +314,16 @@ class TestFamily:
             code, out, err = run_cli(capsys, "family", *argv)
             assert (code, out, err) == (1, "", f"positivity quadratic is not positive: D = {d}\n")
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    @pytest.mark.parametrize("t1, t2, code", [(2, 1, 0), (7, 3, 0), (1, 3, 1), (2, 5, 1)])
+    def test_primitive_closed_form_is_the_tail_member(self, capsys, t1, t2, code, fmt):
+        # --t1 A --t2 B --primitive is the member --tail B --t0 A, byte for byte.
+        expected = run_cli(capsys, "family", "--s", "5", "--tail", str(t2), "--t0", str(t1),
+                           "--format", fmt)
+        assert expected[0] == code
+        assert run_cli(capsys, "family", "--s", "5", "--t1", str(t1), "--t2", str(t2),
+                       "--primitive", "--format", fmt) == expected
+
     @pytest.mark.parametrize("spelled, lowest, code", [
         (("--s", "6", "--tail", "2/4,6/2", "--t0", "14/6"),  # D = -149/24
          ("--s", "6", "--tail", "1/2,3", "--t0", "7/3"), 1),

@@ -20,6 +20,7 @@ from certificates import (
     positivity_classify,
     positivity_discriminant,
     positivity_value,
+    primitive_reduce,
     quadrupled_point,
     quartic_curve,
     quartic_discriminant_t,
@@ -35,7 +36,6 @@ from sumprodpower import (
     DioSolution,
     FamilyParams,
     general_solution,
-    primitive_reduce,
     s5_polynomial_family,
 )
 
@@ -468,6 +468,24 @@ class TestGeneralSolution:
         assert DioSolution.from_parts(sol.parts).b == sol.b
 
 
+def s5_member(t1: int, t2: int) -> FamilyParams:
+    """The family member that s5_polynomial_family(t1, t2) clears."""
+    return FamilyParams(5, ((t2, 1),), (t1, 1))
+
+
+def reduced_polynomial_and_general(t1: int, t2: int) -> tuple[DioSolution | str, DioSolution | str]:
+    """The reduced polynomial record and the general form's record of one
+    member, each as its ValueError text when it raises."""
+    def outcome(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return str(exc)
+
+    return (outcome(lambda: primitive_reduce(s5_polynomial_family(t1, t2))),
+            outcome(lambda: general_solution(s5_member(t1, t2))))
+
+
 class TestS5PolynomialFamily:
     @pytest.mark.parametrize(
         "t1, t2, parts, b",
@@ -493,12 +511,35 @@ class TestS5PolynomialFamily:
 
     @pytest.mark.parametrize("t1, t2", [(1, 1), (2, 1), (1, 2), (3, 2), (4, 1)])
     def test_matches_general_solution_after_reduction(self, t1, t2):
-        # The closed form clears by a specific common denominator, the general
-        # pipeline by the least one; they agree up to primitive reduction.
-        family = s5_polynomial_family(t1, t2)
-        general = general_solution(family_params(5, (t2,), t1))
-        assert primitive_reduce(family).sorted_parts == primitive_reduce(general).sorted_parts
-        assert primitive_reduce(family).b == primitive_reduce(general).b
+        # The polynomial and the general form clear one vector, the member at
+        # u = v = t2, t0 = t1, by two common denominators; the general form's
+        # is the least, so reducing the polynomial gives its record exactly,
+        # parts in order and b (family docstring).  `family --t1/--t2
+        # --primitive` prints general_solution on this fact.
+        assert primitive_reduce(s5_polynomial_family(t1, t2)) == general_solution(s5_member(t1, t2))
+
+    def test_reduces_to_the_general_form_on_a_grid(self):
+        outcomes = [reduced_polynomial_and_general(t1, t2)
+                    for t1 in range(1, 60) for t2 in range(1, 60)]
+        assert all(polynomial == general for polynomial, general in outcomes)
+        assert sum(isinstance(general, DioSolution) for _, general in outcomes) == 584
+
+    @settings(max_examples=60, deadline=None)
+    @given(t1=st.integers(1, 200) | st.integers(1, 10 ** 4400), t2=st.integers(1, 10 ** 60))
+    @example(t1=10 ** 4400 + 1, t2=7)
+    def test_reduces_to_the_general_form(self, t1, t2):
+        polynomial, general = reduced_polynomial_and_general(t1, t2)
+        assert polynomial == general
+
+    @settings(max_examples=40, deadline=None)
+    @given(t2=st.integers(3, 100) | st.integers(3, 10 ** 2300), k=st.integers(0, 10 ** 4400))
+    @example(t2=3, k=0)  # (1, 3): D = -11
+    def test_same_error_when_d_is_not_positive(self, t2, k):
+        # D = t1 t2 (4 t1 - t2^2) + 4 <= 0 for 1 <= t1 < t2^2 / 4 (t2 >= 3).
+        t1 = 1 + k % ((t2 * t2 - 1) // 4)
+        polynomial, general = reduced_polynomial_and_general(t1, t2)
+        assert isinstance(polynomial, str) and polynomial.startswith("positivity quadratic")
+        assert polynomial == general
 
     @settings(max_examples=60, deadline=None)
     @given(t2=st.integers(1, 100), data=st.data())

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificates import Point, clear_denominators
+from certificates import Point, clear_denominators, primitive_reduce
 from gen4_oracle import (
     ORACLE_MAX_MULTIPLE,
     BVector,
@@ -48,7 +48,6 @@ from sumprodpower.transforms import (
     _s4_extend_psi,
     _s4_odd_multiples,
     _s4_solution,
-    primitive_reduce,
     s4_point_solution,
     s4_solutions,
 )
@@ -159,8 +158,7 @@ class TestWalkAgainstOracle:
             (sol.s, sol.sorted_parts, sol.n, sol.b) for _, sol in oracle
         ]
         # The grid checks the count and budget logic; the run above checked
-        # reduction and rendering, so reuse their results.
-        monkeypatch.setattr(cli, "primitive_reduce", cache(cli.primitive_reduce))
+        # rendering, so reuse its results.
         monkeypatch.setattr(cli, "render", cache(cli.render))
         for m in range(1, MAX_MULTIPLE + 1):
             available = sum(k <= m for k, _ in oracle)

@@ -391,6 +391,8 @@ class TestDivisorWalk:
     @pytest.mark.parametrize("a_max", DIVISOR_WALK_A_MAX)
     @pytest.mark.parametrize("s, n_max", DIVISOR_WALK_GRID)
     def test_matches_the_last_slot_loop(self, s, n_max, a_max):
+        # The last-slot loop of the name is the scan of the last two parts
+        # (last_two_parts); the name keeps this grid's 60 test ids stable.
         spec = SearchSpec(s, n_max, a_max)
         calls = last_level_calls(spec)
         assert calls

@@ -15,16 +15,13 @@ from certificates import (
     family_params,
     nagell_lutz_candidates,
     negate,
+    primitive_reduce,
     scalar_mul,
 )
 from conftest import TABLE_S5
 from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4_inverse
 from root_oracle import oracle_nth_root
-from sumprodpower import (
-    DioSolution,
-    SearchSpec,
-    primitive_reduce,
-)
+from sumprodpower import DioSolution, SearchSpec
 from sumprodpower.exactmath import format_decimal
 
 SEED = Point(235, 8)
@@ -187,6 +184,17 @@ def test_family_params_keeps_its_tail_as_a_tuple():
     params = family_params(6, iter([Fraction(1, 2), 3]), Fraction(1))
     assert params.tail == ((1, 2), (3, 1))
     assert params == family_params(6, (Fraction(1, 2), 3), Fraction(1))
+
+
+@pytest.mark.parametrize("build", [DioSolution, DioSolution._proven], ids=["checked", "proven"])
+def test_dio_solution_keeps_its_parts_as_a_tuple(build):
+    given = [1, 2, 24]
+    sol = build(given, 6)
+    assert sol == DioSolution((1, 2, 24), 6) and hash(sol) == hash(DioSolution((1, 2, 24), 6))
+    assert repr(sol) == "DioSolution(parts=(1, 2, 24), b=6)"
+    given.append(5)
+    given[0] = 7
+    assert sol.parts == (1, 2, 24) and (sol.s, sol.n) == (4, 27)
 
 
 @pytest.mark.parametrize("value, field, refused", TAMPERED)
