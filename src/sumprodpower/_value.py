@@ -4,9 +4,9 @@
 dataclasses did, without the ``dataclasses`` import: that module loads
 ``inspect``, ``ast``, ``dis`` and ``tokenize`` and builds each class's
 methods from source text, which a short CLI run would pay for at every
-start.  A subclass names its fields in ``__slots__``, sets them in its own
-``__init__`` with ``object.__setattr__`` and ends that ``__init__`` with
-``self.__post_init__()``, which holds its checks.  ``Value`` adds:
+start.  A subclass names its fields in ``__slots__`` and sets them in its
+own ``__init__`` with ``object.__setattr__``; that ``__init__`` also runs its
+checks.  ``Value`` adds:
 
   - ``==`` and ``hash`` over the fields, in slot order, between instances of
     one class (a value never equals a plain tuple);

@@ -159,12 +159,13 @@ def cmd_gen4(args: "Args") -> int:
         return 0
     if args.count is None:
         return _usage_error("--count is required unless --from-point is given")
+    # s4_solutions yields one record per odd multiple, so the first count
+    # records are those of the multiples up to 2 * count - 1.
     found = 0
-    for sol in s4_solutions(args.max_multiple):
+    for found, sol in enumerate(s4_solutions(min(args.max_multiple, 2 * args.count - 1)), 1):
         print(render(sol, "gen4", args.format))
-        found += 1
-        if found == args.count:
-            return 0
+    if found == args.count:
+        return 0
     print(
         f"budget exhausted: found {found} of {format_decimal(args.count)} solutions "
         f"within {format_decimal(args.max_multiple)} multiples",
@@ -174,28 +175,25 @@ def cmd_gen4(args: "Args") -> int:
 
 
 def cmd_family(args: "Args") -> int:
-    closed_form = args.t1 is not None or args.t2 is not None
-    if closed_form:
-        if args.t1 is None or args.t2 is None:
-            return _usage_error("--t1 and --t2 must be given together")
-        if args.tail is not None or args.t0 is not None:
-            return _usage_error("--t1/--t2 and --tail/--t0 are mutually exclusive")
-        if args.s != 5:
-            return _usage_error("the closed form --t1/--t2 is only defined for --s 5")
-    else:
+    if args.t1 is None and args.t2 is None:
         if args.tail is None or args.t0 is None:
             return _usage_error("either --t1/--t2 or --tail/--t0 must be given")
         try:
             params = FamilyParams(args.s, args.tail, args.t0)
         except ValueError as exc:
             return _usage_error(str(exc))
+    elif args.t1 is None or args.t2 is None:
+        return _usage_error("--t1 and --t2 must be given together")
+    elif args.tail is not None or args.t0 is not None:
+        return _usage_error("--t1/--t2 and --tail/--t0 are mutually exclusive")
+    elif args.s != 5:
+        return _usage_error("the closed form --t1/--t2 is only defined for --s 5")
+    elif args.primitive:  # the general form's record is primitive (family docstring)
+        params = FamilyParams(5, ((args.t2, 1),), (args.t1, 1))
+    else:
+        params = None
     try:
-        if not closed_form:
-            sol = general_solution(params)
-        elif args.primitive:  # the general form's record is primitive (family docstring)
-            sol = general_solution(FamilyParams(5, ((args.t2, 1),), (args.t1, 1)))
-        else:
-            sol = s5_polynomial_family(args.t1, args.t2)
+        sol = s5_polynomial_family(args.t1, args.t2) if params is None else general_solution(params)
     except ValueError as exc:  # the positivity quadratic D is not positive
         print(exc, file=sys.stderr)
         return 1
@@ -359,8 +357,11 @@ def _build_parser() -> "tuple[ArgumentParser, dict[str, ArgumentParser]]":
 def _parse(argv: "Sequence[str]") -> "Args":
     """Parse argv with the subcommand that argv[0] names: its flag scan, or
     its parser when the scan returns None; the top-level parser takes every
-    other argv (none, -h, an unknown command).  The namespace is the
-    top-level one without its `command` key."""
+    other argv (none, -h, an unknown command, a leading --).  A subcommand's
+    namespace is the top-level one without its `command` key; the top-level
+    parser's keeps that key, as when Python 3.13's argparse reads a leading
+    -- as the end of the top-level options and parses the subcommand after
+    it."""
     if argv and argv[0] in _SCAN_TABLES:
         args = _scan(_SCAN_TABLES[argv[0]], argv[1:])
         if args is None:

@@ -99,13 +99,10 @@ class FamilyParams(Value):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "tail", tuple(map(lowest_terms, tail)))
         object.__setattr__(self, "t0", lowest_terms(t0))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.s < 5:
+        if s < 5:
             raise ValueError("the family needs s >= 5")
-        if len(self.tail) != self.s - 4:
-            raise ValueError(f"expected {format_decimal(self.s - 4)} tail entries, "
+        if len(self.tail) != s - 4:
+            raise ValueError(f"expected {format_decimal(s - 4)} tail entries, "
                              f"got {len(self.tail)}")
         if any(p <= 0 for p, _ in self.tail):
             raise ValueError("tail entries must be positive")

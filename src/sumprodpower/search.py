@@ -122,18 +122,15 @@ class SearchSpec(Value):
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "a_max", a_max)
         object.__setattr__(self, "jobs", jobs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.s < 3:
+        if s < 3:
             raise ValueError("s must be >= 3")
-        if self.n_max < self.s - 1:
-            raise ValueError(f"n_max must be at least {format_decimal(self.s - 1)}")
-        if self.n_max > N_MAX_LIMIT:
+        if n_max < s - 1:
+            raise ValueError(f"n_max must be at least {format_decimal(s - 1)}")
+        if n_max > N_MAX_LIMIT:
             raise ValueError(f"n_max must be at most {N_MAX_LIMIT}")
-        if self.a_max is not None and self.a_max < 1:
+        if a_max is not None and a_max < 1:
             raise ValueError("a_max must be positive")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be positive")
 
     @property

@@ -95,6 +95,8 @@ class DioSolution(Value):
         self._set_fields(parts, b)
         self.__post_init__()
 
+    # A method of its own, unlike the checks of the package's other values:
+    # perfbench's transforms.DioSolution.check span wraps this hook.
     def __post_init__(self) -> None:
         if prod(self.parts) * self.n != self.b ** self.s:
             raise ValueError("prod(parts) * n is not b**s")

@@ -264,6 +264,23 @@ class TestGen4:
         assert len(parse_jsonl(out)) == 1  # partial output: the seed solution
         assert "budget exhausted" in err
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 13])
+    def test_count_stops_the_walk_at_multiple_2c_minus_1(self, capsys, c, m, fmt):
+        # One record per odd multiple: --count c needs the multiples up to
+        # 2c - 1, and --max-multiple m holds ceil(m / 2) of them.
+        code, out, err = run_cli(capsys, "gen4", "--count", str(c), "--max-multiple", str(m),
+                                 "--format", fmt)
+        found = min(c, (m + 1) // 2)
+        assert out == "".join(cli.render(sol, "gen4", fmt) + "\n"
+                              for sol in list(transforms.s4_solutions(m))[:found])
+        if 2 * c - 1 <= m:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 3
+            assert err == f"budget exhausted: found {found} of {c} solutions within {m} multiples\n"
+
     def test_count_required(self, capsys):
         code, _, err = run_cli(capsys, "gen4")
         assert code == 2
@@ -346,13 +363,13 @@ class TestFamily:
         calls = {"FamilyParams": 0, "DioSolution": 0}
 
         def counted(cls, name):
-            init = cls.__post_init__
+            init = cls.__init__
 
-            def post_init(self):
+            def counting_init(self, *args):
                 calls[name] += 1
-                init(self)
+                init(self, *args)
 
-            monkeypatch.setattr(cls, "__post_init__", post_init)
+            monkeypatch.setattr(cls, "__init__", counting_init)
 
         counted(family.FamilyParams, "FamilyParams")
         counted(transforms.DioSolution, "DioSolution")
@@ -710,7 +727,16 @@ class TestDispatch:
         fast = parse_outcome(cli._parse, argv)
         namespace, code, out, err = parse_outcome(top_level_parser().parse_args, argv)
         if namespace is not None:
-            assert namespace.pop("command") == argv[0]
+            command = namespace.pop("command")
+            if argv[0] in cli._SCAN_TABLES:
+                assert command == argv[0]
+            else:
+                # Python 3.13's argparse reads a leading "--" as the end of
+                # the top-level options and parses the subcommand after it.
+                # _parse gives such an argv to the top-level parser, whose
+                # namespace keeps `command`.
+                assert argv[0] == "--" and command == argv[1]
+                assert fast[0] is not None and fast[0].pop("command") == command
         assert fast[:3] == (namespace, code, out)
         if fast[3] != err:
             # Only an unrecognized argument after a subcommand differs: it
