@@ -20,6 +20,26 @@ Newton for x**k = m started at or above the root decreases strictly to the
 floor of the root and stops there; seeding it from the root of the top half
 of ``m``'s digits doubles the precision at each level (Brent and
 Zimmermann, Modern Computer Arithmetic, 1.5.2).
+
+Above _SPLIT_BITS bits, perfect_sth_power reads its candidate root from
+two half-size problems, and ``b**s == m`` still decides every answer.  The
+high half is a floor root and the low half a 2-adic Newton (Bernstein,
+Detecting perfect powers in essentially linear time, Math. Comp. 67, 1998).
+The facts it rests on:
+
+- Write m = 2**v * a with a odd.  If m = b**s, then s | v and a = r**s
+  with r = b >> (v/s).
+- Write s = 2**j * o with o odd.  An odd 2**j-th power is 1 mod 2**(j+2).
+- With rb = ceil(bits(a) / s) and h = rb // 2, the floor root
+  ``int_nth_root(a >> s*(h-1), s)`` is floor(r / 2**(h-1)): the nested-floor
+  identity above, on a number half the size of m.
+- Inverse-root Newton y <- y + y (1 - a y**s) / s runs mod 2**(h+j) with
+  only multiplications and masks.  For odd s its precision goes p -> 2p
+  from p = 1; for even s it goes p -> 2p - j - 1 from p = j + 2.  Then
+  x = a y**(s-1) is +-r mod 2**h: x**s = r**s mod 2**(h+j), and the
+  2**j-torsion of the units mod 2**K is +-1 mod 2**(K-j).
+- x and 2**h - x differ in bit h-1, since x is odd, and that bit of r is
+  the low bit of the floor root above.  So r = (hi >> 1) << h | lo.
 """
 
 import re
@@ -56,7 +76,8 @@ def int_nth_root(m: int, k: int) -> int:
 
 
 # Below this many bits per unit of k, _odd_root starts Newton at a power of
-# two instead of refining the root of a shorter number.
+# two instead of refining the root of a shorter number; perfect_sth_power
+# does not split a root shorter than this either.
 _SEED_BITS = 64
 
 
@@ -83,14 +104,89 @@ def _odd_root(m: int, k: int) -> int:
         x += d // (k * p)
 
 
+# Above this many bits of m, perfect_sth_power reads its candidate root
+# from two half-size problems instead of the floor root of m.
+_SPLIT_BITS = 4096
+
+
 def perfect_sth_power(m: int, s: int) -> int | None:
-    """Return ``b`` with ``b**s == m``, or ``None`` if ``m`` is not an s-th power."""
+    """Return ``b`` with ``b**s == m``, or ``None`` if ``m`` is not an s-th power.
+
+    The one test ``b**s == m`` decides every answer.  Up to _SPLIT_BITS bits
+    of ``m`` the candidate b is ``int_nth_root(m, s)``.  Above, m = 2**v * a
+    with a odd, and b is r << (v/s), with the root r of a read from a floor
+    root of half the size and a 2-adic Newton (Bernstein 1998; module
+    docstring); an m whose v is not a multiple of s, or whose a is not
+    1 mod 2**(j+2) for even s = 2**j * o, is refused before any root.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     if s < 2:
         raise ValueError("exponent s must be >= 2")
-    b = int_nth_root(m, s)
+    if m.bit_length() <= _SPLIT_BITS:
+        b = int_nth_root(m, s)
+    else:
+        v = (m & -m).bit_length() - 1
+        if v % s:
+            return None
+        a, j = m >> v, (s & -s).bit_length() - 1
+        if j and a & ((4 << j) - 1) != 1:
+            return None
+        b = _odd_power_root(a, s, j) << (v // s)
     return b if b ** s == m else None
+
+
+def _odd_power_root(a: int, s: int, j: int) -> int:
+    # The root r of an odd a = r**s, where s = 2**j * o with o odd, and some
+    # integer for any other odd a.  A root of fewer than _SEED_BITS bits is
+    # the floor root.  Otherwise its top rb - h + 1 bits are the floor root
+    # hi of a >> s*(h-1), and its low h bits are x or 2**h - x, for the
+    # 2-adic x = +-r mod 2**h: the one whose bit h-1 is hi's low bit.
+    rb = -(-a.bit_length() // s)
+    if rb < _SEED_BITS:
+        return int_nth_root(a, s)
+    h = rb // 2
+    hi = int_nth_root(a >> s * (h - 1), s)
+    x = _two_adic_root(a, s, j, h)
+    lo = x if (x >> (h - 1)) & 1 == hi & 1 else (1 << h) - x
+    return (hi >> 1) << h | lo
+
+
+def _two_adic_root(a: int, s: int, j: int, h: int) -> int:
+    # x = a * y**(s-1) mod 2**h, where a * y**s == 1 mod 2**(h+j) by Newton
+    # on the inverse root, for odd a that is 1 mod 2**(j+2) when j > 0.
+    # Precision p goes to 2p - c per step from p = c + 1, so each modulus
+    # 2**k is reached from (k + c + 1) // 2, with the precisions taken from
+    # the top down.  The division by s = 2**j * o is a shift by j and a
+    # product with the inverse of o; it leaves y right mod 2**(k-j), which
+    # fixes y**s mod 2**k.
+    c = j + 1 if j else 0
+    k = h + j
+    steps = []
+    while k > c + 1:
+        steps.append(k)
+        k = (k + c + 1) // 2
+    inverse = pow(s >> j, -1, 1 << (h + j))
+    y = 1
+    for k in reversed(steps):
+        mask = (1 << k) - 1
+        e = (1 - (a & mask) * _low_power(y, s, mask)) & mask
+        y = (y + y * ((e >> j) * (inverse & mask) & mask)) & mask
+    mask = (1 << h) - 1
+    return (a & mask) * _low_power(y, s - 1, mask) & mask
+
+
+def _low_power(y: int, n: int, mask: int) -> int:
+    # y**n & mask for n >= 1 and a mask 2**k - 1, by squaring and masking;
+    # pow(y, n, mask + 1) divides at each step, several times slower.
+    power = 1
+    while True:
+        if n & 1:
+            power = power * y & mask
+        n >>= 1
+        if not n:
+            return power
+        y = y * y & mask
 
 
 # int() and str() refuse more than 4300 digits by default (the process-wide

@@ -82,10 +82,12 @@ class DioSolution(Value):
     The constructor tests that identity in __post_init__.  The callers
     that have settled it already build through _proven, which skips
     __post_init__ and keeps only the constructor's checks of count and
-    sign: from_parts, whose perfect_sth_power tests b**s == prod(parts) *
-    sum(parts) from the root, and _s4_solution, behind both the s=4 walk
-    (s4_solutions) and s4_point_solution, whose curve test implies it (the
-    8192 identity, module docstring)."""
+    sign: from_parts, whose perfect_sth_power decides by one test b**s ==
+    prod(parts) * sum(parts), whether its candidate root b is the floor root
+    or, for a long value, read from two half-size problems (exactmath), and
+    _s4_solution, behind both the s=4 walk (s4_solutions) and
+    s4_point_solution, whose curve test implies it (the 8192 identity,
+    module docstring)."""
 
     __slots__ = ("parts", "b")
     parts: tuple[int, ...]

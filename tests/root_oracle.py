@@ -1,10 +1,13 @@
-"""The original k-th root kernel, kept as a test-only oracle.
+"""The original k-th root and perfect-power kernels, kept as test-only oracles.
 
 Integer Newton from the power of two just above the root, then two
 correction loops.  It does about a dozen full-width divisions on a large
 input, against one or two per precision level in
 sumprodpower.exactmath.int_nth_root, but it uses neither the isqrt route
 nor the precision doubling, which makes it an independent reference.
+oracle_perfect_power is the floor root and one power at every size, where
+sumprodpower.exactmath.perfect_sth_power reads a large root from two
+half-size problems.
 """
 
 from __future__ import annotations
@@ -35,3 +38,9 @@ def oracle_nth_root(m: int, k: int) -> int:
     while (x + 1) ** k <= m:
         x += 1
     return x
+
+
+def oracle_perfect_power(m: int, s: int) -> int | None:
+    """Return ``b`` with ``b**s == m``, or ``None``: the floor root, then one power."""
+    b = oracle_nth_root(m, s)
+    return b if b ** s == m else None

@@ -61,6 +61,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2,25")
         assert (code, out, err) == (1, "", "not a solution: 1400 is not a perfect 4-th power\n")
 
+    def test_s_in_the_thousands_is_one_line(self, capsys):
+        # prod(parts) * n = 2**5000 * 4999 is past exactmath's split size,
+        # with an odd part of 13 bits and a root of one bit at most.
+        code, out, err = run_cli(capsys, "verify", "--s", "5000", "--parts", ",".join(["2"] * 4999))
+        value = format_decimal(2 ** 5000 * 4999)
+        assert (code, out, err) == (1, "", f"not a solution: {value} is not a perfect 5000-th power\n")
+
     def test_accepted_verify_evaluates_the_identity_once(self, capsys, monkeypatch):
         # from_parts tests prod(parts) * n == b**s from the root alone; the
         # constructor's check would take a second prod of the parts.

@@ -2,14 +2,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certificates import Poly, divisors, poly_divrem
-from root_oracle import oracle_nth_root
+from root_oracle import oracle_nth_root, oracle_perfect_power
 from sumprodpower import int_nth_root, perfect_sth_power
 from sumprodpower.exactmath import (
     _SEED_BITS,
+    _SPLIT_BITS,
     format_decimal,
     format_rational,
     lowest_terms,
@@ -131,6 +132,65 @@ class TestPerfectSthPower:
             b = rng.randint(1, 10 ** 6)
             s = rng.randint(3, 8)
             assert perfect_sth_power(b ** s, s) == b
+
+    @pytest.mark.parametrize("s", [4097, 5000])
+    @pytest.mark.parametrize("b", range(2, 8))
+    def test_short_roots_above_the_split_size(self, s, b):
+        # Roots whose odd part has 1 to 3 bits, too few to split: 3 * 2**s
+        # (b = 2) would split a root of one bit, and m << 1 has a power of
+        # two that s does not divide.
+        m = b ** s
+        assert m.bit_length() > _SPLIT_BITS
+        assert perfect_sth_power(m, s) == b
+        for other in (m - 1, m + 1, 3 * m, m << 1):
+            assert perfect_sth_power(other, s) is None is oracle_perfect_power(other, s)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 12, 16, 64])
+    def test_around_the_split_size(self, s):
+        # Inputs on both sides of _SPLIT_BITS: powers of two, all ones, the
+        # largest s-th power of each length and its neighbours.
+        for bits in (_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1):
+            power = int_nth_root((1 << bits) - 1, s) ** s
+            for m in (1 << (bits - 1), (1 << bits) - 1, power - 1, power, power + 1):
+                assert perfect_sth_power(m, s) == oracle_perfect_power(m, s)
+
+
+# Exponents of every 2-adic kind in 2..16, and a few in the thousands, whose
+# roots stay short.
+SPLIT_EXPONENTS = st.integers(2, 16) | st.sampled_from([1000, 2048, 4097, 5000])
+
+
+@st.composite
+def perfect_power_inputs(draw) -> tuple[int, int]:
+    # An s-th power of b * 2**t, with b of up to 1,500 digits for s <= 16,
+    # or that power plus or minus 1, or a non-power whose odd part is
+    # 1 mod 2**(j+2) (s = 2**j * o), changed at any bit from j + 2 up.
+    s = draw(SPLIT_EXPONENTS)
+    if s <= 16:
+        digits = st.integers(1, 1500) | st.integers(600, 1500)  # half of them split at s = 2
+        b = draw(digits.flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)))
+        t = draw(st.integers(0, 64))
+    else:
+        b, t = draw(st.integers(1, 7)), draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["power", "plus one", "minus one", "odd part changed"]))
+    if kind == "odd part changed":
+        j = (s & -s).bit_length() - 1
+        odd = (b | 1) ** s
+        change = draw(st.integers(1, 2 ** 64)) << draw(st.integers(j + 2, j + 2 + odd.bit_length()))
+        return (odd + change) << (s * t), s
+    m = (b << t) ** s
+    return max(1, m + {"power": 0, "plus one": 1, "minus one": -1}[kind]), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=perfect_power_inputs())
+@example(case=(3 * 2 ** 4097, 4097))
+@example(case=(2 ** 5000 * 4999, 5000))
+@example(case=((5 ** 1500 << 7) ** 4, 4))
+@example(case=(5 ** 3000, 2))
+def test_perfect_power_matches_the_oracle(case):
+    m, s = case
+    assert perfect_sth_power(m, s) == oracle_perfect_power(m, s)
 
 
 class TestDecimal:
