@@ -76,9 +76,14 @@ def int_nth_root(m: int, k: int) -> int:
 
 
 # Below this many bits per unit of k, _odd_root starts Newton at a power of
-# two instead of refining the root of a shorter number; perfect_sth_power
-# does not split a root shorter than this either.
+# two instead of refining the root of a shorter number, for k below
+# _SHORT_ROOT_K; perfect_sth_power does not split a root shorter than this
+# either.
 _SEED_BITS = 64
+
+# From this k up, _odd_root seeds a root of at most _SEED_BITS bits from
+# its top bits, found one at a time, instead of the power of two above it.
+_SHORT_ROOT_K = 16
 
 
 def _odd_root(m: int, k: int) -> int:
@@ -90,11 +95,25 @@ def _odd_root(m: int, k: int) -> int:
     # The start is (r' + 1) << h, where r' = floor((m >> k h) ** (1/k)) =
     # floor(r / 2**h) by the nested-floor identity: above r by at most 2**h.
     # With h about half of r's bits, each level takes one or two divisions.
+    # A root of at most _SEED_BITS bits starts at the power of two above it,
+    # up to twice the root.  While x**k is far above m a step lowers x by
+    # only about x / k, so that start takes about k ln 2 steps: a few for
+    # small k, thousands for k in the thousands.  From _SHORT_ROOT_K up,
+    # such a root is seeded from an r' of q = bits(k) + 2 bits instead,
+    # found bit by bit (_top_down_root).  r has rb bits, so the start is
+    # above r by at most 2**h <= r / 2**(q-1) < r / (2k), and from there
+    # each Newton step about doubles the correct bits.
     bits = m.bit_length()
-    if bits <= _SEED_BITS * k:
-        x = 1 << ((bits + k - 1) // k)
+    rb = (bits + k - 1) // k  # r < 2**rb
+    if bits <= _SEED_BITS * k and k < _SHORT_ROOT_K:
+        x = 1 << rb
     else:
-        h = bits // (2 * k)
+        if bits > _SEED_BITS * k:
+            h = bits // (2 * k)
+        else:
+            h = rb - k.bit_length() - 2
+            if h <= 0:
+                return _top_down_root(m, k, rb)
         x = (_odd_root(m >> (k * h), k) + 1) << h
     while True:
         p = x ** (k - 1)
@@ -102,6 +121,17 @@ def _odd_root(m: int, k: int) -> int:
         if d >= 0:
             return x
         x += d // (k * p)
+
+
+def _top_down_root(m: int, k: int, rb: int) -> int:
+    # floor(m ** (1/k)) for a root below 2**rb, one bit at a time from the
+    # top: rb powers, each of at most k rb bits.
+    r = 0
+    for i in range(rb - 1, -1, -1):
+        x = r | 1 << i
+        if x ** k <= m:
+            r = x
+    return r
 
 
 # Above this many bits of m, perfect_sth_power reads its candidate root

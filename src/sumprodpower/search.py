@@ -75,16 +75,37 @@ product P * a and sum t, and m parts still to choose.
 A prefix with r(P * a)**s * m**m > P * a * (n_max - t)**m * n_max therefore
 has no completion, and its subtree is skipped.
 
+Most cut prefixes are skipped before a is factored, exps copied or the cut
+evaluated.  Take a state with product P, sum T and r = r(P), whose next
+part a lies in [lo, hi] with m parts after it, and let L = n_max - T.
+  - If a prime p of a does not divide P, then r(P * a) >= r * p: r gains
+    p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of a, and
+    with e = 0 that exponent is ceil(f/s) >= 1.
+  - a * (L - a)**m is at most F, its largest value over [lo, hi].  Over the
+    reals it rises up to a = L / (m + 1) and falls after it, so F is at one
+    of the two integers around that point, each clamped to [lo, hi].
+So a node with such a p and (r * p)**s * m**m > P * F * n_max fails the cut.
+With z = P * F * n_max // m**m, that is every p above p_max =
+floor(floor(z**(1/s)) / r), and the floor root comes from bisecting the
+powers list, or from int_nth_root when z is past it.  The tables hold lpf,
+the largest prime factor of every a up to n_max // 3, and a node is skipped
+when lpf[a] > p_max and lpf[a] is not in exps.  A part below the root is at
+most n_max / 3, since at least two parts as large follow it.  p_max is
+computed once per state, at its first node whose lpf is a new prime, so a
+state whose nodes all reuse its primes pays nothing for it.  The root state
+never tries the skip: there P = 1 and p_max >= hi (checked for s = 5 to 11).
+s = 3 and s = 4 have no other state, so their tables hold no lpf.
+
 The tables take memory in proportion to n_max.  Resident memory (the growth
 of ru_maxrss across _tables, each in a fresh process, at n_max = 10**6 on
-CPython 3.11, x86-64 Linux) grows by 77.7 bytes per unit of n_max for s = 3
-and 52.3 for s = 7.  That is more than tracemalloc's peak of 40 bytes per
-unit, which counts live objects only: the sieve holds an int object and a
-list slot per entry while it is built, and for small s the powers list is
-long (about 0.63 n_max big ints at s = 3).  SearchSpec refuses an n_max above
-N_MAX_LIMIT = 10**7, where at these figures one run's tables take about
-780 MB resident for s = 3 and 520 MB for s = 7.  Each --jobs worker builds
-its own tables.
+CPython 3.11, x86-64 Linux) grows by 77.5 bytes per unit of n_max for s = 3
+and 55.6 for s = 7, of which the lpf list's n_max / 3 slots take about 3.7.
+That is more than tracemalloc's peak of 40 bytes per unit, which counts
+live objects only: the sieve holds an int object and a list slot per entry
+while it is built, and for small s the powers list is long (about 0.63 n_max
+big ints at s = 3).  SearchSpec refuses an n_max above N_MAX_LIMIT = 10**7,
+where at these figures one run's tables take about 775 MB resident for s = 3
+and 556 MB for s = 7.  Each --jobs worker builds its own tables.
 
 Parallel runs split the leading part into blocks of consecutive values for at
 most one worker per usable core; each worker builds the sieve and the power
@@ -143,28 +164,38 @@ class SearchSpec(Value):
         return min(self.n_max, (self.s - 1) * self.part_bound)
 
 
-# The bounds and lookup tables of one run: s, n_max, a_max, spf, powers.
-_Tables = tuple[int, int, int, list[int], list[int]]
+# The bounds and lookup tables of one run: s, n_max, a_max, spf, powers, lpf.
+_Tables = tuple[int, int, int, list[int], list[int], list[int] | None]
 
 
 def _tables(s: int, n_max: int, a_max: int) -> _Tables:
-    """Per-run lookup tables: a smallest-prime-factor sieve over [0, n_max]
-    and powers[b] = b**s for every b that prod * sum can reach."""
+    """Per-run lookup tables: a smallest-prime-factor sieve over [0, n_max],
+    powers[b] = b**s for every b that prod * sum can reach, and for s >= 5
+    the largest prime factor of every upper-level part (None below)."""
     spf = list(range(n_max + 1))
     # Descending, so each m keeps the smallest p with p | m and p * p <= m.
     # That p is prime: whatever a composite p marks, its smallest prime
     # factor marks again later.
     for p in range(isqrt(n_max), 1, -1):
         spf[p * p :: p] = [p] * len(range(p * p, n_max + 1, p))
+    lpf = None
+    if s >= 5:
+        # Ascending, so each a keeps the largest prime that marks it.  An
+        # upper-level part below the root is at most n_max / 3 (module
+        # docstring); lpf[0] = lpf[1] = 0.
+        lpf = [0] * (n_max // 3 + 1)
+        for p in range(2, len(lpf)):
+            if spf[p] == p:
+                lpf[p::p] = [p] * len(range(p, len(lpf), p))
     # AM-GM: prod(parts) <= (n / (s - 1))**(s - 1) for parts summing to n.
     k = s - 1
     b_max = int_nth_root(n_max * (n_max // k + 1) ** k, s)
-    return s, n_max, a_max, spf, [b ** s for b in range(b_max + 1)]
+    return s, n_max, a_max, spf, [b ** s for b in range(b_max + 1)], lpf
 
 
 def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
     # All solutions whose smallest part lies in [lo, hi].
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, lpf = tables
     out: list[tuple[tuple[int, ...], int, int]] = []
     if s == 3:  # the prefix is empty, so the first part is the last level's
         _s3_last_level(tables, lo, hi, out)
@@ -179,7 +210,20 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
         remaining = s - 2 - len(parts)  # parts still to choose after the next one
         room = remaining ** remaining
         last = remaining == 2  # the children are last-level prefixes
+        p_max = 0  # the skip's prime cap: 0 until a node needs it, then at least 1
         for a in range(lo, hi + 1):
+            # The skip (module docstring): a largest prime of a that is new
+            # to the product and above p_max fails the cut.  The root state,
+            # the only one for s < 5, never tries it.  lpf[1] = 0, so a = 1
+            # neither computes p_max nor is skipped.
+            if parts:
+                p = lpf[a]
+                if p > p_max and p not in exps:
+                    if not p_max:
+                        # A cap of 0 skips the same primes as a cap of 1.
+                        p_max = _prime_cap(tables, total, product, r, lo, hi, remaining) or 1
+                    if p > p_max:
+                        continue
             ra = r
             child = exps
             if a > 1:
@@ -211,13 +255,33 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
     return out
 
 
+def _prime_cap(
+    tables: _Tables, total: int, product: int, r: int, lo: int, hi: int, m: int
+) -> int:
+    # p_max of the skip (module docstring): the largest p with
+    # (r * p)**s * m**m <= P * F * n_max, for the product P and sum T of a
+    # prefix whose next part lies in [lo, hi] with m parts after it.
+    s, n_max, a_max, spf, powers, _ = tables
+    z = product * _peak(n_max - total, m, lo, hi) * n_max // m ** m
+    b = bisect_right(powers, z)  # b**s <= z for b below this index
+    return (b - 1 if b < len(powers) else int_nth_root(z, s)) // r
+
+
+def _peak(rest: int, m: int, lo: int, hi: int) -> int:
+    # F = max of a * (rest - a)**m over a in [lo, hi].  Over the reals it
+    # rises up to a = rest / (m + 1) and falls after, so the max is at one
+    # of the two integers around that point, each clamped to [lo, hi].
+    a = rest // (m + 1)
+    return max(c * (rest - c) ** m for c in (min(max(a, lo), hi), min(max(a + 1, lo), hi)))
+
+
 def _s3_last_level(
     tables: _Tables, lo: int, hi: int, out: list[tuple[tuple[int, ...], int, int]]
 ) -> None:
     # The last level for s = 3 by its first part a (module docstring).  The
     # second part x in [a, top] needs a * x * (a + x) = b**3, and a divides
     # b**3 exactly when r(a) divides b.
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, _ = tables
     for a in range(lo, hi + 1):
         ra = 1
         m = a
@@ -243,7 +307,7 @@ def _b_range(tables: _Tables, total: int, product: int, r: int, lo: int, hi: int
     # The multiples of r = r(product) that can be b for a prefix with this
     # product and sum and a second-to-last part a in [lo, hi]: from a = x = lo
     # to a = hi, x = top(hi) (module docstring).
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, _ = tables
     top = min(a_max, n_max - total - hi)
     b_lo = bisect_left(powers, product * lo * lo * (total + 2 * lo))
     b_end = bisect_right(powers, product * hi * top * (total + hi + top))
@@ -265,7 +329,7 @@ def _divisor_walk(
     # with product P = product and sum T = total: for each b, every divisor
     # a of Q = b**s / P from lo up to the per-b cap, then x from
     # x * (T + a + x) = Q / a.
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, _ = tables
     t_lo = total + 2 * lo
     for b in _b_range(tables, total, product, r, lo, hi):
         # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1

@@ -94,7 +94,7 @@ def _extend(tables, parts, total, product, r, exps, lo, hi, out) -> None:
     # with a next part in [lo, hi] to the last level.  r = r(product); exps
     # maps each prime to its exponent in product and is restored before
     # returning.
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, lpf = tables
     remaining = s - 2 - len(parts)  # parts still to choose after the next one
     if remaining > 1:
         for a in range(lo, hi + 1):
@@ -132,7 +132,7 @@ def last_two_parts(tables, parts, total, product, r, exps, lo, hi):
     last part x in [a, min(a_max, n_max - T - a)] whose P * a * x * (T + a + x)
     is an s-th power.  r and exps are not read; they keep the signature of
     search._divisor_walk."""
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, lpf = tables
     get = {power: b for b, power in enumerate(powers)}.get
     out = []
     for a in range(lo, hi + 1):
@@ -147,7 +147,7 @@ def last_two_parts(tables, parts, total, product, r, exps, lo, hi):
 def uncapped_divisor_walk(tables, parts, total, product, r, exps, lo, hi):
     """search._divisor_walk with each b's divisors generated up to hi:
     {b: sorted (parts, n, b) rows} for every b of search._b_range."""
-    s, n_max, a_max, spf, powers = tables
+    s, n_max, a_max, spf, powers, lpf = tables
     found = {}
     for b in search._b_range(tables, total, product, r, lo, hi):
         q = powers[b] // product

@@ -10,6 +10,7 @@ from root_oracle import oracle_nth_root, oracle_perfect_power
 from sumprodpower import int_nth_root, perfect_sth_power
 from sumprodpower.exactmath import (
     _SEED_BITS,
+    _SHORT_ROOT_K,
     _SPLIT_BITS,
     format_decimal,
     format_rational,
@@ -91,6 +92,22 @@ class TestIntNthRootOracle:
             for bits in (edge - 1, edge, edge + 1):
                 for m in (1 << (bits - 1), (1 << bits) - 1, (1 << bits) - (1 << (bits // 2))):
                     assert int_nth_root(m, k) == oracle_nth_root(m, k)
+
+    @pytest.mark.parametrize("k", [_SHORT_ROOT_K + 1, 1000, 4097])
+    @pytest.mark.parametrize("bits", [2, 3, 8, 13, 14, 15, 16, 17, 24, 31, 48, 63, 64])
+    def test_short_roots_at_large_k(self, k, bits):
+        # Roots of at most _SEED_BITS bits seeded from their top bits: the
+        # largest and smallest root of each length, and one in between.
+        for r in ((1 << bits) - 1, 1 << (bits - 1), (5 << bits) // 8 | 1):
+            for m in (r ** k - 1, r ** k, (r + 1) ** k - 1):
+                root = int_nth_root(m, k)
+                assert root ** k <= m < (root + 1) ** k
+
+    @pytest.mark.parametrize("r", [(1 << 16) + 1, 7 << 45])
+    def test_short_roots_at_k_4097(self, r):
+        # Each took seconds from the power of two above the root.
+        assert int_nth_root(r ** 4097, 4097) == r
+        assert int_nth_root(r ** 4097 - 1, 4097) == r - 1
 
     @pytest.mark.parametrize(
         "m, k, message",

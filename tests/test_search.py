@@ -362,6 +362,148 @@ class TestStackWalk:
         self.check(s, n_max, a_max, lo, data.draw(st.integers(lo, lead_hi)))
 
 
+def prime_powers(a: int) -> Counter:
+    """{p: e} for each prime power p**e exactly dividing a, by trial division."""
+    found: Counter = Counter()
+    p = 2
+    while a > 1:
+        if p * p > a:
+            p = a
+        while a % p == 0:
+            a //= p
+            found[p] += 1
+        p += 1
+    return found
+
+
+def product_and_root(exps: Counter, s: int) -> tuple[int, int]:
+    """P and r(P) = prod p**ceil(e/s) for the prime exponents exps of P."""
+    return prod(p ** e for p, e in exps.items()), prod(p ** -(-e // s) for p, e in exps.items())
+
+
+def cut_keeps(s: int, n_max: int, total: int, exps: Counter, m: int) -> bool:
+    """The prefix cut for a prefix with sum total, prime exponents exps and
+    m parts still to choose: r**s * m**m <= P * (n_max - total)**m * n_max."""
+    product, r = product_and_root(exps, s)
+    return r ** s * m ** m <= product * (n_max - total) ** m * n_max
+
+
+def upper_states(spec: SearchSpec) -> list[tuple[int, Counter, int, int, int]]:
+    """(total, exps, lo, hi, m) of every upper-level state below the root
+    that the walk with the cut alone reaches, with exps the prime exponents
+    of its product and m the parts that follow its next part in [lo, hi]."""
+    s, n_max, a_max = spec.s, spec.sum_bound, spec.part_bound
+    states = []
+
+    def extend(total: int, exps: Counter, lo: int, hi: int, m: int) -> None:
+        for a in range(lo, hi + 1):
+            t, child = total + a, exps + prime_powers(a)
+            if m > 2 and cut_keeps(s, n_max, t, child, m):
+                state = (t, child, a, min(a_max, (n_max - t) // m), m - 1)
+                states.append(state)
+                extend(*state)
+
+    extend(0, Counter(), 1, min(a_max, n_max // (s - 1)), s - 2)
+    return states
+
+
+def state_args(s: int, state: tuple[int, Counter, int, int, int]) -> tuple:
+    """search._prime_cap's arguments after the tables: total, product, r,
+    lo, hi, m."""
+    total, exps, lo, hi, m = state
+    return total, *product_and_root(exps, s), lo, hi, m
+
+
+class TestPrimeSkip:
+    """The upper levels skip a node whose largest prime is new to the
+    product and above the state's p_max, before factoring it: every such
+    node fails the cut."""
+
+    @staticmethod
+    def check(s: int, n_max: int, a_max: int | None) -> int:
+        # Returns the number of nodes the skip drops.
+        spec = SearchSpec(s, n_max, a_max)
+        tables = _tables(s, spec.sum_bound, spec.part_bound)
+        lpf = tables[5]
+        skipped = 0
+        for state in upper_states(spec):
+            total, exps, lo, hi, m = state
+            p_max = search._prime_cap(tables, *state_args(s, state))
+            for a in range(lo, hi + 1):
+                if lpf[a] > p_max and lpf[a] not in exps:
+                    skipped += 1
+                    assert not cut_keeps(
+                        s, spec.sum_bound, total + a, exps + prime_powers(a), m)
+        # The search itself keeps every node that the cut keeps.
+        TestStackWalk.check(s, n_max, a_max, 1, min(spec.part_bound, spec.sum_bound // (s - 1)))
+        return skipped
+
+    @pytest.mark.parametrize("s, n_max", [(5, 170), (6, 100), (7, 64), (8, 60)])
+    def test_benchmark_bounds(self, s, n_max):
+        assert self.check(s, n_max, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(5, 8),
+        n_max=st.integers(4, 160),
+        a_max=st.none() | st.integers(1, 160),
+    )
+    def test_property(self, s, n_max, a_max):
+        self.check(s, max(n_max, s - 1), a_max)
+
+    @pytest.mark.parametrize("s, n_max", [(5, 170), (6, 100), (7, 64), (8, 60), (1000, 1998)])
+    def test_p_max_is_the_threshold(self, s, n_max):
+        # (r * p_max)**s * m**m <= P * F * n_max < (r * (p_max + 1))**s * m**m,
+        # at the states of a run below s = 1000 and at made-up ones.  The
+        # last has z = P * F * n_max // m**m past the powers list, so that
+        # int_nth_root takes it.
+        tables = _tables(s, n_max, n_max)
+        cases = [] if s > 8 else [state_args(s, state) for state in upper_states(SearchSpec(s, n_max))]
+        cases += [(n_max // 4, 7 ** 9 * 2 ** (s + 3), 7 ** -(-9 // s) * 4, 3, n_max // 4, 2),
+                  (0, 10 ** (s + 40), 10 ** 9, 1, n_max // (s - 1), s - 2)]
+        for total, product, r, lo, hi, m in cases:
+            rest = n_max - total
+            bound = product * max(a * (rest - a) ** m for a in range(lo, hi + 1)) * n_max
+            p_max = search._prime_cap(tables, total, product, r, lo, hi, m)
+            assert (r * p_max) ** s * m ** m <= bound < (r * (p_max + 1)) ** s * m ** m
+        assert bound // m ** m > tables[4][-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rest=st.integers(1, 400), m=st.integers(1, 8), data=st.data())
+    def test_peak_is_the_largest_value(self, rest, m, data):
+        lo = data.draw(st.integers(0, rest))
+        hi = data.draw(st.integers(lo, rest))
+        assert search._peak(rest, m, lo, hi) == max(a * (rest - a) ** m for a in range(lo, hi + 1))
+
+    @pytest.mark.parametrize("lo, hi", [(1, 5), (30, 40), (10, 30), (20, 20), (21, 21), (0, 100)])
+    def test_peak_on_either_side_of_the_turn(self, lo, hi):
+        # a * (100 - a)**4 turns at a = 20.
+        assert search._peak(100, 4, lo, hi) == max(a * (100 - a) ** 4 for a in range(lo, hi + 1))
+
+    @pytest.mark.parametrize("s", [5, 6, 7])
+    def test_largest_prime_factor_list(self, s):
+        lpf = _tables(s, 2000, 2000)[5]
+        assert len(lpf) == 2000 // 3 + 1
+        assert lpf[:2] == [0, 0]
+        for a in range(2, len(lpf)):
+            assert lpf[a] == max(prime_powers(a))
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_no_list_below_s5(self, s):
+        assert _tables(s, 2000, 2000)[5] is None
+
+    @pytest.mark.parametrize("s", range(5, 12))
+    @pytest.mark.parametrize("n_max, a_max", [
+        (0, None), (100, None), (101, 3), (600, None), (1000, 10), (3000, None)])
+    def test_the_root_would_skip_nothing(self, s, n_max, a_max):
+        # The root state, with P = 1, does not try the skip: its p_max is
+        # at least its hi.  n_max = 0 stands for the smallest bound, s - 1.
+        spec = SearchSpec(s, max(n_max, s - 1), a_max)
+        tables = _tables(s, spec.sum_bound, spec.part_bound)
+        hi = min(spec.part_bound, spec.sum_bound // (s - 1))
+        assert search._prime_cap(tables, 0, 1, 1, 1, hi, s - 2) >= hi
+
+
 def last_level(kernel, tables, parts, total, product, r, exps, lo, hi):
     out: list[tuple[tuple[int, ...], int, int]] = []
     kernel(tables, parts, total, product, r, dict(exps), lo, hi, out)
@@ -484,10 +626,10 @@ class TestS3LastLevel:
         # With powers[b] = a * b * (a + b) in place of b**3, every b the
         # kernel visits solves its quadratic with x = b, so each is a row.
         # The visited b are those in [a, top] with a | b**3.
-        s, n_max, a_max, spf, _ = _tables(3, n_max, a_max)
+        s, n_max, a_max, spf, _, lpf = _tables(3, n_max, a_max)
         powers = [a * b * (a + b) for b in range(n_max + 1)]
         out: list[tuple[tuple[int, ...], int, int]] = []
-        search._s3_last_level((s, n_max, a_max, spf, powers), a, a, out)
+        search._s3_last_level((s, n_max, a_max, spf, powers, lpf), a, a, out)
         top = min(a_max, n_max - a)
         expected = [((a, x), a + x, x) for x in range(a, top + 1) if x ** 3 % a == 0]
         assert len(expected) > 1
