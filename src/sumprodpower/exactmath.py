@@ -83,6 +83,10 @@ _SEED_BITS = 64
 
 # From this k up, _odd_root seeds a root of at most _SEED_BITS bits from
 # its top bits, found one at a time, instead of the power of two above it.
+# Timed on uniform roots of 8 to 64 bits (CPython 3.11), the seed takes
+# 0.58x to 0.90x the time of the power of two at k = 17, 1.16x to 2.3x at
+# k = 3, and 1.07x at k = 5 on 40-bit roots, the length verify-family meets;
+# between k = 7 and 15 it wins on long roots and loses on short ones.
 _SHORT_ROOT_K = 16
 
 

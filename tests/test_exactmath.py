@@ -93,10 +93,11 @@ class TestIntNthRootOracle:
                 for m in (1 << (bits - 1), (1 << bits) - 1, (1 << bits) - (1 << (bits // 2))):
                     assert int_nth_root(m, k) == oracle_nth_root(m, k)
 
-    @pytest.mark.parametrize("k", [_SHORT_ROOT_K + 1, 1000, 4097])
+    @pytest.mark.parametrize("k", [3, 5, _SHORT_ROOT_K - 1, _SHORT_ROOT_K + 1, 1000, 4097])
     @pytest.mark.parametrize("bits", [2, 3, 8, 13, 14, 15, 16, 17, 24, 31, 48, 63, 64])
-    def test_short_roots_at_large_k(self, k, bits):
-        # Roots of at most _SEED_BITS bits seeded from their top bits: the
+    def test_short_roots(self, k, bits):
+        # Roots of at most _SEED_BITS bits, from the power of two above them
+        # below _SHORT_ROOT_K and seeded from their top bits from it on: the
         # largest and smallest root of each length, and one in between.
         for r in ((1 << bits) - 1, 1 << (bits - 1), (5 << bits) // 8 | 1):
             for m in (r ** k - 1, r ** k, (r + 1) ** k - 1):
