@@ -357,17 +357,20 @@ def _build_parser() -> "tuple[ArgumentParser, dict[str, ArgumentParser]]":
 def _parse(argv: "Sequence[str]") -> "Args":
     """Parse argv with the subcommand that argv[0] names: its flag scan, or
     its parser when the scan returns None; the top-level parser takes every
-    other argv (none, -h, an unknown command, a leading --).  A subcommand's
-    namespace is the top-level one without its `command` key; the top-level
-    parser's keeps that key, as when Python 3.13's argparse reads a leading
-    -- as the end of the top-level options and parses the subcommand after
-    it."""
+    other argv (none, -h, an unknown command) and refuses a leading --.  A
+    subcommand's namespace is the top-level one without its `command` key."""
     if argv and argv[0] in _SCAN_TABLES:
         args = _scan(_SCAN_TABLES[argv[0]], argv[1:])
         if args is None:
             args = _build_parser()[1][argv[0]].parse_args(argv[1:])
         return args
-    return _build_parser()[0].parse_args(argv)
+    parser = _build_parser()[0]
+    if argv and argv[0] == "--":
+        # argparse's own answer depends on its version: 3.13 reads a leading
+        # -- as the end of the options and parses the command after it, and
+        # earlier versions refuse it as a command.
+        parser.error("the first argument must be a command, not '--'")
+    return parser.parse_args(argv)
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:

@@ -1,4 +1,5 @@
-"""The original k-th root and perfect-power kernels, kept as test-only oracles.
+"""The original k-th root, perfect-power and decimal printing kernels, kept as
+test-only oracles.
 
 Integer Newton from the power of two just above the root, then two
 correction loops.  It does about a dozen full-width divisions on a large
@@ -8,6 +9,11 @@ nor the precision doubling, which makes it an independent reference.
 oracle_perfect_power is the floor root and one power at every size, where
 sumprodpower.exactmath.perfect_sth_power reads a large root from two
 half-size problems.
+
+oracle_format_decimal is the original printer: str() up to 4000 digits, and
+above, the halves of one divmod by a power of ten computed afresh, where
+sumprodpower.exactmath.format_decimal splits at cached powers from 600
+digits and goes through decimal past 19,500.
 """
 
 from __future__ import annotations
@@ -44,3 +50,15 @@ def oracle_perfect_power(m: int, s: int) -> int | None:
     """Return ``b`` with ``b**s == m``, or ``None``: the floor root, then one power."""
     b = oracle_nth_root(m, s)
     return b if b ** s == m else None
+
+
+def oracle_format_decimal(value: int) -> str:
+    """Exact ``str(value)`` for an int of any size, in 4000-digit chunks."""
+    if value < 0:
+        return "-" + oracle_format_decimal(-value)
+    digits = value.bit_length() * 30103 // 100000 + 1  # never an underestimate
+    if digits <= 4000:
+        return str(value)
+    low = digits // 2
+    high, rest = divmod(value, 10 ** low)
+    return oracle_format_decimal(high) + oracle_format_decimal(rest).zfill(low)

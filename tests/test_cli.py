@@ -27,9 +27,11 @@ from certificates import (
 )
 from conftest import TABLE_S5, TABLE_S6
 from gen4_oracle import SEED, oracle_walk, s4_curve, signed_solutions
+from root_oracle import oracle_format_decimal
 from sumprodpower import DioSolution, cli, family, search, transforms
 from sumprodpower.cli import main
-from sumprodpower.exactmath import format_decimal, format_rational, parse_decimal
+from sumprodpower.exactmath import _DECIMAL_DIGITS, format_decimal, format_rational, parse_decimal
+from test_imports import RUN_CLI, cold_run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -153,6 +155,27 @@ class TestBeyondTheDigitLimit:
             (list(sol.sorted_parts), sol.n, sol.b) for _, sol in oracle_walk(80, False)
         ]
         assert len(out.splitlines()[-1]) > 4300
+
+    def test_cold_gen4_at_the_probe_size_loads_no_decimal(self):
+        # Its longest numbers are past the interpreter's digit limit and
+        # inside format_decimal's split range.
+        lines, err, loaded = cold_run(RUN_CLI, "gen4", "--count", "40", "--max-multiple", "80")
+        assert (len(lines), lines[-1], err) == (41, "0", "")
+        record = json.loads(lines[-2], parse_int=len)  # each number's digit count
+        assert 4300 < max(*record["parts"], record["n"], record["b"]) < _DECIMAL_DIGITS
+        # From Python 3.12, a divmod of ints this long goes through the
+        # interpreter's _pylong, which imports decimal itself.
+        by_divmod = cold_run("divmod(10 ** 5900, 10 ** 2944)")[2]
+        assert "decimal" not in loaded - by_divmod
+
+    def test_cold_verify_past_the_split_range_prints_the_oracle_bytes(self):
+        scale = 10 ** _DECIMAL_DIGITS + 7
+        parts = [oracle_format_decimal(a * scale) for a in (1, 2, 24)]
+        lines, err, loaded = cold_run(RUN_CLI, "verify", "--s", "4", "--parts", ",".join(parts))
+        n, b = oracle_format_decimal(27 * scale), oracle_format_decimal(6 * scale)
+        record = f'{{"s": 4, "parts": [{", ".join(parts)}], "n": {n}, "b": {b}, "source": "verify"}}'
+        assert (lines, err) == ([record, "0"], "")
+        assert "decimal" in loaded
 
     def test_from_point_of_a_long_multiple(self, capsys):
         # 85 * (235, 8), whose x-numerator has 4554 digits; the walk of
@@ -732,18 +755,15 @@ class TestDispatch:
     @example(argv=["family", "--s", "5", "--t1", "2", "--t2", "3", "-h", "--bogus"])
     def test_matches_the_top_level_parse(self, argv):
         fast = parse_outcome(cli._parse, argv)
+        if argv[:1] == ["--"]:
+            # Refused on every version, where the top-level parse depends on
+            # it: Python 3.13's argparse parses the command after a leading --.
+            error = "sumprodpower: error: the first argument must be a command, not '--'\n"
+            assert fast == (None, 2, "", top_level_parser().format_usage() + error)
+            return
         namespace, code, out, err = parse_outcome(top_level_parser().parse_args, argv)
         if namespace is not None:
-            command = namespace.pop("command")
-            if argv[0] in cli._SCAN_TABLES:
-                assert command == argv[0]
-            else:
-                # Python 3.13's argparse reads a leading "--" as the end of
-                # the top-level options and parses the subcommand after it.
-                # _parse gives such an argv to the top-level parser, whose
-                # namespace keeps `command`.
-                assert argv[0] == "--" and command == argv[1]
-                assert fast[0] is not None and fast[0].pop("command") == command
+            assert namespace.pop("command") == argv[0]
         assert fast[:3] == (namespace, code, out)
         if fast[3] != err:
             # Only an unrecognized argument after a subcommand differs: it

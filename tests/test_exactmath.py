@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certificates import Poly, divisors, poly_divrem
-from root_oracle import oracle_nth_root, oracle_perfect_power
+from root_oracle import oracle_format_decimal, oracle_nth_root, oracle_perfect_power
 from sumprodpower import int_nth_root, perfect_sth_power
 from sumprodpower.exactmath import (
+    _DECIMAL_CHUNK,
+    _DECIMAL_DIGITS,
     _SEED_BITS,
     _SHORT_ROOT_K,
     _SPLIT_BITS,
+    _SPLIT_GRID,
+    _STR_DIGITS,
+    _power_of_ten,
     format_decimal,
     format_rational,
     lowest_terms,
@@ -248,6 +254,78 @@ class TestDecimal:
         limit = sys.get_int_max_str_digits()
         format_decimal(parse_decimal("7" * 9000))
         assert sys.get_int_max_str_digits() == limit
+
+
+@contextmanager
+def no_digit_limit():
+    """The interpreter's int/str digit limit lifted, and restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def digit_estimate(value: int) -> int:
+    return value.bit_length() * 30103 // 100000 + 1
+
+
+# The digit counts at which format_decimal, its oracle or the interpreter
+# changes what it does: the end of str(), the oracle's chunk, the default
+# digit limit and the start of the decimal range.
+BOUNDARIES = [_STR_DIGITS, _DECIMAL_CHUNK, 4300, _DECIMAL_DIGITS]
+# Per boundary, the first bit length whose digit estimate is past it.
+BOUNDARY_BITS = [next(b for b in range(d * 3, d * 4) if b * 30103 // 100000 + 1 > d)
+                 for d in BOUNDARIES]
+LENGTHS_NEAR = st.sampled_from(BOUNDARIES).flatmap(lambda d: st.integers(d - 2, d + 2))
+
+
+def value_of_length(length: int) -> st.SearchStrategy[int]:
+    return st.integers(10 ** (length - 1), 10 ** length - 1)
+
+
+PRINTED = st.one_of(
+    st.builds(lambda k, d: 10 ** k + d, LENGTHS_NEAR, st.integers(-1, 1)),
+    st.builds(lambda j, d: 2 ** j + d, st.sampled_from(BOUNDARY_BITS).flatmap(
+        lambda b: st.integers(b - 2, b + 1)), st.integers(-1, 0)),
+    LENGTHS_NEAR.flatmap(value_of_length),
+    st.integers(-10 ** 30, 10 ** 30),
+)
+
+
+class TestDecimalRanges:
+    def test_the_boundary_powers_straddle_each_boundary(self):
+        for d, b in zip(BOUNDARIES, BOUNDARY_BITS):
+            assert digit_estimate(2 ** (b - 1) - 1) <= d < digit_estimate(2 ** (b - 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=PRINTED, negative=st.booleans())
+    @example(value=0, negative=False)
+    @example(value=10 ** 100_000 - 1, negative=False)
+    @example(value=10 ** 100_001 + 1, negative=True)
+    @example(value=2 ** 400_000 - 1, negative=False)
+    @example(value=3 ** 250_000, negative=True)
+    def test_matches_the_oracle_and_str(self, value, negative):
+        value = -value if negative else value
+        printed = format_decimal(value)
+        with no_digit_limit():
+            expected = str(value)
+        assert printed == expected == oracle_format_decimal(value)
+
+    def test_no_split_leaves_a_high_half_of_zero(self):
+        # 10**L - 1 has L digits and a digit estimate of L + 1, so a split at
+        # any L on the grid would leave it a high half of 0 and print "09...".
+        for length in range(_STR_DIGITS - _STR_DIGITS % _SPLIT_GRID, _DECIMAL_DIGITS, _SPLIT_GRID):
+            assert digit_estimate(10 ** length - 1) == length + 1
+            assert format_decimal(10 ** length - 1) == "9" * length
+
+    def test_split_cache_stays_within_its_bound(self):
+        # 500 lengths across the split range and into the decimal one.
+        _power_of_ten.cache_clear()
+        for length in range(_STR_DIGITS + 1, _DECIMAL_DIGITS + 2001, 40)[:500]:
+            format_decimal(10 ** length - 1)
+        assert 0 < _power_of_ten.cache_info().currsize <= _DECIMAL_DIGITS // (2 * _SPLIT_GRID)
 
 
 class TestFraction:
