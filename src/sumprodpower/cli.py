@@ -73,6 +73,12 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _out_of_memory(flag: str, bound: int) -> int:
+    """A search whose tables do not fit in memory: exit code 2, as for a
+    bound above N_MAX_LIMIT."""
+    return _usage_error(f"{flag} {bound}: the search tables do not fit in memory")
+
+
 def _bad_value(message: str) -> Exception:
     """The error that argparse reports as `argument --flag: message`; only a
     bad value, which ends in argparse's error, imports it."""
@@ -206,7 +212,11 @@ def cmd_search(args: "Args") -> int:
         spec = SearchSpec(s=args.s, n_max=args.max_n, a_max=args.max_part, jobs=args.jobs)
     except ValueError as exc:
         return _usage_error(str(exc).replace("n_max", "--max-n"))
-    for sol in enumerate_solutions(spec):
+    try:
+        found = enumerate_solutions(spec)
+    except MemoryError:
+        return _out_of_memory("--max-n", args.max_n)
+    for sol in found:
         print(render(sol, "search", args.format))
     return 0
 
@@ -223,13 +233,16 @@ def cmd_s3(args: "Args") -> int:
         spec = SearchSpec(3, args.brute_max)
     except ValueError as exc:
         return _usage_error(str(exc).replace("n_max", "--brute-max"))
+    try:
+        brute = enumerate_solutions(spec)
+    except MemoryError:
+        return _out_of_memory("--brute-max", args.brute_max)
     print("curve: y^2 = x^3 + 16")
     rendered = ", ".join(f"({x}, {y})" for x, y in _S3_CANDIDATES)
     print(f"integral candidates (y = 0 or y | disc): {rendered}")
     for x, y in _S3_CANDIDATES:
         print(f"trace back ({x}, {y}): v = 0, degenerate, no (b1, b2)")
     print("positive preimages among candidates: 0")
-    brute = enumerate_solutions(spec)
     print(f"brute force a1 + a2 <= {args.brute_max}: {len(brute)} solutions")
     print(
         "erratum: the scaling x = 4v, y = 16u + 8 does not land on y^2 = x^3 + 64"

@@ -45,8 +45,17 @@ and in it only the multiples of r(P) are visited.  For each such b:
     [lo, hi] are the only second-to-last parts to try, with no r(P * a).
   - x >= a >= lo gives Q = a * x * (T + a + x) >= a**2 * (T + 2 * a) >=
     a**2 * (T + 2 * lo), so a <= cap = min(hi, isqrt(Q // (T + 2 * lo)))
-    (a**2 is an integer, so flooring Q / (T + 2 * lo) loses nothing).  The
-    divisors are generated only up to cap.
+    (a**2 is an integer, so flooring Q / (T + 2 * lo) loses nothing).
+  - x <= n_max - T - a < n_max - T and T + a + x <= n_max give Q <=
+    a * (n_max - T) * n_max, so a >= a_lo = max(lo, ceil(Q / ((n_max - T) *
+    n_max))).  A b with a_lo > cap is passed over before it is factored.
+  - The divisors of Q in [a_lo, cap] are built in two steps.  The smallest
+    prime p0 of b, with p0**f0 exactly dividing Q, is held back, and the
+    divisors d <= cap of Q / p0**f0 are built; then each d is stepped
+    through d * p0**k for k = 0 .. f0, past those below a_lo, and tested
+    while d * p0**k <= cap.  A divisor of Q that is at most cap has its
+    p0-free part d at most cap too, so this reaches each divisor of Q in
+    [a_lo, cap] once, and no other value.
   - x then solves x * (t + x) = Q / a with t = T + a: the discriminant
     t**2 + 4 * Q / a must be a perfect square root**2, and root = t (mod 2)
     since root**2 = t**2 (mod 4), so x = (root - t) / 2 is an integer.  The
@@ -109,7 +118,8 @@ and 556 MB for s = 7.  Each --jobs worker builds its own tables.
 
 Parallel runs split the leading part into blocks of consecutive values for at
 most one worker per usable core; each worker builds the sieve and the power
-list once, workers share nothing and the merged result is sorted, so output
+list once, for its first block (so a MemoryError reaches the parent and the
+command line), workers share nothing and the merged result is sorted, so output
 is a function of the spec alone.  multiprocessing and signal (each worker
 ignores SIGINT) are imported only by such runs, so a serial run and every
 other subcommand start without them.
@@ -327,21 +337,38 @@ def _divisor_walk(
 ) -> None:
     # The last level by b (module docstring), for a non-empty prefix `parts`
     # with product P = product and sum T = total: for each b, every divisor
-    # a of Q = b**s / P from lo up to the per-b cap, then x from
-    # x * (T + a + x) = Q / a.
+    # a of Q = b**s / P from the per-b floor up to the per-b cap, then x
+    # from x * (T + a + x) = Q / a.
     s, n_max, a_max, spf, powers, _ = tables
     t_lo = total + 2 * lo
+    span = (n_max - total) * n_max
     for b in _b_range(tables, total, product, r, lo, hi):
         # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1
         # parts of sum n = T + hi + top <= n_max, each below n.  So b**s < n**s
         # and b < n <= n_max: b is inside the sieve.
         q = powers[b] // product
+        # x < n_max - T and T + a + x <= n_max give Q <= a * span, and
         # x >= a >= lo gives a**2 * (T + 2 * lo) <= Q (module docstring).
+        a_lo = -(-q // span)
+        if a_lo < lo:
+            a_lo = lo
         cap = isqrt(q // t_lo)
         if cap > hi:
             cap = hi
+        if a_lo > cap:
+            continue
+        # b > 1 here: b = 1 gives Q = 1 < T + 2 * lo and so cap = 0.  Its
+        # smallest prime p0, with p0**f0 exactly dividing Q, is held back:
+        # divisors holds those of Q / p0**f0 up to cap, and each is then
+        # stepped through its p0 layer below.
+        p0 = spf[b]
+        m = b // p0
+        e = 1
+        while spf[m] == p0:
+            m //= p0
+            e += 1
+        f0 = s * e - exps.get(p0, 0)
         divisors = [1]
-        m = b
         while m > 1:
             p = spf[m]
             m //= p
@@ -358,18 +385,33 @@ def _divisor_walk(
                         break
                     divisors.append(d)
         for a in divisors:
-            if a < lo:
-                continue
-            t = total + a
-            disc = t * t + 4 * (q // a)
-            root = isqrt(disc)
-            if root * root == disc:
-                x = (root - t) >> 1
-                if a <= x <= a_max and t + x <= n_max:
-                    out.append((parts + (a, x), t + x, b))
+            # a runs through d * p0**j for j = 0 .. f0, and k counts the
+            # steps left.  Below the floor a only rises; from there it is
+            # tested while a <= cap.  The else runs when a reached the floor
+            # within the layer.
+            k = f0
+            while a < a_lo:
+                if not k:
+                    break
+                a *= p0
+                k -= 1
+            else:
+                while a <= cap:
+                    t = total + a
+                    disc = t * t + 4 * (q // a)
+                    root = isqrt(disc)
+                    if root * root == disc:
+                        x = (root - t) >> 1
+                        if a <= x <= a_max and t + x <= n_max:
+                            out.append((parts + (a, x), t + x, b))
+                    if not k:
+                        break
+                    a *= p0
+                    k -= 1
 
 
-_worker_tables: _Tables | None = None  # set in each pool worker by _init_worker
+_worker_bounds: tuple[int, int, int] = (0, 0, 0)  # set in each pool worker by _init_worker
+_worker_tables: _Tables | None = None  # built by the worker's first block
 
 
 def _init_worker(s: int, n_max: int, a_max: int) -> None:
@@ -378,12 +420,20 @@ def _init_worker(s: int, n_max: int, a_max: int) -> None:
     import signal  # here, with multiprocessing: only --jobs runs need it
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _worker_tables
-    _worker_tables = _tables(s, n_max, a_max)
+    global _worker_bounds, _worker_tables
+    _worker_bounds = (s, n_max, a_max)
+    _worker_tables = None
 
 
 def _leading_block(leads: tuple[int, int]) -> list[tuple[tuple[int, ...], int, int]]:
-    # All solutions whose smallest part lies in leads = (lo, hi), in a pool worker.
+    # All solutions whose smallest part lies in leads = (lo, hi), in a pool
+    # worker.  The tables are built here and not in _init_worker: a pool
+    # replaces a worker whose initializer raises, forever, while what a
+    # block raises (MemoryError when the tables do not fit) reaches the
+    # parent.
+    global _worker_tables
+    if _worker_tables is None:
+        _worker_tables = _tables(*_worker_bounds)
     return _search(_worker_tables, *leads)
 
 

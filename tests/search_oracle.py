@@ -15,6 +15,9 @@
   search._divisor_walk.
 - uncapped_divisor_walk: the last level's walk over the divisors of b**s / P
   with the divisors generated up to hi and not up to the per-b cap.
+- parent_divisor_walk: search._divisor_walk before it had a per-b floor and
+  held back a prime: every divisor of b**s / P up to the per-b cap is built,
+  and those below lo are passed over one by one.
 """
 
 from __future__ import annotations
@@ -180,3 +183,46 @@ def uncapped_divisor_walk(tables, parts, total, product, r, exps, lo, hi):
                     rows.append((parts + (a, x), t + x, b))
         found[b] = sorted(rows)
     return found
+
+
+def parent_divisor_walk(tables, parts, total, product, r, exps, lo, hi, out) -> None:
+    """search._divisor_walk with the divisors of Q = b**s / P built from 1 up
+    to the per-b cap and no floor but lo; the same signature and rows."""
+    s, n_max, a_max, spf, powers, _ = tables
+    t_lo = total + 2 * lo
+    for b in search._b_range(tables, total, product, r, lo, hi):
+        # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1
+        # parts of sum n = T + hi + top <= n_max, each below n.  So b**s < n**s
+        # and b < n <= n_max: b is inside the sieve.
+        q = powers[b] // product
+        # x >= a >= lo gives a**2 * (T + 2 * lo) <= Q (search module docstring).
+        cap = isqrt(q // t_lo)
+        if cap > hi:
+            cap = hi
+        divisors = [1]
+        m = b
+        while m > 1:
+            p = spf[m]
+            m //= p
+            e = 1
+            while spf[m] == p:
+                m //= p
+                e += 1
+            # p**(s * e - exps[p]) exactly divides Q.
+            f = s * e - exps.get(p, 0)
+            for d in divisors[:]:
+                for _ in range(f):
+                    d *= p
+                    if d > cap:
+                        break
+                    divisors.append(d)
+        for a in divisors:
+            if a < lo:
+                continue
+            t = total + a
+            disc = t * t + 4 * (q // a)
+            root = isqrt(disc)
+            if root * root == disc:
+                x = (root - t) >> 1
+                if a <= x <= a_max and t + x <= n_max:
+                    out.append((parts + (a, x), t + x, b))

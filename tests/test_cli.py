@@ -999,7 +999,9 @@ class TestUsageErrorForms:
         assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
     def test_every_usage_error_site_has_a_case(self):
-        assert inspect.getsource(cli).count("return _usage_error(") == len(USAGE_ERRORS)
+        # One more site than cases: _out_of_memory, whose cases are in
+        # TestOutOfMemory.
+        assert inspect.getsource(cli).count("return _usage_error(") == len(USAGE_ERRORS) + 1
 
     @pytest.mark.parametrize("argv, message", BAD_VALUES, ids=[a for a, _ in BAD_VALUES])
     def test_a_bad_value_prints_the_usage_then_one_error(self, capsys, argv, message):
@@ -1108,6 +1110,52 @@ class TestMainContract:
             for line in out.splitlines():
                 sol, s, n = rebuilt_record(line)
                 assert (sol.s, sol.n) == (s, n)
+
+
+class TestOutOfMemory:
+    """A search whose tables do not fit under the child's address-space
+    limit exits 2 with one stderr line that names the bound, and no
+    traceback; with --jobs 2 the workers' MemoryError reaches the parent.
+    10^7 is N_MAX_LIMIT, so the bound itself is accepted."""
+
+    LIMIT = 200 << 20  # bytes; the sieve alone needs more at n_max = 10^7
+
+    @classmethod
+    def limit_address_space(cls) -> None:
+        import resource  # POSIX only, as is preexec_fn
+        resource.setrlimit(resource.RLIMIT_AS, (cls.LIMIT, cls.LIMIT))
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--max-n", "search --s 5 --max-n 50"),
+        ("--brute-max", "s3 --brute-max 50"),
+    ], ids=["search", "s3"])
+    def test_in_process(self, capsys, monkeypatch, flag, argv):
+        def out_of_memory(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_solutions", out_of_memory)
+        assert run_cli(capsys, *argv.split()) == (
+            2, "", f"error: {flag} 50: the search tables do not fit in memory\n")
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--max-n", ("search", "--s", "3", "--max-n", "10000000")),
+        ("--max-n", ("search", "--s", "4", "--max-n", "10000000", "--jobs", "2")),
+        ("--brute-max", ("s3", "--brute-max", "10000000")),
+    ], ids=["search", "search-jobs2", "s3"])
+    def test_exit_2_with_one_line(self, flag, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sumprodpower.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=self.limit_address_space, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:  # a pool that restarts failed workers hangs
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert (proc.returncode, out, err) == (
+            2, "", f"error: {flag} 10000000: the search tables do not fit in memory\n")
 
 
 class TestInterrupt:

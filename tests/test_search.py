@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from certificates import check_table_membership
 from conftest import table_rows
 from search_oracle import (
-    last_two_parts, oracle_solutions, recursive_search, uncapped_divisor_walk)
+    last_two_parts, oracle_solutions, parent_divisor_walk, recursive_search,
+    uncapped_divisor_walk)
 from sumprodpower import DioSolution, SearchSpec, enumerate_solutions
 from sumprodpower import search
 from sumprodpower.search import _tables
@@ -159,7 +160,7 @@ def pool_sizes(monkeypatch) -> list[int]:
         def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
             self.sigint = signal.getsignal(signal.SIGINT)
-            initializer(*initargs)  # sets search._worker_tables, ignores SIGINT
+            initializer(*initargs)  # sets search._worker_bounds, ignores SIGINT
 
         def __enter__(self):
             return self
@@ -564,6 +565,74 @@ class TestDivisorWalk:
         assert any(hi == 18 for *_, hi in calls)
         found = [row for call in calls for row in last_level(search._divisor_walk, *call)]
         assert ((1, 2, 12, 12), 27, 6) in found
+
+
+def below_the_floor(call: tuple) -> tuple[int, int]:
+    """For one last-level call, every divisor a of Q = b**s / P with
+    lo <= a < max(lo, ceil(Q / ((n_max - T) * n_max))) and a <= hi, over
+    the b of search._b_range, must give no row that keeps t + x <= n_max:
+    its discriminant is not a square, or its x has T + a + x > n_max.
+    Returns (b visited, divisors below the floor)."""
+    tables, parts, total, product, r, exps, lo, hi = call
+    s, n_max, a_max, spf, powers, _ = tables
+    span = (n_max - total) * n_max
+    visited = below = 0
+    for b in search._b_range(tables, total, product, r, lo, hi):
+        visited += 1
+        q = powers[b] // product
+        a_lo = max(lo, -(-q // span))
+        for a in range(lo, min(a_lo, hi + 1)):
+            if q % a:
+                continue
+            below += 1
+            t = total + a
+            disc = t * t + 4 * (q // a)
+            root = isqrt(disc)
+            if root * root == disc:
+                assert t + ((root - t) >> 1) > n_max, (call[1:], b, a)
+    return visited, below
+
+
+class TestLastLevelWindow:
+    """The last level builds only the divisors of Q = b**s / P in
+    [a_lo, cap] (search module docstring): node by node, it gives the rows
+    of the walk that built every divisor up to cap
+    (search_oracle.parent_divisor_walk), and no divisor below a_lo could
+    have given a row."""
+
+    @staticmethod
+    def check(spec: SearchSpec) -> int:
+        # Returns the number of last-level calls.
+        calls = last_level_calls(spec)
+        for call in calls:
+            assert last_level(search._divisor_walk, *call) == last_level(
+                parent_divisor_walk, *call)
+        return len(calls)
+
+    @pytest.mark.parametrize("s, n_max", [(4, 400), (5, 170), (6, 100), (7, 64), (8, 60)])
+    def test_benchmark_bounds(self, s, n_max):
+        assert self.check(SearchSpec(s, n_max))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(4, 8),
+        n_max=st.integers(3, 300),
+        a_max=st.none() | st.integers(1, 300),
+    )
+    def test_property(self, s, n_max, a_max):
+        self.check(SearchSpec(s, max(n_max, s - 1), a_max))
+
+    @pytest.mark.parametrize("a_max", [None, 5, 40])
+    @pytest.mark.parametrize("s, n_max", [(4, 150), (5, 150), (6, 120), (7, 90), (8, 60)])
+    def test_nothing_below_the_floor(self, s, n_max, a_max):
+        visited = below = 0
+        for call in last_level_calls(SearchSpec(s, n_max, a_max)):
+            for bounds in walk_bounds(call):
+                counts = below_the_floor((*call[:-2], *bounds))
+                visited += counts[0]
+                below += counts[1]
+        assert visited
+        assert below or a_max == 5  # the floor is above lo for some b
 
 
 def s3_discriminants(n_max: int, a_max: int, lo: int, hi: int) -> Counter:
