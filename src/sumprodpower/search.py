@@ -13,8 +13,17 @@ and P divides b**s exactly when b is a multiple of
     r(P) = prod p**ceil(e/s)  over the prime powers p**e exactly dividing P.
 
 No sum can exceed (s - 1) times the part bound, so n_max below stands for the
-sum bound min(n_max, (s - 1) * a_max).  r(P) and the factors of b come from a
-smallest-prime-factor sieve over [0, n_max]: the prime-exponent map exps of
+sum bound min(n_max, (s - 1) * a_max).  Every value the walk factors is
+factored from one table, lpf, the largest prime factor of each m in
+[0, n_max // 2] (lpf[0] = lpf[1] = 0): m's primes come largest first, each
+from lpf of what is left of m.  The table holds every index the walk reads:
+  - an s = 3 first part is at most n_max // 2, since the second is as large;
+  - a part before the last two is at most n_max // 3, since at least two
+    parts as large follow it;
+  - a b visited for s >= 4 has b**s = prod(parts) * n <= (n / (s - 1))**(s - 1)
+    * n by AM-GM, for s - 1 parts summing to n <= n_max (see _b_range), so
+    b <= n_max / 3**(3/4) < n_max / 2;
+and factoring m reads only divisors of m.  The prime-exponent map exps of
 the prefix is carried down the upper levels, and r is multiplied by
 p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of a new part.
 All of it is integer arithmetic.  Solutions are re-verified exactly when they
@@ -23,7 +32,7 @@ are materialized as DioSolution values.
 The upper levels (every part before the last two) are walked from an explicit
 stack of prefix states (parts, total, product, r, exps, lo, hi), where the
 next part lies in [lo, hi].  Popping a state loops over that part, factors
-it from the sieve inline, and either pushes the child state or, when the
+it from the table inline, and either pushes the child state or, when the
 child holds all s - 3 parts, hands it to the last level.  A child whose part
 is above 1 gets its own copy of exps, so no state changes once it is pushed
 and nothing is undone on the way back.  The depth of the walk is a list's
@@ -39,8 +48,7 @@ and in it only the multiples of r(P) are visited.  For each such b:
   - Q = b**s / P is exact, because r(P) | b gives P | b**s.
   - For each prime power p**e exactly dividing b, p**(s*e - exps[p]) exactly
     divides Q, and s*e - exps[p] >= 0 because P | b**s.  Q divides b**s,
-    so b's primes are all of Q's.  b < n <= n_max (see _divisor_walk), so
-    b's factors come from the sieve.
+    so b's primes are all of Q's, and they come from the table.
   - a | Q is the same condition as P * a | b**s, so the divisors of Q in
     [lo, hi] are the only second-to-last parts to try, with no r(P * a).
   - x >= a >= lo gives Q = a * x * (T + a + x) >= a**2 * (T + 2 * a) >=
@@ -48,14 +56,17 @@ and in it only the multiples of r(P) are visited.  For each such b:
     (a**2 is an integer, so flooring Q / (T + 2 * lo) loses nothing).
   - x <= n_max - T - a < n_max - T and T + a + x <= n_max give Q <=
     a * (n_max - T) * n_max, so a >= a_lo = max(lo, ceil(Q / ((n_max - T) *
-    n_max))).  A b with a_lo > cap is passed over before it is factored.
-  - The divisors of Q in [a_lo, cap] are built in two steps.  The smallest
-    prime p0 of b, with p0**f0 exactly dividing Q, is held back, and the
-    divisors d <= cap of Q / p0**f0 are built; then each d is stepped
+    n_max))).
+  - The divisors of Q in [a_lo, cap] are built in two steps.  b is
+    factored largest prime first, and each prime's layer of divisors
+    d <= cap is built when the next prime is found, so the smallest prime
+    p0 of b, with p0**f0 exactly dividing Q, is left held back: the
+    divisors d <= cap of Q / p0**f0 are built, then each d is stepped
     through d * p0**k for k = 0 .. f0, past those below a_lo, and tested
     while d * p0**k <= cap.  A divisor of Q that is at most cap has its
     p0-free part d at most cap too, so this reaches each divisor of Q in
-    [a_lo, cap] once, and no other value.
+    [a_lo, cap] once, and no other value.  b = 1 builds only d = 1 and
+    holds no prime back.
   - x then solves x * (t + x) = Q / a with t = T + a: the discriminant
     t**2 + 4 * Q / a must be a perfect square root**2, and root = t (mod 2)
     since root**2 = t**2 (mod 4), so x = (root - t) / 2 is an integer.  The
@@ -66,7 +77,7 @@ about 0.63 * n_max is a multiple of r(1) = 1, and Q = b**3 has many
 divisors, so walking b is slow: at s = 3 the divisor walk ran 4 to 5 times
 slower than a loop over the first part a, which is what _s3_last_level
 does.  With an empty prefix, r(a) = prod p**ceil(f/3) over a's prime powers
-p**f needs no exponent map.  Each step takes the smallest prime p of m,
+p**f needs no exponent map.  Each step takes the largest prime p of m,
 what is left of a, and divides m by gcd(m, p**3), that is by up to three
 factors p; so p is taken ceil(f/3) times, and their product is r(a).
 With x in [a, top], top = min(a_max, n_max - a), the kernel bisects the b
@@ -96,31 +107,33 @@ part a lies in [lo, hi] with m parts after it, and let L = n_max - T.
 So a node with such a p and (r * p)**s * m**m > P * F * n_max fails the cut.
 With z = P * F * n_max // m**m, that is every p above p_max =
 floor(floor(z**(1/s)) / r), and the floor root comes from bisecting the
-powers list, or from int_nth_root when z is past it.  The tables hold lpf,
-the largest prime factor of every a up to n_max // 3, and a node is skipped
-when lpf[a] > p_max and lpf[a] is not in exps.  A part below the root is at
-most n_max / 3, since at least two parts as large follow it.  p_max is
-computed once per state, at its first node whose lpf is a new prime, so a
-state whose nodes all reuse its primes pays nothing for it.  The root state
-never tries the skip: there P = 1 and p_max >= hi (checked for s = 5 to 11).
-s = 3 and s = 4 have no other state, so their tables hold no lpf.
+powers list.  z never passes the list: the prefix's parts, a, and m copies
+of (L - a) / m are s - 1 values summing to n_max, so by AM-GM
+z <= n_max * (n_max / (s - 1))**(s - 1) < (b_max + 1)**s, where b_max is the
+list's last b.  A node is skipped when lpf[a] > p_max and lpf[a] is not in
+exps.  p_max is computed once per state, at its first node whose lpf is a
+new prime, so a state whose nodes all reuse its primes pays nothing for it.
+The root state never tries the skip: there P = 1 and p_max >= hi (checked
+for s = 5 to 11).  s = 3 and s = 4 have no other state.
 
 The tables take memory in proportion to n_max.  Resident memory (the growth
 of ru_maxrss across _tables, each in a fresh process, at n_max = 10**6 on
-CPython 3.11, x86-64 Linux) grows by 77.5 bytes per unit of n_max for s = 3
-and 55.6 for s = 7, of which the lpf list's n_max / 3 slots take about 3.7.
-That is more than tracemalloc's peak of 40 bytes per unit, which counts
-live objects only: the sieve holds an int object and a list slot per entry
-while it is built, and for small s the powers list is long (about 0.63 n_max
-big ints at s = 3).  SearchSpec refuses an n_max above N_MAX_LIMIT = 10**7,
-where at these figures one run's tables take about 775 MB resident for s = 3
-and 556 MB for s = 7.  Each --jobs worker builds its own tables.
+CPython 3.11, x86-64 Linux) grows by 42.3 bytes per unit of n_max for s = 3,
+31.6 for s = 4 and 17.8 for s = 7, of which the lpf list's n_max / 2 slots
+take about 4.  That is more than tracemalloc's peak of 33 bytes per unit
+at s = 3, which counts live objects only and not what the allocator keeps
+once the sieve's temporary lists and the powers list's regrowths are freed.
+For small s the powers list is long (about 0.63 n_max big ints at s = 3).
+SearchSpec refuses an n_max above
+N_MAX_LIMIT = 10**7, where at these figures one run's tables take about
+420 MB resident for s = 3 and 180 MB for s = 7.  Each --jobs worker builds
+its own tables.
 
 Parallel runs split the leading part into blocks of consecutive values for at
-most one worker per usable core; each worker builds the sieve and the power
-list once, for its first block (so a MemoryError reaches the parent and the
-command line), workers share nothing and the merged result is sorted, so output
-is a function of the spec alone.  multiprocessing and signal (each worker
+most one worker per usable core; each worker builds its tables once, for its
+first block (so a MemoryError reaches the parent and the command line),
+workers share nothing and the merged result is sorted, so output is a
+function of the spec alone.  multiprocessing and signal (each worker
 ignores SIGINT) are imported only by such runs, so a serial run and every
 other subcommand start without them.
 """
@@ -174,38 +187,29 @@ class SearchSpec(Value):
         return min(self.n_max, (self.s - 1) * self.part_bound)
 
 
-# The bounds and lookup tables of one run: s, n_max, a_max, spf, powers, lpf.
-_Tables = tuple[int, int, int, list[int], list[int], list[int] | None]
+# The bounds and lookup tables of one run: s, n_max, a_max, lpf, powers.
+_Tables = tuple[int, int, int, list[int], list[int]]
 
 
 def _tables(s: int, n_max: int, a_max: int) -> _Tables:
-    """Per-run lookup tables: a smallest-prime-factor sieve over [0, n_max],
-    powers[b] = b**s for every b that prod * sum can reach, and for s >= 5
-    the largest prime factor of every upper-level part (None below)."""
-    spf = list(range(n_max + 1))
-    # Descending, so each m keeps the smallest p with p | m and p * p <= m.
-    # That p is prime: whatever a composite p marks, its smallest prime
-    # factor marks again later.
-    for p in range(isqrt(n_max), 1, -1):
-        spf[p * p :: p] = [p] * len(range(p * p, n_max + 1, p))
-    lpf = None
-    if s >= 5:
-        # Ascending, so each a keeps the largest prime that marks it.  An
-        # upper-level part below the root is at most n_max / 3 (module
-        # docstring); lpf[0] = lpf[1] = 0.
-        lpf = [0] * (n_max // 3 + 1)
-        for p in range(2, len(lpf)):
-            if spf[p] == p:
-                lpf[p::p] = [p] * len(range(p, len(lpf), p))
+    """Per-run lookup tables: the largest prime factor of every m in
+    [0, n_max // 2], which covers every value the walk factors (module
+    docstring), and powers[b] = b**s for every b that prod * sum can reach."""
+    # Ascending, so each m keeps the largest prime that marks it; a p that
+    # no smaller prime marked is prime.  lpf[0] = lpf[1] = 0.
+    lpf = [0] * (n_max // 2 + 1)
+    for p in range(2, len(lpf)):
+        if not lpf[p]:
+            lpf[p::p] = [p] * len(range(p, len(lpf), p))
     # AM-GM: prod(parts) <= (n / (s - 1))**(s - 1) for parts summing to n.
     k = s - 1
     b_max = int_nth_root(n_max * (n_max // k + 1) ** k, s)
-    return s, n_max, a_max, spf, [b ** s for b in range(b_max + 1)], lpf
+    return s, n_max, a_max, lpf, [b ** s for b in range(b_max + 1)]
 
 
 def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int]]:
     # All solutions whose smallest part lies in [lo, hi].
-    s, n_max, a_max, spf, powers, lpf = tables
+    s, n_max, a_max, lpf, powers = tables
     out: list[tuple[tuple[int, ...], int, int]] = []
     if s == 3:  # the prefix is empty, so the first part is the last level's
         _s3_last_level(tables, lo, hi, out)
@@ -239,11 +243,11 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
             if a > 1:
                 child = exps.copy()
                 m = a
-                while m > 1:  # a's prime powers p**f from the sieve
-                    p = spf[m]
+                while m > 1:  # a's prime powers p**f from the table
+                    p = lpf[m]
                     m //= p
                     f = 1
-                    while spf[m] == p:
+                    while lpf[m] == p:
                         m //= p
                         f += 1
                     e = child.get(p, 0)
@@ -271,10 +275,10 @@ def _prime_cap(
     # p_max of the skip (module docstring): the largest p with
     # (r * p)**s * m**m <= P * F * n_max, for the product P and sum T of a
     # prefix whose next part lies in [lo, hi] with m parts after it.
-    s, n_max, a_max, spf, powers, _ = tables
+    s, n_max, a_max, lpf, powers = tables
     z = product * _peak(n_max - total, m, lo, hi) * n_max // m ** m
-    b = bisect_right(powers, z)  # b**s <= z for b below this index
-    return (b - 1 if b < len(powers) else int_nth_root(z, s)) // r
+    # z < (b_max + 1)**s (module docstring), so the bisect gives the floor root.
+    return (bisect_right(powers, z) - 1) // r
 
 
 def _peak(rest: int, m: int, lo: int, hi: int) -> int:
@@ -291,12 +295,12 @@ def _s3_last_level(
     # The last level for s = 3 by its first part a (module docstring).  The
     # second part x in [a, top] needs a * x * (a + x) = b**3, and a divides
     # b**3 exactly when r(a) divides b.
-    s, n_max, a_max, spf, powers, _ = tables
+    s, n_max, a_max, lpf, powers = tables
     for a in range(lo, hi + 1):
         ra = 1
         m = a
         while m > 1:  # ra = r(a) when m reaches 1 (module docstring)
-            p = spf[m]
+            p = lpf[m]
             ra *= p
             m //= gcd(m, p * p * p)
         top = n_max - a
@@ -317,7 +321,7 @@ def _b_range(tables: _Tables, total: int, product: int, r: int, lo: int, hi: int
     # The multiples of r = r(product) that can be b for a prefix with this
     # product and sum and a second-to-last part a in [lo, hi]: from a = x = lo
     # to a = hi, x = top(hi) (module docstring).
-    s, n_max, a_max, spf, powers, _ = tables
+    s, n_max, a_max, lpf, powers = tables
     top = min(a_max, n_max - total - hi)
     b_lo = bisect_left(powers, product * lo * lo * (total + 2 * lo))
     b_end = bisect_right(powers, product * hi * top * (total + hi + top))
@@ -339,13 +343,10 @@ def _divisor_walk(
     # with product P = product and sum T = total: for each b, every divisor
     # a of Q = b**s / P from the per-b floor up to the per-b cap, then x
     # from x * (T + a + x) = Q / a.
-    s, n_max, a_max, spf, powers, _ = tables
+    s, n_max, a_max, lpf, powers = tables
     t_lo = total + 2 * lo
     span = (n_max - total) * n_max
     for b in _b_range(tables, total, product, r, lo, hi):
-        # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1
-        # parts of sum n = T + hi + top <= n_max, each below n.  So b**s < n**s
-        # and b < n <= n_max: b is inside the sieve.
         q = powers[b] // product
         # x < n_max - T and T + a + x <= n_max give Q <= a * span, and
         # x >= a >= lo gives a**2 * (T + 2 * lo) <= Q (module docstring).
@@ -355,35 +356,30 @@ def _divisor_walk(
         cap = isqrt(q // t_lo)
         if cap > hi:
             cap = hi
-        if a_lo > cap:
-            continue
-        # b > 1 here: b = 1 gives Q = 1 < T + 2 * lo and so cap = 0.  Its
-        # smallest prime p0, with p0**f0 exactly dividing Q, is held back:
-        # divisors holds those of Q / p0**f0 up to cap, and each is then
-        # stepped through its p0 layer below.
-        p0 = spf[b]
-        m = b // p0
-        e = 1
-        while spf[m] == p0:
-            m //= p0
-            e += 1
-        f0 = s * e - exps.get(p0, 0)
+        # b's primes come from the table largest first, each with p**f
+        # exactly dividing Q, f = s * e - exps[p].  A prime's layer joins
+        # divisors (those up to cap) when the next prime is found, so the
+        # smallest prime p0 is left held back, to be stepped through below
+        # (b = 1 holds none back: f0 = 0 steps nothing).
         divisors = [1]
+        p0 = f0 = 0
+        m = b
         while m > 1:
-            p = spf[m]
+            p = lpf[m]
             m //= p
             e = 1
-            while spf[m] == p:
+            while lpf[m] == p:
                 m //= p
                 e += 1
-            # p**(s * e - exps[p]) exactly divides Q.
-            f = s * e - exps.get(p, 0)
-            for d in divisors[:]:
-                for _ in range(f):
-                    d *= p
-                    if d > cap:
-                        break
-                    divisors.append(d)
+            if f0:  # 0 before the first prime, or for an empty layer
+                for d in divisors[:]:
+                    for _ in range(f0):
+                        d *= p0
+                        if d > cap:
+                            break
+                        divisors.append(d)
+            p0 = p
+            f0 = s * e - exps.get(p, 0)
         for a in divisors:
             # a runs through d * p0**j for j = 0 .. f0, and k counts the
             # steps left.  Below the floor a only rises; from there it is

@@ -78,14 +78,14 @@ def oracle_solutions(
     return out
 
 
-def _factor(spf: list[int], m: int) -> list[tuple[int, int]]:
-    # (p, f) for each prime power p**f exactly dividing m.
+def _factor(lpf: list[int], m: int) -> list[tuple[int, int]]:
+    # (p, f) for each prime power p**f exactly dividing m, largest p first.
     out = []
     while m > 1:
-        p = spf[m]
+        p = lpf[m]
         m //= p
         f = 1
-        while spf[m] == p:
+        while lpf[m] == p:
             m //= p
             f += 1
         out.append((p, f))
@@ -97,12 +97,12 @@ def _extend(tables, parts, total, product, r, exps, lo, hi, out) -> None:
     # with a next part in [lo, hi] to the last level.  r = r(product); exps
     # maps each prime to its exponent in product and is restored before
     # returning.
-    s, n_max, a_max, spf, powers, lpf = tables
+    s, n_max, a_max, lpf, powers = tables
     remaining = s - 2 - len(parts)  # parts still to choose after the next one
     if remaining > 1:
         for a in range(lo, hi + 1):
             ra = r
-            factors = _factor(spf, a)
+            factors = _factor(lpf, a)
             for p, f in factors:
                 e = exps.get(p, 0)
                 ra *= p ** ((e + f + s - 1) // s - (e + s - 1) // s)
@@ -135,7 +135,7 @@ def last_two_parts(tables, parts, total, product, r, exps, lo, hi):
     last part x in [a, min(a_max, n_max - T - a)] whose P * a * x * (T + a + x)
     is an s-th power.  r and exps are not read; they keep the signature of
     search._divisor_walk."""
-    s, n_max, a_max, spf, powers, lpf = tables
+    s, n_max, a_max, lpf, powers = tables
     get = {power: b for b, power in enumerate(powers)}.get
     out = []
     for a in range(lo, hi + 1):
@@ -150,17 +150,17 @@ def last_two_parts(tables, parts, total, product, r, exps, lo, hi):
 def uncapped_divisor_walk(tables, parts, total, product, r, exps, lo, hi):
     """search._divisor_walk with each b's divisors generated up to hi:
     {b: sorted (parts, n, b) rows} for every b of search._b_range."""
-    s, n_max, a_max, spf, powers, lpf = tables
+    s, n_max, a_max, lpf, powers = tables
     found = {}
     for b in search._b_range(tables, total, product, r, lo, hi):
         q = powers[b] // product
         divisors = [1]
         m = b
         while m > 1:
-            p = spf[m]
+            p = lpf[m]
             m //= p
             e = 1
-            while spf[m] == p:
+            while lpf[m] == p:
                 m //= p
                 e += 1
             f = s * e - exps.get(p, 0)
@@ -188,12 +188,9 @@ def uncapped_divisor_walk(tables, parts, total, product, r, exps, lo, hi):
 def parent_divisor_walk(tables, parts, total, product, r, exps, lo, hi, out) -> None:
     """search._divisor_walk with the divisors of Q = b**s / P built from 1 up
     to the per-b cap and no floor but lo; the same signature and rows."""
-    s, n_max, a_max, spf, powers, _ = tables
+    s, n_max, a_max, lpf, powers = tables
     t_lo = total + 2 * lo
     for b in search._b_range(tables, total, product, r, lo, hi):
-        # b**s <= P * hi * top * (T + hi + top), which is prod * n for s - 1
-        # parts of sum n = T + hi + top <= n_max, each below n.  So b**s < n**s
-        # and b < n <= n_max: b is inside the sieve.
         q = powers[b] // product
         # x >= a >= lo gives a**2 * (T + 2 * lo) <= Q (search module docstring).
         cap = isqrt(q // t_lo)
@@ -202,10 +199,10 @@ def parent_divisor_walk(tables, parts, total, product, r, exps, lo, hi, out) -> 
         divisors = [1]
         m = b
         while m > 1:
-            p = spf[m]
+            p = lpf[m]
             m //= p
             e = 1
-            while spf[m] == p:
+            while lpf[m] == p:
                 m //= p
                 e += 1
             # p**(s * e - exps[p]) exactly divides Q.

@@ -1118,7 +1118,7 @@ class TestOutOfMemory:
     traceback; with --jobs 2 the workers' MemoryError reaches the parent.
     10^7 is N_MAX_LIMIT, so the bound itself is accepted."""
 
-    LIMIT = 200 << 20  # bytes; the sieve alone needs more at n_max = 10^7
+    LIMIT = 200 << 20  # bytes; the tables need more at n_max = 10^7, for s = 3 and s = 4
 
     @classmethod
     def limit_address_space(cls) -> None:

@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -17,6 +19,7 @@ from search_oracle import (
     uncapped_divisor_walk)
 from sumprodpower import DioSolution, SearchSpec, enumerate_solutions
 from sumprodpower import search
+from sumprodpower.exactmath import int_nth_root
 from sumprodpower.search import _tables
 
 
@@ -95,7 +98,7 @@ class TestSearchSpec:
 
     @pytest.mark.parametrize("s", [3, 4, 5, 6, 7])
     def test_table_bytes_per_unit_of_n_max(self, s):
-        # The sizing of N_MAX_LIMIT in the module docstring: at most 48 bytes
+        # The sizing of N_MAX_LIMIT in the module docstring: at most 36 bytes
         # of tables per unit of n_max, at their peak.
         n_max = 20000
         tracemalloc.start()
@@ -104,7 +107,28 @@ class TestSearchSpec:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * n_max
+        assert peak <= 36 * n_max
+
+    @pytest.mark.parametrize("s, bound", [(3, 55), (7, 30)])
+    def test_resident_bytes_per_unit_of_n_max(self, s, bound):
+        # The resident sizing in the module docstring (about 42 and 18 bytes
+        # per unit of n_max): the growth of ru_maxrss across _tables at
+        # n_max = 10**6, each in a fresh interpreter.  Linux carries a
+        # process's peak into the processes it starts, so the interpreter
+        # is started from a small one, not from pytest, whose peak would
+        # hide the growth.  ru_maxrss counts KiB on Linux and bytes on macOS.
+        pytest.importorskip("resource")
+        code = ("import resource\n"
+                "from sumprodpower.search import _tables\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                f"_tables({s}, 10**6, 10**6)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+        starter = "import subprocess, sys; raise SystemExit(subprocess.run(sys.argv[1:]).returncode)"
+        proc = subprocess.run([sys.executable, "-c", starter, sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        growth = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+        assert growth <= bound * 10**6
 
 
 class TestEnumerateSolutions:
@@ -408,6 +432,21 @@ def upper_states(spec: SearchSpec) -> list[tuple[int, Counter, int, int, int]]:
     return states
 
 
+def path_states(s: int, n_max: int, parts: tuple[int, ...]) -> list[tuple[int, Counter, int, int, int]]:
+    """The states of upper_states(SearchSpec(s, n_max)) along one prefix:
+    the state after each of its parts, each checked to be one that the walk
+    with the cut alone reaches."""
+    states = []
+    total, exps, lo, hi, m = 0, Counter(), 1, n_max // (s - 1), s - 2
+    for a in parts:
+        assert lo <= a <= hi and m > 2
+        total, exps = total + a, exps + prime_powers(a)
+        assert cut_keeps(s, n_max, total, exps, m)
+        lo, hi, m = a, (n_max - total) // m, m - 1
+        states.append((total, exps, lo, hi, m))
+    return states
+
+
 def state_args(s: int, state: tuple[int, Counter, int, int, int]) -> tuple:
     """search._prime_cap's arguments after the tables: total, product, r,
     lo, hi, m."""
@@ -425,7 +464,7 @@ class TestPrimeSkip:
         # Returns the number of nodes the skip drops.
         spec = SearchSpec(s, n_max, a_max)
         tables = _tables(s, spec.sum_bound, spec.part_bound)
-        lpf = tables[5]
+        lpf = tables[3]
         skipped = 0
         for state in upper_states(spec):
             total, exps, lo, hi, m = state
@@ -454,20 +493,41 @@ class TestPrimeSkip:
 
     @pytest.mark.parametrize("s, n_max", [(5, 170), (6, 100), (7, 64), (8, 60), (1000, 1998)])
     def test_p_max_is_the_threshold(self, s, n_max):
-        # (r * p_max)**s * m**m <= P * F * n_max < (r * (p_max + 1))**s * m**m,
-        # at the states of a run below s = 1000 and at made-up ones.  The
-        # last has z = P * F * n_max // m**m past the powers list, so that
-        # int_nth_root takes it.
+        # (r * p_max)**s * m**m <= P * F * n_max < (r * (p_max + 1))**s * m**m
+        # at the states of a run.  s = 1000 is too deep for upper_states: it
+        # takes the states along the prefixes 1, ..., 1 and 1, 2, 2, 2.
         tables = _tables(s, n_max, n_max)
-        cases = [] if s > 8 else [state_args(s, state) for state in upper_states(SearchSpec(s, n_max))]
-        cases += [(n_max // 4, 7 ** 9 * 2 ** (s + 3), 7 ** -(-9 // s) * 4, 3, n_max // 4, 2),
-                  (0, 10 ** (s + 40), 10 ** 9, 1, n_max // (s - 1), s - 2)]
-        for total, product, r, lo, hi, m in cases:
+        if s > 8:
+            states = path_states(s, n_max, (1,) * (s - 4)) + path_states(
+                s, n_max, (1, 2, 2, 2))
+        else:
+            states = upper_states(SearchSpec(s, n_max))
+        assert states
+        for state in states:
+            total, product, r, lo, hi, m = state_args(s, state)
             rest = n_max - total
             bound = product * max(a * (rest - a) ** m for a in range(lo, hi + 1)) * n_max
             p_max = search._prime_cap(tables, total, product, r, lo, hi, m)
             assert (r * p_max) ** s * m ** m <= bound < (r * (p_max + 1)) ** s * m ** m
-        assert bound // m ** m > tables[4][-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(5, 9),
+        n_max=st.integers(4, 160),
+        a_max=st.none() | st.integers(1, 160),
+    )
+    def test_z_stays_in_the_powers_list(self, s, n_max, a_max):
+        # z = P * F * n_max // m**m < (b_max + 1)**s at every state (module
+        # docstring), so bisecting the powers list gives floor(z**(1/s)).
+        spec = SearchSpec(s, max(n_max, s - 1), a_max)
+        tables = _tables(s, spec.sum_bound, spec.part_bound)
+        powers = tables[4]
+        for state in upper_states(spec):
+            total, product, r, lo, hi, m = state_args(s, state)
+            z = product * search._peak(spec.sum_bound - total, m, lo, hi) * spec.sum_bound // m ** m
+            assert z < len(powers) ** s
+            assert search._prime_cap(tables, total, product, r, lo, hi, m) == (
+                int_nth_root(z, s) // r)
 
     @settings(max_examples=200, deadline=None)
     @given(rest=st.integers(1, 400), m=st.integers(1, 8), data=st.data())
@@ -483,15 +543,20 @@ class TestPrimeSkip:
 
     @pytest.mark.parametrize("s", [5, 6, 7])
     def test_largest_prime_factor_list(self, s):
-        lpf = _tables(s, 2000, 2000)[5]
-        assert len(lpf) == 2000 // 3 + 1
-        assert lpf[:2] == [0, 0]
-        for a in range(2, len(lpf)):
-            assert lpf[a] == max(prime_powers(a))
+        for n_max in (2000, 2003):
+            lpf = _tables(s, n_max, n_max)[3]
+            assert len(lpf) == n_max // 2 + 1
+            assert lpf[:2] == [0, 0]
+            for a in range(2, len(lpf)):
+                assert lpf[a] == max(prime_powers(a))
 
     @pytest.mark.parametrize("s", [3, 4])
     def test_no_list_below_s5(self, s):
-        assert _tables(s, 2000, 2000)[5] is None
+        # No s has a prime list of its own: s = 3 and 4, which never try
+        # the skip, factor from the same table as s >= 5.
+        tables = _tables(s, 2000, 2000)
+        assert len(tables) == 5
+        assert tables[3] == _tables(5, 2000, 2000)[3]
 
     @pytest.mark.parametrize("s", range(5, 12))
     @pytest.mark.parametrize("n_max, a_max", [
@@ -574,7 +639,7 @@ def below_the_floor(call: tuple) -> tuple[int, int]:
     its discriminant is not a square, or its x has T + a + x > n_max.
     Returns (b visited, divisors below the floor)."""
     tables, parts, total, product, r, exps, lo, hi = call
-    s, n_max, a_max, spf, powers, _ = tables
+    s, n_max, a_max, lpf, powers = tables
     span = (n_max - total) * n_max
     visited = below = 0
     for b in search._b_range(tables, total, product, r, lo, hi):
@@ -695,29 +760,55 @@ class TestS3LastLevel:
         # With powers[b] = a * b * (a + b) in place of b**3, every b the
         # kernel visits solves its quadratic with x = b, so each is a row.
         # The visited b are those in [a, top] with a | b**3.
-        s, n_max, a_max, spf, _, lpf = _tables(3, n_max, a_max)
+        s, n_max, a_max, lpf, _ = _tables(3, n_max, a_max)
         powers = [a * b * (a + b) for b in range(n_max + 1)]
         out: list[tuple[tuple[int, ...], int, int]] = []
-        search._s3_last_level((s, n_max, a_max, spf, powers, lpf), a, a, out)
+        search._s3_last_level((s, n_max, a_max, lpf, powers), a, a, out)
         top = min(a_max, n_max - a)
         expected = [((a, x), a + x, x) for x in range(a, top + 1) if x ** 3 % a == 0]
         assert len(expected) > 1
         assert out == expected
 
 
+class ReadIndices(list):
+    """A list that records every index read from it."""
+
+    def __init__(self, items: list[int]) -> None:
+        super().__init__(items)
+        self.read: set[int] = set()
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return super().__getitem__(index)
+
+
+def table_reads(spec: SearchSpec) -> set[int]:
+    """The indices that a serial search for spec reads from its prime
+    table, whose rows must be those of the plain table."""
+    s, n_max, a_max, lpf, powers = _tables(spec.s, spec.sum_bound, spec.part_bound)
+    lead = min(a_max, n_max // (s - 1))
+    recorded = ReadIndices(lpf)
+    found = search._search((s, n_max, a_max, recorded, powers), 1, lead)
+    assert found == search._search((s, n_max, a_max, lpf, powers), 1, lead)
+    return recorded.read
+
+
 class TestWalkInsideSieve:
-    """Every b the walk visits is below the tables' sum bound, which is the
-    last index of the sieve, so Q = b**s / P is factored from spf[b]."""
+    """Every value the walk factors is an index of the prime table, whose
+    length is sum_bound // 2 + 1: each b the walk visits, each part before
+    the last two, and for s = 3 each first part (search module docstring)."""
 
     @staticmethod
     def check(spec: SearchSpec) -> int:
         # Returns the number of b visited.
+        size = spec.sum_bound // 2 + 1
+        assert all(0 <= m < size for m in table_reads(spec))
         count = 0
         for tables, parts, total, product, r, exps, lo, hi in last_level_calls(spec):
-            n_max, spf = tables[1], tables[3]
-            assert n_max == len(spf) - 1 == spec.sum_bound
+            assert len(tables[3]) == size
+            assert max(parts) < size
             visited = search._b_range(tables, total, product, r, lo, hi)
-            assert not visited or visited[-1] < n_max
+            assert not visited or visited[-1] < size
             count += len(visited)
         return count
 
@@ -736,9 +827,20 @@ class TestWalkInsideSieve:
     def test_property(self, s, n_max, a_max):
         self.check(SearchSpec(s, max(n_max, s - 1), a_max))
 
+    @pytest.mark.parametrize("n_max, a_max", [(2, None), (3, None), (97, None), (600, None),
+                                              (600, 40)])
+    def test_s3_first_parts(self, n_max, a_max):
+        # s = 3 factors its first parts a <= min(a_max, n_max // 2) and
+        # nothing else, so with no part bound it reads the table's last
+        # index: the table is no longer than the walk needs.
+        spec = SearchSpec(3, n_max, a_max)
+        lead = min(spec.part_bound, n_max // 2)
+        assert table_reads(spec) == set(range(2, lead + 1))
+
 
 class TestSumBound:
-    """No sum exceeds (s - 1) * part_bound, so the tables stop there."""
+    """No sum exceeds (s - 1) * part_bound, so the tables are sized by it:
+    the prime table stops at half of it."""
 
     @pytest.fixture
     def sieve_lengths(self, monkeypatch) -> list[int]:
@@ -758,7 +860,7 @@ class TestSumBound:
         spec = SearchSpec(5, search.N_MAX_LIMIT, a_max)
         assert spec.sum_bound == 4 * a_max
         found = rows(spec)
-        assert sieve_lengths == [4 * a_max + 1]
+        assert sieve_lengths == [4 * a_max // 2 + 1]
         assert len(found) == records
         assert found == rows(SearchSpec(5, 4 * a_max, a_max))
         assert found == oracle_solutions(5, 4 * a_max, a_max)
@@ -767,7 +869,7 @@ class TestSumBound:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         found = rows(SearchSpec(5, search.N_MAX_LIMIT, 30, jobs=2))
         assert pool_sizes == [2]
-        assert sieve_lengths == [121]
+        assert sieve_lengths == [120 // 2 + 1]
         assert found == oracle_solutions(5, 120, 30)
 
     def test_no_part_bound(self):
@@ -802,9 +904,20 @@ class TestDivisibilityStep:
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 49, 50, 1000])
     def test_smallest_prime_factor_sieve(self, n_max):
-        spf = _tables(3, n_max, n_max)[3]
-        for m in range(2, n_max + 1):
-            assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
+        # Walking m down the largest-prime table gives m's primes largest
+        # first, so the last one is its smallest prime factor: the prime
+        # that the s >= 4 last level holds back.
+        lpf = _tables(3, n_max, n_max)[3]
+        assert len(lpf) == n_max // 2 + 1
+        for m in range(2, len(lpf)):
+            primes = []
+            k = m
+            while k > 1:
+                primes.append(lpf[k])
+                k //= lpf[k]
+            assert prod(primes) == m
+            assert primes == sorted(primes, reverse=True)
+            assert primes[-1] == next(p for p in range(2, m + 1) if m % p == 0)
 
 
 class TestTableMembership:
