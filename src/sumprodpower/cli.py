@@ -10,12 +10,13 @@ success, 1 mathematical failure (not a solution, or positivity violated), 2
 usage error, 3 generation budget exhausted, 130 interrupted (Ctrl-C), 141
 stdout closed by its reader (as by `| head`; nothing on stderr).  A usage
 error takes one of two forms on stderr.  A flag that argparse refuses
-(unknown, missing, repeated, or a value that fails its type or choices)
-prints the usage line of the subcommand it came from (the top-level one
-when there is no subcommand), then `sumprodpower <command>: error: ...`.  A
-check across flags or on their values that the subcommand makes itself
-(verify's part count, gen4 and family's flag combinations, the bounds of
-search and s3) prints one line, `error: ...`.
+(unknown, missing, or a value that fails its type or choices) prints the
+usage line of the subcommand it came from (the top-level one when there is
+no subcommand), then `sumprodpower <command>: error: ...`.  A check across
+flags or on their values that the subcommand makes itself (verify's part
+count, gen4 and family's flag combinations, the bounds of search and s3)
+prints one line, `error: ...`.  A repeated flag is no error: argparse keeps
+its last value.
 
 One table, _COMMANDS, defines every subcommand and flag, as the keywords of
 the add_argument call that argparse would get.  A well-formed argv never

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -11,7 +12,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -31,9 +32,12 @@ from root_oracle import oracle_format_decimal
 from sumprodpower import DioSolution, cli, family, search, transforms
 from sumprodpower.cli import main
 from sumprodpower.exactmath import _DECIMAL_DIGITS, format_decimal, format_rational, parse_decimal
+from test_exactmath import no_digit_limit
 from test_imports import RUN_CLI, cold_run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -155,6 +159,21 @@ class TestBeyondTheDigitLimit:
             (list(sol.sorted_parts), sol.n, sol.b) for _, sol in oracle_walk(80, False)
         ]
         assert len(out.splitlines()[-1]) > 4300
+
+    def test_gen4_records_past_the_decimal_range_read_back_with_int(self, capsys):
+        # The numbers of the last three records have 19,870 to 20,983 digits,
+        # past _DECIMAL_DIGITS, where format_decimal turns to decimal.  The
+        # lines are read back with int() under a lifted digit limit, not with
+        # the package.
+        code, out, err = run_cli(capsys, "gen4", "--count", "75", "--max-multiple", "150",
+                                 "--format", "tsv")
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            records = [[int(column) for column in line.split("\t")] for line in out.splitlines()]
+        assert len(records) == 75
+        for *parts, b, n in records:
+            assert len(parts) == 3 and prod(parts) * n == b ** 4
+        assert max(map(len, out.split())) > _DECIMAL_DIGITS
 
     def test_cold_gen4_at_the_probe_size_loads_no_decimal(self):
         # Its longest numbers are past the interpreter's digit limit and
@@ -463,6 +482,32 @@ class TestSearch:
         serial = run_cli(capsys, "search", "--s", "6", "--max-n", "100")
         assert serial[0] == 0 and serial[1]
         assert run_cli(capsys, "search", "--s", "6", "--max-n", "100", "--jobs", "2") == serial
+
+    # Bounds past the reach of tests/search_oracle.py, with their record and
+    # primitive record counts.  The counts are the program's own output,
+    # pinned as a regression check; what shows that no record is missing is
+    # the closure below.  The system is homogeneous: scaling the parts by k
+    # scales b and n by k, and g = gcd(parts) divides b.
+    @pytest.mark.parametrize("s, max_n, records, primitive", [
+        (4, 3000, 350, 25), (5, 3000, 2765, 854), (6, 600, 1555, 907), (7, 400, 2069, 1690),
+    ])
+    def test_at_scale_the_records_are_complete(self, capsys, s, max_n, records, primitive):
+        argv = ("search", "--s", str(s), "--max-n", str(max_n), "--format", "tsv")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial[0] == 0 and serial[1]
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        # Read back with int() and math alone, not with the package.
+        rows = [tuple(int(column) for column in line.split("\t")) for line in serial[1].splitlines()]
+        for *parts, b, n in rows:
+            assert len(parts) == s - 1 and parts == sorted(parts)
+            assert sum(parts) == n <= max_n
+            assert prod(parts) * n == b ** s
+        multiples = {(*(k * a for a in parts), k * b, k * n)
+                     for *parts, b, n in rows for k in range(2, max_n // n + 1)}
+        reductions = {(*(a // g for a in parts), b // g, n // g)
+                      for *parts, b, n in rows if (g := gcd(*parts)) > 1}
+        assert multiples | reductions <= set(rows)
+        assert (len(rows), sum(gcd(*row[:-2]) == 1 for row in rows)) == (records, primitive)
 
     @pytest.mark.parametrize("s, max_n, jobs", [("1000", "999", "1"), ("300", "598", "2")])
     def test_large_s_runs_to_the_end(self, capsys, s, max_n, jobs):
@@ -849,6 +894,13 @@ class TestFlagScan:
         with pytest.raises(ArgparseCalled):
             cli._parse(argv)
 
+    def test_a_repeated_flag_keeps_its_last_value(self, capsys):
+        assert run_cli(capsys, "verify", "--s", "4", "--parts", "1,2,24", "--format", "jsonl",
+                       "--format", "tsv") == (0, "1\t2\t24\t6\t27\n", "")
+        argv = ("search", "--s", "4", "--max-n", "30", "--jobs", "2", "--jobs", "1")
+        assert cli._parse(argv).jobs == 1
+        assert run_cli(capsys, *argv) == (0, "1\t8\t9\t6\t18\n1\t2\t24\t6\t27\n", "")
+
 
 # The help text of the top-level parser and of each subcommand at 80 columns,
 # as argparse writes it from cli's flag table on Python 3.10 to 3.13.  The
@@ -1202,3 +1254,46 @@ class TestInterrupt:
                 proc.communicate()
         assert "Traceback" not in err
         assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+
+
+# A shell line that runs the command line: the installed script, or the
+# package's cli module.
+RUNS_THE_CLI = re.compile(r"(?:^|[;&|(]|\$\(|-m)\s*sumprodpower(?:\.cli)?(?:\s|$)")
+
+
+def workflow_steps() -> dict[str, list[str]]:
+    """Each step of the CI workflow, by its name (its first line when it has
+    none): its lines, comments left out."""
+    steps = {}
+    body = WORKFLOW.read_text().partition("\n    steps:\n")[2]
+    for step in re.split(r"^ *- ", body, flags=re.M)[1:]:
+        lines = [re.sub(r"^run:", "", line.strip()) for line in step.splitlines()]
+        steps[lines[0].removeprefix("name: ")] = [line for line in lines if line[:1] != "#"]
+    return steps
+
+
+class TestWorkflow:
+    """CI runs the suite; a check of the command line's behaviour goes in it.
+
+    The workflow is read as text.  Only "Console script" runs the command
+    line itself, because it checks the installed entry point, which only an
+    install makes."""
+
+    def test_no_inline_script(self):
+        assert "<<" not in WORKFLOW.read_text()
+
+    def test_only_the_console_script_step_runs_the_command_line(self):
+        running = [name for name, lines in workflow_steps().items()
+                   if any(RUNS_THE_CLI.search(line) for line in lines)]
+        assert running == ["Console script"]
+
+    @pytest.mark.parametrize("line, runs", [
+        ('sumprodpower search --s "$s" --max-n "$n" --jobs 1 > "$RUNNER_TEMP/jobs1.tsv"', True),
+        ('actual="$(sumprodpower verify --s 4 --parts 1,2,24)"', True),
+        ("code=0; sumprodpower >/dev/null 2>&1 || code=$?", True),
+        ("python -m sumprodpower.cli gen4 --count 75", True),
+        ("python -c 'import sumprodpower; print(sumprodpower.__file__)'", False),
+        ("python tests/code_lines.py src/sumprodpower", False),
+    ])
+    def test_the_pattern_finds_a_run(self, line, runs):
+        assert bool(RUNS_THE_CLI.search(line)) == runs
