@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +227,41 @@ class TestJobsCap:
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert enumerate_solutions(SearchSpec(4, 300, jobs=5000)) == serial
         assert pool_sizes == sizes
+
+
+class TestHomogeneity:
+    """Relations the search's own output must satisfy, with no oracle.
+
+    The system is homogeneous of degree s: scaling the parts by k scales n
+    by k and prod(parts) * n by k^s, so b becomes k b; and g = gcd(parts)
+    divides b, since g^s | b^s.  So the records are closed under scaling
+    while k n <= n_max and under division by the gcd.  A lower sum bound or
+    a part bound selects records, in the same (n, parts) order."""
+
+    # Sum bounds up to which one example stays within a few hundredths of
+    # a second (s = 8 at 120 takes about 0.02 s).
+    SUM_BOUNDS = {3: 400, 4: 400, 5: 240, 6: 200, 7: 160, 8: 120}
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.integers(3, 8), data=st.data())
+    def test_property(self, s, data):
+        n_max = data.draw(st.integers(s - 1, self.SUM_BOUNDS[s]), label="n_max")
+        records = enumerate_solutions(SearchSpec(s, n_max))
+        keys = {(r.parts, r.b) for r in records}
+        for r in records:
+            # (a) closure under scaling while k n <= n_max
+            for k in range(2, n_max // r.n + 1):
+                assert (tuple(k * a for a in r.parts), k * r.b) in keys
+            # (b) closure under division by the gcd
+            if (g := gcd(*r.parts)) > 1:
+                assert (tuple(a // g for a in r.parts), r.b // g) in keys
+        # (c) a lower sum bound gives the records with n <= n_low
+        n_low = data.draw(st.integers(s - 1, n_max), label="n_low")
+        assert enumerate_solutions(SearchSpec(s, n_low)) == [r for r in records if r.n <= n_low]
+        # (d) a part bound gives the records with every part <= a_max
+        a_max = data.draw(st.integers(1, n_max), label="a_max")
+        assert enumerate_solutions(SearchSpec(s, n_max, a_max)) == [
+            r for r in records if max(r.parts) <= a_max]
 
 
 class TestAgainstScanOracle:
