@@ -4,6 +4,19 @@ curve points.
 ``DioSolution`` is a verified integer solution of the sum/product system.
 It holds the parts and b alone: s is the number of parts plus one and n is
 their sum, so only prod(parts) * n == b^s and positivity need a test.
+The system is homogeneous of degree s: scaling every part by k scales n by
+k and prod(parts) * n by k^s, so b becomes kb, and every solution is a
+multiple of a primitive one.  Conversely, with g > 0 a common divisor of
+the parts and a_i = g a'_i, prod(parts) * n = g^s m' with m' = prod(a') *
+sum(a'), and m' has the sign of the whole.  If the whole is b^s, then m' =
+(b/g)^s, and an integer that is the s-th power of a rational is the s-th
+power of an integer (a rational root of the monic x^s - m' is an
+integer), so the whole is an s-th power exactly when m' is, and then
+b = g b'.
+DioSolution.from_parts takes its root of m', s log2(g) bits shorter, with
+g = gcd(parts) unless the parts are long and their leading bits show no
+large common factor (_common_factor).
+
 Divided by b, a solution is a normalized vector b_i = a_i / b with
 prod(b) * sum(b) = 1; scaled by a common denominator, such a vector gives
 a solution back.  For s = 3 the chart u = b1/b2, v = 1/b2 turns that
@@ -74,6 +87,38 @@ __all__ = [
     "s4_solutions",
 ]
 
+# The leading bits of the first two parts that _common_factor compares.
+_LEAD_BITS = 128
+
+
+def _common_factor(parts: tuple[int, ...] | list[int]) -> int:
+    """A common divisor of parts: gcd(parts), or 1 for long parts whose
+    leading bits show no large common factor.
+
+    math.gcd is quadratic, and on long coprime parts it would cost a
+    verify more than it saves.  It runs left to right, so when one of the
+    first two parts has at most 128 bits it takes linear time, and it is
+    taken at once.  Otherwise a large common factor shows in the leading
+    bits.  Let x >= y be the first two |parts|, X and Y their top bits
+    shifted alike (Y of _LEAD_BITS = 128 bits), and x / y = P / Q in lowest
+    terms.  Floor truncation gives |X Q - Y P| < max(P, Q).  If Q < 2^46
+    and P < 2^48, then |X/Y - P/Q| < 1/(2 Q^2), so P/Q is a convergent of
+    X/Y (Legendre).  Euclid's remainders on (X, Y) are |X q_k - Y p_k| over
+    the convergents p_k/q_k: the one at P/Q is below 2^48, and every one
+    before it is above Y / (2Q) > 2^80.  So the loop below, which runs
+    while the remainder is at least 2^48, stops on a previous remainder
+    above 2^80, and the gcd is taken.  Coprime parts give such a jump only
+    on a partial quotient of X/Y above 2^31, and then take the gcd too.
+    Any common divisor, 1 included, keeps from_parts exact."""
+    if len(parts) < 2 or parts[0].bit_length() <= _LEAD_BITS or parts[1].bit_length() <= _LEAD_BITS:
+        return gcd(*parts)
+    y, x = sorted((abs(parts[0]), abs(parts[1])))
+    shift = y.bit_length() - _LEAD_BITS
+    x, y = x >> shift, y >> shift
+    while y >> 48:
+        x, y = y, x % y
+    return gcd(*parts) if x >> 80 else 1
+
 
 class DioSolution(Value):
     """Verified positive integer solution: parts a_1 .. a_{s-1} and b with
@@ -82,12 +127,16 @@ class DioSolution(Value):
     The constructor tests that identity in __post_init__.  The callers
     that have settled it already build through _proven, which skips
     __post_init__ and keeps only the constructor's checks of count and
-    sign: from_parts, whose perfect_sth_power decides by one test b**s ==
-    prod(parts) * sum(parts), whether its candidate root b is the floor root
-    or, for a long value, read from two half-size problems (exactmath), and
+    sign: from_parts, whose perfect_sth_power decides by one test b'**s ==
+    m', whether its candidate root b' is the floor root or, for a long
+    value, read from two half-size problems (exactmath), and
     _s4_solution, behind both the s=4 walk (s4_solutions) and
     s4_point_solution, whose curve test implies it (the 8192 identity,
-    module docstring)."""
+    module docstring).  Here m' is the value prod(parts) * sum(parts) of
+    the parts divided by a common divisor g (_common_factor), and b = g *
+    b': the system is homogeneous of degree s (module docstring), so the
+    value of the parts is g**s * m' and is an s-th power exactly when m'
+    is."""
 
     __slots__ = ("parts", "b")
     parts: tuple[int, ...]
@@ -123,13 +172,29 @@ class DioSolution(Value):
     @classmethod
     def from_parts(cls, parts: tuple[int, ...] | list[int]) -> "DioSolution":
         """Build a solution from parts alone, computing b; raises if
-        prod(parts) * sum(parts) is not a perfect s-th power."""
+        prod(parts) * sum(parts) is not a perfect s-th power.
+
+        The root is taken of the primitive solution when it can be found
+        cheaply.  g = _common_factor(parts) is gcd(parts), or 1 when the
+        parts are long and their leading bits show no large common factor.
+        With g > 1 and a'_i = a_i / g, the value is m = prod(parts) *
+        sum(parts) = g^s m' with m' = prod(a') * sum(a'), so m' has the sign
+        of m, and m is an s-th power exactly when m' is: if m = b^s, then m'
+        = (b/g)^s, and an integer that is the s-th power of a rational is
+        the s-th power of an integer.  Then b = g b'.  g = 0 (no parts, or
+        all zero) and g = 1 keep the parts as given.
+        perfect_sth_power's one test b'^s == m' decides every answer, and a
+        rejection names m, the value of the parts as given."""
         s = len(parts) + 1
-        value = prod(parts) * sum(parts)
+        g = _common_factor(parts)
+        primitive = parts if g <= 1 else [a // g for a in parts]
+        value = prod(primitive) * sum(primitive)
         b = perfect_sth_power(value, s)
         if b is None:
+            if g > 1:
+                value = prod(parts) * sum(parts)
             raise ValueError(f"{format_decimal(value)} is not a perfect {s}-th power")
-        return cls._proven(parts, b)
+        return cls._proven(parts, g * b)
 
     @property
     def s(self) -> int:

@@ -88,6 +88,58 @@ class TestVerify:
         assert (code, err) == (0, "") and parse_jsonl(out)[0]["b"] == 10
         assert calls == [(1, 4, 20, 25)]
 
+    def test_rejected_verify_evaluates_the_identity_once(self, capsys, monkeypatch):
+        # With gcd(parts) = 1 the value whose root was refused is the one the
+        # message names, so the rejection takes no second prod either.
+        calls = []
+
+        def counted(parts):
+            calls.append(tuple(parts))
+            return prod(parts)
+
+        monkeypatch.setattr(transforms, "prod", counted)
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2,25")
+        assert (code, out, err) == (1, "", "not a solution: 1400 is not a perfect 4-th power\n")
+        assert calls == [(1, 2, 25)]
+
+    def test_verify_takes_the_root_of_the_primitive_solution(self, capsys, monkeypatch):
+        # The parts of a scaled solution are divided by their gcd before the
+        # root: the root is taken of the seed's 1296 = 6^4, not of
+        # 1296 * lam^4, and b comes back as 6 * lam.
+        roots, root = [], transforms.perfect_sth_power
+
+        def recorded(m, s):
+            roots.append((m, s))
+            return root(m, s)
+
+        monkeypatch.setattr(transforms, "perfect_sth_power", recorded)
+        lam = 10 ** 999 + 7
+        parts = ",".join(str(k * lam) for k in (1, 2, 24))
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", parts, "--format", "tsv")
+        assert (code, err) == (0, "")
+        assert out == f"{lam}\t{2 * lam}\t{24 * lam}\t{6 * lam}\t{27 * lam}\n"
+        assert roots == [(1296, 4)]
+
+    def test_long_primitive_verify_takes_no_gcd(self, capsys, monkeypatch):
+        # A gen4 record is primitive: the leading bits of its parts show no
+        # large common factor, so from_parts takes no gcd, whose cost is
+        # quadratic, and roots the whole value.
+        *_, sol = transforms.s4_solutions(13)
+        gcds, roots, root = [], [], transforms.perfect_sth_power
+
+        def recorded(m, s):
+            roots.append((m, s))
+            return root(m, s)
+
+        monkeypatch.setattr(transforms, "gcd", lambda *parts: gcds.append(parts) or gcd(*parts))
+        monkeypatch.setattr(transforms, "perfect_sth_power", recorded)
+        parts = ",".join(map(str, sol.sorted_parts))
+        code, out, err = run_cli(capsys, "verify", "--s", "4", "--parts", parts, "--format", "tsv")
+        assert (code, err) == (0, "")
+        assert out == "\t".join(map(str, (*sol.sorted_parts, sol.b, sol.n))) + "\n"
+        assert min(sol.parts).bit_length() > 500
+        assert (gcds, roots) == ([], [(prod(sol.parts) * sol.n, 4)])
+
     def test_wrong_arity_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--s", "4", "--parts", "1,2")
         assert code == 2

@@ -2,7 +2,7 @@ import copy
 import pickle
 from dataclasses import make_dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,12 +23,16 @@ from gen4_oracle import BVector, s4_curve, s4_forward, s4_in_positive_region, s4
 from root_oracle import oracle_nth_root
 from sumprodpower import DioSolution, SearchSpec
 from sumprodpower.exactmath import format_decimal
+from sumprodpower.transforms import _common_factor, s4_solutions
 
 SEED = Point(235, 8)
 # The second worked s=4 point: equals [3](235, 8).
 EXAMPLE_POINT = Point(Fraction(60266587, 257049), Fraction(3852230624, 130323843))
 EXAMPLE_PARTS = (781943058, 138991832, 18609625)
 WITNESS = Point(Fraction(30507, 121), Fraction(-584592, 1331))
+# The gen4 record of 7 (235, 8): primitive, with parts of 528 to 532 bits,
+# long enough that from_parts reads their leading bits for a common factor.
+LONG_RECORD = [*s4_solutions(13)][-1].parts
 
 
 def oracle_from_parts(parts) -> DioSolution:
@@ -90,8 +94,32 @@ class TestDioSolution:
     @example(parts=(-6, -2, 8, 9))  # prod * n = 7776 = 6^5
     @example(parts=(5,))
     @example(parts=())
+    @example(parts=[0])  # g = gcd(parts) = 0: the parts are kept as given
+    @example(parts=[0, 0, 0])
+    @example(parts=(-18, -16, -2))  # g = 2 and prod * n = 20736 = 12^4
+    @example(parts=(2, 4, 50))  # g = 2: the message names 22400, not 1400
+    # Long parts whose common factor the leading bits do not show: g = 1,
+    # and the root is taken of the whole value.
+    @example(parts=[2 * a for a in LONG_RECORD])
+    @example(parts=[2 * a for a in LONG_RECORD[:2]] + [2 * LONG_RECORD[2] + 2])
+    @example(parts=[3 ** 100 * a for a in LONG_RECORD])
+    # A first or second part of at most 128 bits: the gcd takes linear time
+    # and is taken at once.
+    @example(parts=(2, 4, 2 ** 200))
+    @example(parts=(2 ** 200, 4, 2))
     def test_from_parts_matches_the_constructor_oracle(self, parts):
         assert outcome(DioSolution.from_parts, parts) == outcome(oracle_from_parts, parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.integers(2 ** 128, 2 ** 4000), p=st.integers(1, 2 ** 48 - 1),
+           q=st.integers(1, 2 ** 46 - 1), c=st.integers(0, 2 ** 46 - 1), sign=st.sampled_from([1, -1]))
+    @example(lam=2 ** 128, p=2 ** 48 - 2, q=2 ** 46 - 1, c=1, sign=1)  # the bounds, coprime
+    def test_common_factor_of_small_cofactors_is_the_gcd(self, lam, p, q, c, sign):
+        # First two parts lam p and lam q, one cofactor below 2^48 and the
+        # other below 2^46: the leading bits show their common factor, and
+        # _common_factor takes the gcd (its docstring has the proof).
+        parts = [lam * p, sign * lam * q, lam * min(c, p, q)]
+        assert _common_factor(parts) == gcd(*parts)
 
     @pytest.mark.parametrize("parts", [(-9, -8, -1), (-6, -2, 8, 9)])
     def test_from_parts_refuses_negative_parts_of_a_perfect_power(self, parts):
