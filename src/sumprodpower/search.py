@@ -1,7 +1,7 @@
 """Bounded exhaustive enumeration of solutions with nondecreasing parts.
 
 The enumeration walks nondecreasing prefixes (a_1 <= ... <= a_{s-3}) whose sum
-leaves room for the parts still to come, pruning a prefix as soon as the
+leaves space for the parts still to come, pruning a prefix as soon as the
 remaining slots cannot fit (each remaining part is at least as large as the
 current one).  The last two parts a <= x are never both scanned.  With P and
 T the product and sum of a prefix, a solution needs
@@ -85,36 +85,43 @@ range from b**3 >= 2 * a**3 (x = a) to b**3 <= a * top * (a + top)
 (x = top), visits only the multiples of r(a) in it, and recovers x from
 the same quadratic with T = 0: disc = a**2 + 4 * b**3 / a.
 
-Whole prefixes are cut at the upper levels by the same r.  Take a prefix with
-product P * a and sum t, and m parts still to choose.
+Whole prefixes are cut at the upper levels by one cap on b per state.  Take
+a state with product P, sum T and r = r(P), whose next part a lies in
+[lo, hi] with m parts after it, and let L = n_max - T.
   - r(P * a) | r(P * a * Q) for every product Q of further parts, since
-    ceil(e/s) <= ceil((e + f)/s); so every completion has b >= r(P * a).
-  - The m parts sum to at most n_max - t, so by AM-GM their product is at
-    most ((n_max - t)/m)**m, and n <= n_max; so b**s <= P * a *
-    ((n_max - t)/m)**m * n_max.
-A prefix with r(P * a)**s * m**m > P * a * (n_max - t)**m * n_max therefore
-has no completion, and its subtree is skipped.
+    ceil(e/s) <= ceil((e + f)/s); so every completion through a has
+    b >= r(P * a).  If a prime p of a does not divide P, then
+    r(P * a) >= r * p: with e = 0, p's exponent in r becomes ceil(f/s) >= 1.
+  - The m parts after a sum to at most L - a, so by AM-GM their product is
+    at most ((L - a)/m)**m, and n <= n_max; so b**s * m**m <= P * a *
+    (L - a)**m * n_max.
+  - a * (L - a)**m rises in a up to a = L / (m + 1), and hi never passes
+    that point: it is L // (m + 1), or a smaller a_max or block end.  So
+    F = hi * (L - hi)**m is the largest value over [lo, hi], and every
+    completion of the state has b <= cap = floor(z**(1/s)), with
+    z = P * F * n_max // m**m (b**s is an integer), from bisecting the
+    powers list (_b_cap).
+A node with r(P * a) > cap has no completion, and its subtree is skipped;
+one whose largest prime p = lpf[a] is new to P is skipped when r * p > cap,
+before a is factored or exps copied.  z never passes the powers list: the
+prefix's parts, hi, and m copies of (L - hi) / m are s - 1 values summing to
+n_max, so by AM-GM z <= n_max * (n_max / (s - 1))**(s - 1) < (b_max + 1)**s,
+where b_max is the list's last b.  L - hi >= m * hi gives
+z >= P * hi**(m + 1) * n_max, so cap >= 1, and 0 can mark a cap not computed
+yet.  cap is computed once per state, at its first node whose largest prime
+is new or whose r(P * a) is above r, so a state whose nodes all keep r pays
+nothing for it; a node before that one that keeps r is kept unchecked.  At
+the root, P = 1 and z >= hi**(s - 1) * n_max >= hi**s, so cap >= hi >= r(a):
+the root drops no node.
 
-Most cut prefixes are skipped before a is factored, exps copied or the cut
-evaluated.  Take a state with product P, sum T and r = r(P), whose next
-part a lies in [lo, hi] with m parts after it, and let L = n_max - T.
-  - If a prime p of a does not divide P, then r(P * a) >= r * p: r gains
-    p**(ceil((e + f)/s) - ceil(e/s)) for each prime power p**f of a, and
-    with e = 0 that exponent is ceil(f/s) >= 1.
-  - a * (L - a)**m is at most F, its largest value over [lo, hi].  Over the
-    reals it rises up to a = L / (m + 1) and falls after it, so F is at one
-    of the two integers around that point, each clamped to [lo, hi].
-So a node with such a p and (r * p)**s * m**m > P * F * n_max fails the cut.
-With z = P * F * n_max // m**m, that is every p above p_max =
-floor(floor(z**(1/s)) / r), and the floor root comes from bisecting the
-powers list.  z never passes the list: the prefix's parts, a, and m copies
-of (L - a) / m are s - 1 values summing to n_max, so by AM-GM
-z <= n_max * (n_max / (s - 1))**(s - 1) < (b_max + 1)**s, where b_max is the
-list's last b.  A node is skipped when lpf[a] > p_max and lpf[a] is not in
-exps.  p_max is computed once per state, at its first node whose lpf is a
-new prime, so a state whose nodes all reuse its primes pays nothing for it.
-The root state never tries the skip: there P = 1 and p_max >= hi (checked
-for s = 5 to 11).  s = 3 and s = 4 have no other state.
+The cap keeps every node that the exact cut, r(P * a)**s * m**m <= P * a *
+(L - a)**m * n_max, keeps, since P * a * (L - a)**m * n_max <= P * F * n_max.
+It keeps a few more.  Each of them fails the exact cut, and so does each of
+its descendants, whose further parts only lower the AM-GM bound.  A
+last-level prefix with product P', sum T' and r' = r(P') that fails it has
+r'**s > P' * (n_max - T')**2 / 4 * n_max, which is at least the largest
+value that _b_range bisects for, so its range of b is empty.  The records,
+and the b the last level visits, are those of the exact cut.
 
 The tables take memory in proportion to n_max.  Resident memory (the growth
 of ru_maxrss across _tables, each in a fresh process, at n_max = 10**6 on
@@ -140,6 +147,7 @@ other subcommand start without them.
 
 import os
 from bisect import bisect_left, bisect_right
+from functools import cache
 from math import gcd, isqrt
 
 from ._value import Value
@@ -222,22 +230,18 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
     while stack:
         parts, total, product, r, exps, lo, hi = stack.pop()
         remaining = s - 2 - len(parts)  # parts still to choose after the next one
-        room = remaining ** remaining
         last = remaining == 2  # the children are last-level prefixes
-        p_max = 0  # the skip's prime cap: 0 until a node needs it, then at least 1
+        cap = 0  # the state's cap on b: 0 until a node needs it, then at least 1
         for a in range(lo, hi + 1):
-            # The skip (module docstring): a largest prime of a that is new
-            # to the product and above p_max fails the cut.  The root state,
-            # the only one for s < 5, never tries it.  lpf[1] = 0, so a = 1
-            # neither computes p_max nor is skipped.
-            if parts:
-                p = lpf[a]
-                if p > p_max and p not in exps:
-                    if not p_max:
-                        # A cap of 0 skips the same primes as a cap of 1.
-                        p_max = _prime_cap(tables, total, product, r, lo, hi, remaining) or 1
-                    if p > p_max:
-                        continue
+            # The cap on b (module docstring).  A largest prime p of a that
+            # is new to the product gives r(product * a) >= r * p, so a node
+            # with r * p above the cap is dropped before a is factored.
+            # lpf[1] = 0.
+            p = lpf[a]
+            if r * p > cap and p not in exps:
+                cap = cap or _b_cap(tables, total, product, hi, remaining)
+                if r * p > cap:
+                    continue
             ra = r
             child = exps
             if a > 1:
@@ -253,40 +257,31 @@ def _search(tables: _Tables, lo: int, hi: int) -> list[tuple[tuple[int, ...], in
                     e = child.get(p, 0)
                     ra *= p ** ((e + f + s1) // s - (e + s1) // s)
                     child[p] = e + f
+                # b >= r(product * a) = ra for every completion.  A node
+                # that keeps r does not make the state work out its cap.
+                if ra > r or cap:
+                    cap = cap or _b_cap(tables, total, product, hi, remaining)
+                    if ra > cap:
+                        continue
             t = total + a
-            pa = product * a
-            rest = n_max - t
-            # The prefix cut (module docstring): r(pa)**s > pa times the
-            # AM-GM bound on the rest leaves no completion.
-            if ra ** s * room <= pa * rest ** remaining * n_max:
-                child_hi = rest // remaining
-                if child_hi > a_max:
-                    child_hi = a_max
-                if last:
-                    _divisor_walk(tables, parts + (a,), t, pa, ra, child, a, child_hi, out)
-                else:
-                    stack.append((parts + (a,), t, pa, ra, child, a, child_hi))
+            child_hi = (n_max - t) // remaining
+            if child_hi > a_max:
+                child_hi = a_max
+            if last:
+                _divisor_walk(tables, parts + (a,), t, product * a, ra, child, a, child_hi, out)
+            else:
+                stack.append((parts + (a,), t, product * a, ra, child, a, child_hi))
     return out
 
 
-def _prime_cap(
-    tables: _Tables, total: int, product: int, r: int, lo: int, hi: int, m: int
-) -> int:
-    # p_max of the skip (module docstring): the largest p with
-    # (r * p)**s * m**m <= P * F * n_max, for the product P and sum T of a
-    # prefix whose next part lies in [lo, hi] with m parts after it.
+def _b_cap(tables: _Tables, total: int, product: int, hi: int, m: int) -> int:
+    # The largest b that a completion of a prefix state can reach, for the
+    # product and sum of the state's prefix, whose next part is at most hi
+    # with m parts after it: b**s * m**m <= product * F * n_max, with
+    # F = hi * (n_max - total - hi)**m (module docstring).
     s, n_max, a_max, lpf, powers = tables
-    z = product * _peak(n_max - total, m, lo, hi) * n_max // m ** m
-    # z < (b_max + 1)**s (module docstring), so the bisect gives the floor root.
-    return (bisect_right(powers, z) - 1) // r
-
-
-def _peak(rest: int, m: int, lo: int, hi: int) -> int:
-    # F = max of a * (rest - a)**m over a in [lo, hi].  Over the reals it
-    # rises up to a = rest / (m + 1) and falls after, so the max is at one
-    # of the two integers around that point, each clamped to [lo, hi].
-    a = rest // (m + 1)
-    return max(c * (rest - c) ** m for c in (min(max(a, lo), hi), min(max(a + 1, lo), hi)))
+    # The bound is below (b_max + 1)**s, so the bisect gives the floor root.
+    return bisect_right(powers, product * hi * (n_max - total - hi) ** m * n_max // m ** m) - 1
 
 
 def _s3_last_level(
@@ -406,31 +401,22 @@ def _divisor_walk(
                     k -= 1
 
 
-_worker_bounds: tuple[int, int, int] = (0, 0, 0)  # set in each pool worker by _init_worker
-_worker_tables: _Tables | None = None  # built by the worker's first block
+# A pool worker's tables, built on its first block.  Only pool workers call
+# it, and a pool serves one spec, so it holds one set of tables.
+_block_tables = cache(_tables)
 
 
-def _init_worker(s: int, n_max: int, a_max: int) -> None:
-    # Ctrl-C reaches the whole process group.  Only the parent acts on it:
-    # leaving the pool's with-block terminates the workers.
-    import signal  # here, with multiprocessing: only --jobs runs need it
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _worker_bounds, _worker_tables
-    _worker_bounds = (s, n_max, a_max)
-    _worker_tables = None
-
-
-def _leading_block(leads: tuple[int, int]) -> list[tuple[tuple[int, ...], int, int]]:
-    # All solutions whose smallest part lies in leads = (lo, hi), in a pool
-    # worker.  The tables are built here and not in _init_worker: a pool
+def _leading_block(
+    block: tuple[int, int, int, int, int]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    # All solutions whose smallest part lies in [lo, hi], in a pool worker,
+    # for block = (s, n_max, a_max, lo, hi).  The tables are built here, on
+    # the worker's first block, and not in a pool initializer: a pool
     # replaces a worker whose initializer raises, forever, while what a
     # block raises (MemoryError when the tables do not fit) reaches the
     # parent.
-    global _worker_tables
-    if _worker_tables is None:
-        _worker_tables = _tables(*_worker_bounds)
-    return _search(_worker_tables, *leads)
+    s, n_max, a_max, lo, hi = block
+    return _search(_block_tables(s, n_max, a_max), lo, hi)
 
 
 def _usable_cores() -> int:
@@ -453,14 +439,18 @@ def enumerate_solutions(spec: SearchSpec) -> list[DioSolution]:
         # leading parts cost the most, so blocks come out in falling order of
         # cost and the pool's first-free-worker dispatch keeps loads even.
         step = -(-lead_hi // (4 * workers))
-        blocks = [(lo, min(lo + step - 1, lead_hi)) for lo in range(1, lead_hi + 1, step)]
-        import multiprocessing  # here, so that serial runs skip its import
+        blocks = [(spec.s, n_max, a_max, lo, min(lo + step - 1, lead_hi))
+                  for lo in range(1, lead_hi + 1, step)]
+        import multiprocessing  # here, so that serial runs skip both imports
+        import signal
 
         raw = []
+        # Ctrl-C reaches the whole process group.  Only the parent acts on
+        # it: leaving the pool's with-block terminates the workers.
         with multiprocessing.Pool(
             min(workers, len(blocks)),
-            initializer=_init_worker,
-            initargs=(spec.s, n_max, a_max),
+            initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN),
         ) as pool:
             for chunk in pool.imap_unordered(_leading_block, blocks):
                 raw.extend(chunk)

@@ -6,9 +6,11 @@
   good reference for the divisibility-stepped kernel.
 - recursive_search: the upper levels as one recursive call per prefix, with
   one prime-exponent map that is changed on the way down and restored on the
-  way back.  It hands every last-level prefix to search._divisor_walk, or
-  the empty prefix of s = 3 to search._s3_last_level, as the explicit-stack
-  walk in search._search does.
+  way back, and the exact prefix cut on every node.  It hands every
+  last-level prefix that passes the cut to search._divisor_walk, or the
+  empty prefix of s = 3 to search._s3_last_level.  The explicit-stack walk
+  in search._search, with its one cap on b per state, hands on the same
+  prefixes and a few more, whose ranges of b are empty.
 - last_two_parts: the last level of one prefix by brute force.  It scans
   every pair of last parts and looks the product up in a dict of s-th
   powers, with no r(P) and no divisors, which makes it the reference for

@@ -539,7 +539,9 @@ class TestSearch:
     # primitive record counts.  The counts are the program's own output,
     # pinned as a regression check; what shows that no record is missing is
     # the closure below.  The system is homogeneous: scaling the parts by k
-    # scales b and n by k, and g = gcd(parts) divides b.
+    # scales b and n by k, and g = gcd(parts) divides b.  A lower sum bound
+    # and a part bound must select records from the full run, in its order:
+    # these runs prune differently, so each checks the others' pruning.
     @pytest.mark.parametrize("s, max_n, records, primitive", [
         (4, 3000, 350, 25), (5, 3000, 2765, 854), (6, 600, 1555, 907), (7, 400, 2069, 1690),
     ])
@@ -560,17 +562,26 @@ class TestSearch:
                       for *parts, b, n in rows if (g := gcd(*parts)) > 1}
         assert multiples | reductions <= set(rows)
         assert (len(rows), sum(gcd(*row[:-2]) == 1 for row in rows)) == (records, primitive)
+        lines = serial[1].splitlines(keepends=True)
+        half, quarter = max_n // 2, max_n // 4
+        assert run_cli(capsys, *argv[:4], str(half), *argv[5:]) == (
+            0, "".join(line for line, row in zip(lines, rows) if row[-1] <= half), "")
+        assert run_cli(capsys, *argv, "--max-part", str(quarter)) == (
+            0, "".join(line for line, row in zip(lines, rows) if max(row[:-2]) <= quarter), "")
 
-    @pytest.mark.parametrize("s, max_n, jobs", [("1000", "999", "1"), ("300", "598", "2")])
+    @pytest.mark.parametrize("s, max_n, jobs", [
+        ("1000", "999", "1"), ("300", "598", "2"), ("1000", "1998", "2")])
     def test_large_s_runs_to_the_end(self, capsys, s, max_n, jobs):
         # The prefix walk keeps its prefixes on an explicit stack, not on the
-        # interpreter's, so a thousand parts are no deeper than five.  Neither
-        # bound has a solution: at s = 1000 every part is 1, and 999 is no
-        # 1000th power; at s = 300 the parts are k twos and 299 - k ones, so
-        # b = 2 and n = 299 + k would have to be 2**(300 - k).  --max-n 598
-        # leaves two leading parts, so --jobs 2 takes the pool on two or more
-        # usable cores; at s = 1000 that needs --max-n 1998, which takes
-        # about 2 s of big-integer prefix cuts.
+        # interpreter's, so a thousand parts are no deeper than five.  No
+        # bound has a solution: at --max-n s - 1 every part is 1, and s - 1
+        # is no s-th power; at --max-n 2 (s - 1) the parts are k twos and
+        # s - 1 - k ones, so b = 2 and n = s - 1 + k would have to be
+        # 2**(s - k).  That bound leaves two leading parts, so --jobs 2 takes
+        # the pool on two or more usable cores.  At s = 1000 it runs in well
+        # under a second: a state works out its cap on b, a power of degree
+        # up to s - 2, only at its first node that brings a new prime or
+        # raises r, about 2,000 times for the walk's 34,000 nodes.
         assert run_cli(capsys, "search", "--s", s, "--max-n", max_n, "--jobs", jobs) == (
             0, "", "")
 
@@ -1285,6 +1296,9 @@ class TestInterrupt:
             [sys.executable, "-m", "sumprodpower.cli", "search", "--s", "7", "--max-n", "600",
              "--jobs", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            # A shell starts a background job with SIGINT ignored, and a
+            # child inherits that: the test runs the child as Ctrl-C finds it.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
         try:
             children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from collections.abc import Iterator
+from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, prod
 
@@ -174,17 +176,18 @@ class TestEnumerateSolutions:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch) -> list[int]:
+def pool_sizes(monkeypatch) -> Iterator[list[int]]:
     """Swap multiprocessing.Pool, which search imports only for a parallel
     run, for an in-process fake; the list collects the number of processes
-    each pool was asked for."""
+    each pool was asked for.  The fake runs the blocks in this process, so
+    the tables they build are dropped before and after the test."""
     sizes: list[int] = []
 
     class FakePool:
         def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
             self.sigint = signal.getsignal(signal.SIGINT)
-            initializer(*initargs)  # sets search._worker_bounds, ignores SIGINT
+            initializer(*initargs)  # ignores SIGINT
 
         def __enter__(self):
             return self
@@ -196,8 +199,9 @@ def pool_sizes(monkeypatch) -> list[int]:
             return map(func, reversed(blocks))  # finishing order must not matter
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(search, "_worker_tables", None)
-    return sizes
+    search._block_tables.cache_clear()
+    yield sizes
+    search._block_tables.cache_clear()
 
 
 class TestJobsCap:
@@ -344,8 +348,8 @@ def pruned_prefixes(spec: SearchSpec) -> set[tuple[int, ...]]:
 
 
 class TestPrefixCut:
-    """The upper-level cut r(P*a)**s * m**m > P*a * (n_max - t)**m * n_max
-    skips only prefixes that no solution starts with."""
+    """The upper levels' cap on b (search._b_cap) skips only prefixes that
+    no solution starts with."""
 
     @pytest.mark.parametrize("a_max", [None, 5, 18])
     # (6, 8) has one solution, (1, 1, 2, 2, 2), at equality in the cut.
@@ -384,13 +388,18 @@ def stub_last_level(monkeypatch) -> list[tuple]:
 
 
 class TestStackWalk:
-    """The upper levels walked from an explicit stack against the recursive
-    walk they replaced (search_oracle.recursive_search): both hand the same
-    multiset of prefix states to the last level."""
+    """The upper levels walked from an explicit stack, with one cap on b per
+    state, against the recursive walk with the exact prefix cut
+    (search_oracle.recursive_search).  Every prefix state that the recursive
+    walk hands to the last level, the stack walk hands on as often.  The cap
+    keeps a few more; each of those fails the exact cut, so its range of b
+    is empty (search module docstring).  A prefix whose r is above the cap
+    of the state it came from is handed on only unchecked: its r is that
+    state's own, and no node before it made the state work out its cap."""
 
     @staticmethod
     def check(s: int, n_max: int, a_max: int | None, lo: int, hi: int) -> int:
-        # Returns the number of last-level calls.
+        # Returns the number of the recursive walk's last-level calls.
         spec = SearchSpec(s, n_max, a_max)
         tables = _tables(s, spec.sum_bound, spec.part_bound)
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -399,7 +408,29 @@ class TestStackWalk:
             stacked = Counter(calls)
             calls.clear()
             recursive_search(tables, lo, hi)
-            assert Counter(calls) == stacked
+            exact = Counter(calls)
+        assert not exact - stacked
+        for _, parts, total, product, r, _, walk_lo, walk_hi in stacked - exact:
+            assert not search._b_range(tables, total, product, r, walk_lo, walk_hi)
+        lpf = tables[3]
+        for call in stacked:
+            if call[0] == "walk":
+                _, parts, total, product, r, entries, *_ = call
+                a = parts[-1]
+                # The state the prefix came from: the root, or a state whose
+                # next part has two parts after it.
+                up_hi = hi if len(parts) == 1 else min(
+                    spec.part_bound, (spec.sum_bound - total + a) // 3)
+                if r > search._b_cap(tables, total - a, product // a, up_hi, 2):
+                    up_exps = Counter(dict(entries)) - prime_powers(a)
+                    up_r = product_and_root(up_exps, s)[1]
+                    assert r == up_r
+                    # The state's lo is parts[-2]: the root has r <= cap.
+                    # a = 1 is not factored, so it makes no state work out
+                    # its cap.
+                    for before in range(max(parts[-2], 2), a):
+                        assert lpf[before] in up_exps
+                        assert product_and_root(up_exps + prime_powers(before), s)[1] == up_r
         return len(calls)
 
     @pytest.mark.parametrize(
@@ -483,35 +514,44 @@ def path_states(s: int, n_max: int, parts: tuple[int, ...]) -> list[tuple[int, C
 
 
 def state_args(s: int, state: tuple[int, Counter, int, int, int]) -> tuple:
-    """search._prime_cap's arguments after the tables: total, product, r,
-    lo, hi, m."""
+    """(total, product, r, lo, hi, m) of a state of upper_states."""
     total, exps, lo, hi, m = state
     return total, *product_and_root(exps, s), lo, hi, m
 
 
+def peak_bound(n_max: int, total: int, product: int, hi: int, m: int) -> int:
+    """P * F * n_max with F = hi * (n_max - total - hi)**m: at least
+    b**s * m**m for every completion of the state (search module docstring)."""
+    return product * hi * (n_max - total - hi) ** m * n_max
+
+
 class TestPrimeSkip:
-    """The upper levels skip a node whose largest prime is new to the
-    product and above the state's p_max, before factoring it: every such
-    node fails the cut."""
+    """The upper levels drop a node when r(P * a) is above the state's cap
+    on b (search._b_cap), and a node whose largest prime is new to the
+    product when r * p is above it, before factoring it: every such node
+    fails the exact prefix cut."""
 
     @staticmethod
     def check(s: int, n_max: int, a_max: int | None) -> int:
-        # Returns the number of nodes the skip drops.
+        # Returns the number of nodes the cap drops.
         spec = SearchSpec(s, n_max, a_max)
         tables = _tables(s, spec.sum_bound, spec.part_bound)
         lpf = tables[3]
-        skipped = 0
-        for state in upper_states(spec):
-            total, exps, lo, hi, m = state
-            p_max = search._prime_cap(tables, *state_args(s, state))
+        dropped = 0
+        for total, exps, lo, hi, m in upper_states(spec):
+            product, r = product_and_root(exps, s)
+            cap = search._b_cap(tables, total, product, hi, m)
             for a in range(lo, hi + 1):
-                if lpf[a] > p_max and lpf[a] not in exps:
-                    skipped += 1
-                    assert not cut_keeps(
-                        s, spec.sum_bound, total + a, exps + prime_powers(a), m)
+                child = exps + prime_powers(a)
+                ra = product_and_root(child, s)[1]
+                if lpf[a] not in exps:  # a new largest prime: r(P * a) >= r * p
+                    assert ra >= r * lpf[a]
+                if ra > cap:
+                    dropped += 1
+                    assert not cut_keeps(s, spec.sum_bound, total + a, child, m)
         # The search itself keeps every node that the cut keeps.
         TestStackWalk.check(s, n_max, a_max, 1, min(spec.part_bound, spec.sum_bound // (s - 1)))
-        return skipped
+        return dropped
 
     @pytest.mark.parametrize("s, n_max", [(5, 170), (6, 100), (7, 64), (8, 60)])
     def test_benchmark_bounds(self, s, n_max):
@@ -528,9 +568,11 @@ class TestPrimeSkip:
 
     @pytest.mark.parametrize("s, n_max", [(5, 170), (6, 100), (7, 64), (8, 60), (1000, 1998)])
     def test_p_max_is_the_threshold(self, s, n_max):
-        # (r * p_max)**s * m**m <= P * F * n_max < (r * (p_max + 1))**s * m**m
-        # at the states of a run.  s = 1000 is too deep for upper_states: it
-        # takes the states along the prefixes 1, ..., 1 and 1, 2, 2, 2.
+        # The state's cap on b, which took over from the prime cap p_max of
+        # the name (kept, with its test ids), is the largest b with
+        # b**s * m**m <= P * F * n_max, at the states of a run.  s = 1000 is
+        # too deep for upper_states: it takes the states along the prefixes
+        # 1, ..., 1 and 1, 2, 2, 2.
         tables = _tables(s, n_max, n_max)
         if s > 8:
             states = path_states(s, n_max, (1,) * (s - 4)) + path_states(
@@ -540,10 +582,9 @@ class TestPrimeSkip:
         assert states
         for state in states:
             total, product, r, lo, hi, m = state_args(s, state)
-            rest = n_max - total
-            bound = product * max(a * (rest - a) ** m for a in range(lo, hi + 1)) * n_max
-            p_max = search._prime_cap(tables, total, product, r, lo, hi, m)
-            assert (r * p_max) ** s * m ** m <= bound < (r * (p_max + 1)) ** s * m ** m
+            bound = peak_bound(n_max, total, product, hi, m)
+            cap = search._b_cap(tables, total, product, hi, m)
+            assert cap ** s * m ** m <= bound < (cap + 1) ** s * m ** m
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -553,28 +594,33 @@ class TestPrimeSkip:
     )
     def test_z_stays_in_the_powers_list(self, s, n_max, a_max):
         # z = P * F * n_max // m**m < (b_max + 1)**s at every state (module
-        # docstring), so bisecting the powers list gives floor(z**(1/s)).
+        # docstring), so bisecting the powers list gives floor(z**(1/s)),
+        # which is at least 1.
         spec = SearchSpec(s, max(n_max, s - 1), a_max)
         tables = _tables(s, spec.sum_bound, spec.part_bound)
         powers = tables[4]
         for state in upper_states(spec):
             total, product, r, lo, hi, m = state_args(s, state)
-            z = product * search._peak(spec.sum_bound - total, m, lo, hi) * spec.sum_bound // m ** m
+            z = peak_bound(spec.sum_bound, total, product, hi, m) // m ** m
             assert z < len(powers) ** s
-            assert search._prime_cap(tables, total, product, r, lo, hi, m) == (
-                int_nth_root(z, s) // r)
+            assert search._b_cap(tables, total, product, hi, m) == int_nth_root(z, s) >= 1
 
-    @settings(max_examples=200, deadline=None)
-    @given(rest=st.integers(1, 400), m=st.integers(1, 8), data=st.data())
-    def test_peak_is_the_largest_value(self, rest, m, data):
-        lo = data.draw(st.integers(0, rest))
-        hi = data.draw(st.integers(lo, rest))
-        assert search._peak(rest, m, lo, hi) == max(a * (rest - a) ** m for a in range(lo, hi + 1))
-
-    @pytest.mark.parametrize("lo, hi", [(1, 5), (30, 40), (10, 30), (20, 20), (21, 21), (0, 100)])
-    def test_peak_on_either_side_of_the_turn(self, lo, hi):
-        # a * (100 - a)**4 turns at a = 20.
-        assert search._peak(100, 4, lo, hi) == max(a * (100 - a) ** 4 for a in range(lo, hi + 1))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(4, 9),
+        n_max=st.integers(3, 160),
+        a_max=st.none() | st.integers(1, 160),
+    )
+    def test_peak_is_the_largest_value(self, s, n_max, a_max):
+        # a * (L - a)**m rises up to a = L / (m + 1), and no state's hi
+        # passes that turn, so F = hi * (L - hi)**m is its largest value over
+        # [lo, hi] (search module docstring).
+        spec = SearchSpec(s, max(n_max, s - 1), a_max)
+        for total, exps, lo, hi, m in upper_states(spec):
+            rest = spec.sum_bound - total
+            assert hi <= rest // (m + 1)
+            if lo <= hi:
+                assert max(a * (rest - a) ** m for a in range(lo, hi + 1)) == hi * (rest - hi) ** m
 
     @pytest.mark.parametrize("s", [5, 6, 7])
     def test_largest_prime_factor_list(self, s):
@@ -587,8 +633,9 @@ class TestPrimeSkip:
 
     @pytest.mark.parametrize("s", [3, 4])
     def test_no_list_below_s5(self, s):
-        # No s has a prime list of its own: s = 3 and 4, which never try
-        # the skip, factor from the same table as s >= 5.
+        # No s has a prime list of its own: s = 3, with no upper level, and
+        # s = 4, whose only state is the root, factor from the same table as
+        # s >= 5.
         tables = _tables(s, 2000, 2000)
         assert len(tables) == 5
         assert tables[3] == _tables(5, 2000, 2000)[3]
@@ -597,12 +644,13 @@ class TestPrimeSkip:
     @pytest.mark.parametrize("n_max, a_max", [
         (0, None), (100, None), (101, 3), (600, None), (1000, 10), (3000, None)])
     def test_the_root_would_skip_nothing(self, s, n_max, a_max):
-        # The root state, with P = 1, does not try the skip: its p_max is
-        # at least its hi.  n_max = 0 stands for the smallest bound, s - 1.
+        # The root state, with P = 1, drops no node: its cap is at least its
+        # hi, and r(a) <= a <= hi.  n_max = 0 stands for the smallest bound,
+        # s - 1.
         spec = SearchSpec(s, max(n_max, s - 1), a_max)
         tables = _tables(s, spec.sum_bound, spec.part_bound)
         hi = min(spec.part_bound, spec.sum_bound // (s - 1))
-        assert search._prime_cap(tables, 0, 1, 1, 1, hi, s - 2) >= hi
+        assert search._b_cap(tables, 0, 1, hi, s - 2) >= hi
 
 
 def last_level(kernel, tables, parts, total, product, r, exps, lo, hi):
@@ -888,6 +936,7 @@ class TestSumBound:
             return built
 
         monkeypatch.setattr(search, "_tables", recording)
+        monkeypatch.setattr(search, "_block_tables", cache(recording))  # a pool worker's
         return lengths
 
     @pytest.mark.parametrize("a_max, records", [(1, 0), (30, 4)])
